@@ -1,11 +1,11 @@
 GO ?= go
 
-.PHONY: ci fmt vet build test race bench profile cover ablation faultcamp accessbench benchjson replaycheck runcheck campaigncheck telemetrycheck
+.PHONY: ci fmt vet build test race benchmod bench profile cover ablation faultcamp accessbench benchjson replaycheck runcheck campaigncheck telemetrycheck
 
 # ci is the gate the concurrency-touching paths (parallel difftest
 # campaign, goroutine-safe Stats, tracer, metrics registry) must keep
 # green.
-ci: fmt vet build test race
+ci: fmt vet build test race benchmod
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -22,6 +22,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# benchmod vets and tests the benchmark (perfbench/ is its own Go module,
+# so the root ./... patterns skip it): an API change that stops the
+# benchmark compiling fails here, not only in the benchmark pipeline.
+benchmod:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .

@@ -11,6 +11,7 @@ import (
 	"ticktock/internal/armv7m"
 	"ticktock/internal/difftest"
 	"ticktock/internal/flightrec"
+	"ticktock/internal/kcore"
 	"ticktock/internal/kernel"
 	"ticktock/internal/mpu"
 	"ticktock/internal/physmem"
@@ -156,6 +157,108 @@ func classifyPort(port string, base, inj runSignature, applied bool, violations 
 	return pr
 }
 
+// portKernel is what a scenario run needs of either port's kernel; both
+// get it from the shared kernel core.
+type portKernel interface {
+	RunOnce() (bool, error)
+	Alive() bool
+	Counters() kcore.Counters
+	Records() []*kcore.Process
+}
+
+// drive runs k for up to quanta scheduling quanta while any process is
+// alive, firing the boundary injection at the scenario's quantum when
+// inject is set, and returns the run signature and whether the boundary
+// injection fired.
+func drive(k portKernel, sc Scenario, inject bool, quanta int, boundary func() bool) (runSignature, bool, error) {
+	fired := false
+	for q := 0; q < quanta && k.Alive(); q++ {
+		if inject && q == sc.Quantum {
+			fired = boundary()
+		}
+		ran, err := k.RunOnce()
+		if err != nil {
+			return runSignature{}, fired, err
+		}
+		if !ran {
+			break
+		}
+	}
+	return signature(k), fired, nil
+}
+
+// installHooks arms the scenario's hook injection on either port: an
+// upset (flip) at the start of the sc.Quantum-th user quantum — after
+// the kernel programmed the protection unit, while user code owns the
+// pipeline, so the kernel's per-switch reconfiguration bounds the
+// exposure to one quantum — or corruption of the sc.Nth syscall's
+// arguments or return value. It sets *applied when the injection fires.
+func installHooks[P any, C kcore.Class](sc Scenario, h *kcore.FaultHooks[P, C], applied *bool, flip func()) {
+	n := 0
+	switch sc.Kind {
+	case KindMPUFlip:
+		h.QuantumStart = func(P) {
+			if n++; n == sc.Quantum {
+				*applied = true
+				flip()
+			}
+		}
+	case KindSyscallArg:
+		h.SyscallArgs = func(_ P, _ C, args [4]uint32) [4]uint32 {
+			if n++; n == sc.Nth {
+				*applied = true
+				args[sc.ArgIdx] ^= sc.XorVal
+			}
+			return args
+		}
+	case KindSyscallRet:
+		h.SyscallRet = func(_ P, _ C, ret uint32) uint32 {
+			if n++; n == sc.Nth {
+				*applied = true
+				ret ^= sc.XorVal
+			}
+			return ret
+		}
+	}
+}
+
+// failFirstLoad is a machine LoadFault hook that fails the first
+// protection-checked load with fail(addr): the release apps perform few
+// data loads, so "nth load" would usually never be reached; load-free
+// programs still classify as skipped. It sets *applied when it fires.
+func failFirstLoad(applied *bool, fail func(addr uint32) error) func(uint32) error {
+	n := 0
+	return func(addr uint32) error {
+		if n++; n == 1 {
+			*applied = true
+			return fail(addr)
+		}
+		return nil
+	}
+}
+
+// signature captures the run's supervision counters, console output
+// and final states.
+func signature(k portKernel) runSignature {
+	var out, states strings.Builder
+	var restarts uint64
+	for _, p := range k.Records() {
+		fmt.Fprintf(&out, "[%s] %s", p.Name, p.Output())
+		fmt.Fprintf(&states, "%s=%s ", p.Name, p.State)
+		restarts += uint64(p.Restarts)
+	}
+	c := k.Counters()
+	return runSignature{
+		Faults:        c.Faults,
+		WatchdogFires: c.WatchdogFires,
+		Quarantines:   c.Quarantines,
+		SyscallErrors: c.SyscallErrors,
+		Restarts:      restarts,
+		Output:        out.String(),
+		States:        states.String(),
+	}
+}
+
 // --- ARM port driver ---
 
 func runARMScenario(sc Scenario, cfg Config, tr *trace.Tracer) PortResult {
@@ -214,49 +317,17 @@ func armRun(sc Scenario, cfg Config, inject bool, rec *flightrec.Recorder, tr *t
 	applied := false
 	var machine *armv7m.Machine
 	if inject {
-		switch sc.Kind {
-		case KindMPUFlip:
-			// The upset strikes at the start of the sc.Quantum-th user
-			// quantum — after the kernel programmed the MPU, while user
-			// code owns the pipeline. The kernel's per-switch
-			// reconfiguration bounds the exposure to one quantum.
-			n := 0
-			opts.Hooks.QuantumStart = func(p *kernel.Process) {
-				n++
-				if n == sc.Quantum && machine != nil {
-					applied = true
-					var rbarXor, rasrXor uint32
-					if sc.AttrReg {
-						rasrXor = 1 << rasrBits[sc.BitAttr%uint(len(rasrBits))]
-					} else {
-						// RBAR address bits [31:5]; the low bits are
-						// region/valid fields the model stores separately.
-						rbarXor = 1 << (5 + sc.BitAddr%27)
-					}
-					machine.MPU.FlipBits(sc.Entry%armv7m.NumRegions, rbarXor, rasrXor)
-				}
+		installHooks(sc, &opts.Hooks, &applied, func() {
+			var rbarXor, rasrXor uint32
+			if sc.AttrReg {
+				rasrXor = 1 << rasrBits[sc.BitAttr%uint(len(rasrBits))]
+			} else {
+				// RBAR address bits [31:5]; the low bits are
+				// region/valid fields the model stores separately.
+				rbarXor = 1 << (5 + sc.BitAddr%27)
 			}
-		case KindSyscallArg:
-			n := 0
-			opts.Hooks.SyscallArgs = func(p *kernel.Process, svc uint8, args [4]uint32) [4]uint32 {
-				n++
-				if n == sc.Nth {
-					applied = true
-					args[sc.ArgIdx] ^= sc.XorVal
-				}
-				return args
-			}
-		case KindSyscallRet:
-			n := 0
-			opts.Hooks.SyscallRet = func(p *kernel.Process, svc uint8, ret uint32) uint32 {
-				n++
-				if n == sc.Nth {
-					applied = true
-					ret ^= sc.XorVal
-				}
-				return ret
-			}
-		}
+			machine.MPU.FlipBits(sc.Entry%armv7m.NumRegions, rbarXor, rasrXor)
+		})
 	}
 	k, err := kernel.New(opts)
 	if err != nil {
@@ -264,18 +335,7 @@ func armRun(sc Scenario, cfg Config, inject bool, rec *flightrec.Recorder, tr *t
 	}
 	machine = k.Board.Machine
 	if inject && sc.Kind == KindBusFault {
-		// Fire on the first protection-checked load: the release apps
-		// perform few data loads, so "nth load" would usually never be
-		// reached; load-free programs still classify as skipped.
-		n := 0
-		k.Board.Machine.LoadFault = func(addr uint32) error {
-			n++
-			if n == 1 {
-				applied = true
-				return &physmem.BusError{Addr: addr}
-			}
-			return nil
-		}
+		machine.LoadFault = failFirstLoad(&applied, func(addr uint32) error { return &physmem.BusError{Addr: addr} })
 	}
 	for _, app := range tc.Apps {
 		if _, err := k.LoadProcess(app); err != nil {
@@ -286,30 +346,12 @@ func armRun(sc Scenario, cfg Config, inject bool, rec *flightrec.Recorder, tr *t
 	if quanta == 0 {
 		quanta = difftest.DefaultQuanta
 	}
-	for q := 0; q < quanta; q++ {
-		alive := false
-		for _, p := range k.Procs {
-			if p.Alive() {
-				alive = true
-				break
-			}
-		}
-		if !alive {
-			break
-		}
-		if inject && q == sc.Quantum {
-			applied = armBoundaryInject(sc, k) || applied
-		}
-		ran, err := k.RunOnce()
-		if err != nil {
-			return runSignature{}, nil, applied, err
-		}
-		if !ran {
-			break
-		}
+	sig, fired, err := drive(k, sc, inject, quanta, func() bool { return armBoundaryInject(sc, k) })
+	applied = applied || fired
+	if err != nil {
+		return runSignature{}, nil, applied, err
 	}
 	var violations []string
-	sig := armSignature(k)
 	if inject {
 		violations = armIsolation(k, !sc.Monolithic)
 	}
@@ -336,27 +378,6 @@ func armBoundaryInject(sc Scenario, k *kernel.Kernel) bool {
 		}
 	}
 	return false
-}
-
-// armSignature captures the run's supervision counters, console output
-// and final states.
-func armSignature(k *kernel.Kernel) runSignature {
-	var out, states strings.Builder
-	var restarts uint64
-	for _, p := range k.Procs {
-		fmt.Fprintf(&out, "[%s] %s", p.Name, k.Output(p))
-		fmt.Fprintf(&states, "%s=%s ", p.Name, p.State)
-		restarts += uint64(p.Restarts)
-	}
-	return runSignature{
-		Faults:        k.Faults,
-		WatchdogFires: k.WatchdogFires,
-		Quarantines:   k.Quarantines,
-		SyscallErrors: k.SyscallErrors,
-		Restarts:      restarts,
-		Output:        out.String(),
-		States:        states.String(),
-	}
 }
 
 // armIsolation re-checks the isolation contracts after an injected run:
@@ -443,8 +464,7 @@ func rvRun(sc Scenario, cfg Config, chip riscv.ChipConfig, inject bool, rec *fli
 	if err != nil {
 		return runSignature{}, nil, false, err
 	}
-	k.Trace = tr
-	k.AttachFlightRec(rec)
+	k.Attach(kcore.Observe{Trace: tr, FlightRec: rec})
 	k.SetFastCore(cfg.FastCore)
 	k.FaultPolicy = rvkernel.PolicyRestart
 	if sc.Quarantine {
@@ -455,55 +475,18 @@ func rvRun(sc Scenario, cfg Config, chip riscv.ChipConfig, inject bool, rec *fli
 	k.BackoffBase = cfg.BackoffBase
 	applied := false
 	if inject {
-		switch sc.Kind {
-		case KindMPUFlip:
-			// Mid-quantum strike, as on the ARM port.
-			n := 0
-			k.Hooks.QuantumStart = func(p *rvkernel.Process) {
-				n++
-				if n == sc.Quantum {
-					applied = true
-					var cfgXor uint8
-					var addrXor uint32
-					if sc.AttrReg {
-						cfgXor = 1 << (sc.BitAttr % 8)
-					} else {
-						addrXor = 1 << (sc.BitAddr % 32)
-					}
-					k.Machine.PMP.FlipBits(sc.Entry%chip.Entries, cfgXor, addrXor)
-				}
+		installHooks(sc, &k.Hooks, &applied, func() {
+			var cfgXor uint8
+			var addrXor uint32
+			if sc.AttrReg {
+				cfgXor = 1 << (sc.BitAttr % 8)
+			} else {
+				addrXor = 1 << (sc.BitAddr % 32)
 			}
-		case KindSyscallArg:
-			n := 0
-			k.Hooks.SyscallArgs = func(p *rvkernel.Process, class uint32, args [4]uint32) [4]uint32 {
-				n++
-				if n == sc.Nth {
-					applied = true
-					args[sc.ArgIdx] ^= sc.XorVal
-				}
-				return args
-			}
-		case KindSyscallRet:
-			n := 0
-			k.Hooks.SyscallRet = func(p *rvkernel.Process, class uint32, ret uint32) uint32 {
-				n++
-				if n == sc.Nth {
-					applied = true
-					ret ^= sc.XorVal
-				}
-				return ret
-			}
-		case KindBusFault:
-			// First checked load, as on the ARM port.
-			n := 0
-			k.Machine.LoadFault = func(addr uint32) error {
-				n++
-				if n == 1 {
-					applied = true
-					return errInjectedBus
-				}
-				return nil
-			}
+			k.Machine.PMP.FlipBits(sc.Entry%chip.Entries, cfgXor, addrXor)
+		})
+		if sc.Kind == KindBusFault {
+			k.Machine.LoadFault = failFirstLoad(&applied, func(uint32) error { return errInjectedBus })
 		}
 	}
 	if _, err := k.LoadProcess(app); err != nil {
@@ -513,30 +496,12 @@ func rvRun(sc Scenario, cfg Config, chip riscv.ChipConfig, inject bool, rec *fli
 	if sc.App == "whileone" {
 		quanta = 30
 	}
-	for q := 0; q < quanta; q++ {
-		alive := false
-		for _, p := range k.Procs {
-			if p.Alive() {
-				alive = true
-				break
-			}
-		}
-		if !alive {
-			break
-		}
-		if inject && q == sc.Quantum {
-			applied = rvBoundaryInject(sc, k) || applied
-		}
-		ran, err := k.RunOnce()
-		if err != nil {
-			return runSignature{}, nil, applied, err
-		}
-		if !ran {
-			break
-		}
+	sig, fired, err := drive(k, sc, inject, quanta, func() bool { return rvBoundaryInject(sc, k) })
+	applied = applied || fired
+	if err != nil {
+		return runSignature{}, nil, applied, err
 	}
 	var violations []string
-	sig := rvSignature(k)
 	if inject {
 		violations = rvIsolation(k)
 	}
@@ -563,27 +528,6 @@ func rvBoundaryInject(sc Scenario, k *rvkernel.Kernel) bool {
 		}
 	}
 	return false
-}
-
-// rvSignature captures the run's supervision counters, console output
-// and final states.
-func rvSignature(k *rvkernel.Kernel) runSignature {
-	var out, states strings.Builder
-	var restarts uint64
-	for _, p := range k.Procs {
-		fmt.Fprintf(&out, "[%s] %s", p.Name, k.Output(p))
-		fmt.Fprintf(&states, "%s=%s ", p.Name, p.State)
-		restarts += uint64(p.Restarts)
-	}
-	return runSignature{
-		Faults:        k.Faults,
-		WatchdogFires: k.WatchdogFires,
-		Quarantines:   k.Quarantines,
-		SyscallErrors: k.SyscallErrors,
-		Restarts:      restarts,
-		Output:        out.String(),
-		States:        states.String(),
-	}
 }
 
 // rvIsolation re-checks the RISC-V isolation contracts after an injected

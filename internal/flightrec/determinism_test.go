@@ -17,6 +17,7 @@ import (
 	"ticktock/internal/difftest"
 	"ticktock/internal/faultinject"
 	"ticktock/internal/flightrec"
+	"ticktock/internal/kcore"
 	"ticktock/internal/kernel"
 	"ticktock/internal/riscv"
 	"ticktock/internal/rvkernel"
@@ -109,7 +110,7 @@ func TestRecordingDeterminismRV(t *testing.T) {
 					t.Fatal(err)
 				}
 				rec := flightrec.NewRecorder("rv32-" + chip.Name)
-				k.AttachFlightRec(rec)
+				k.Attach(kcore.Observe{FlightRec: rec})
 				for _, app := range rvkernel.ReleaseSubset()[:3] {
 					if _, err := k.LoadProcess(app); err != nil {
 						t.Fatal(err)

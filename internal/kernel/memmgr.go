@@ -1,8 +1,10 @@
-// Package kernel implements the Tock-style kernel of TickTock-Go: process
-// loading (TBF images in flash), the process abstraction with grant
-// regions and brk/sbrk, a round-robin preemptive scheduler driven by the
-// emulated SysTick, syscall dispatch with capsule-style drivers, and the
-// context-switch path through the ARMv7-M machine model.
+// Package kernel is the ARMv7-M port of the Tock-style kernel of
+// TickTock-Go: process loading (TBF images in flash), the process
+// abstraction with grant regions and brk/sbrk, syscall dispatch with
+// capsule-style drivers and upcalls, and the context-switch path through
+// the ARMv7-M machine model (MPU, SysTick, hardware exception frames).
+// The scheduler, fault supervision and instrumentation are the
+// port-neutral core it shares with the RISC-V port (internal/kcore).
 //
 // The kernel is parameterized by a MemoryManager so the same kernel can be
 // built in two flavours: the TickTock flavour over the granular abstraction

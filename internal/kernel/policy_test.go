@@ -6,7 +6,6 @@ import (
 
 	"ticktock/internal/armv7m"
 	"ticktock/internal/monolithic"
-	"ticktock/internal/trace"
 )
 
 // crasher faults immediately by dereferencing a kernel address.
@@ -21,48 +20,6 @@ func crasher() App {
 			emitExit(a, 0)
 			return a.MustAssemble()
 		},
-	}
-}
-
-func TestPolicyStopTerminates(t *testing.T) {
-	k := newTestKernel(t, Options{Flavour: FlavourTickTock})
-	p := load(t, k, crasher())
-	run(t, k)
-	if p.State != StateFaulted || p.Restarts != 0 {
-		t.Fatalf("state=%v restarts=%d", p.State, p.Restarts)
-	}
-}
-
-func TestPolicyRestartRestartsUpToMax(t *testing.T) {
-	k := newTestKernel(t, Options{Flavour: FlavourTickTock, FaultPolicy: PolicyRestart, MaxRestarts: 2})
-	p := load(t, k, crasher())
-	run(t, k)
-	if p.Restarts != 2 {
-		t.Fatalf("restarts=%d, want 2", p.Restarts)
-	}
-	if p.State != StateFaulted {
-		t.Fatalf("final state=%v", p.State)
-	}
-	out := k.Output(p)
-	// The process booted fresh each time: three "boot" prints (initial +
-	// two restarts) and three panics.
-	if got := strings.Count(out, "boot"); got != 3 {
-		t.Fatalf("boot count=%d output=%q", got, out)
-	}
-	if got := strings.Count(out, "panic:"); got != 3 {
-		t.Fatalf("panic count=%d", got)
-	}
-	if got := strings.Count(out, "restarting crasher"); got != 2 {
-		t.Fatalf("restart notices=%d", got)
-	}
-}
-
-func TestPolicyRestartDefaultsToThree(t *testing.T) {
-	k := newTestKernel(t, Options{Flavour: FlavourTickTock, FaultPolicy: PolicyRestart})
-	p := load(t, k, crasher())
-	run(t, k)
-	if p.Restarts != 3 {
-		t.Fatalf("restarts=%d, want 3 (Tock default)", p.Restarts)
 	}
 }
 
@@ -322,132 +279,5 @@ func runaway() App {
 			a.BTo(armv7m.AL, "spin")
 			return a.MustAssemble()
 		},
-	}
-}
-
-func TestPolicyRestartExhaustionRecordsGivingUp(t *testing.T) {
-	// Regression: exhausting the restart budget must leave the process
-	// StateFaulted with a FaultReason that records the restart count, not
-	// silently reuse the last crash's reason.
-	k := newTestKernel(t, Options{Flavour: FlavourTickTock, FaultPolicy: PolicyRestart, MaxRestarts: 2})
-	p := load(t, k, crasher())
-	run(t, k)
-	if p.State != StateFaulted {
-		t.Fatalf("state=%v, want faulted", p.State)
-	}
-	if !strings.Contains(p.FaultReason, "gave up after 2 restarts") {
-		t.Fatalf("FaultReason=%q does not record the exhausted budget", p.FaultReason)
-	}
-	if k.Faults != 3 {
-		t.Fatalf("Faults=%d, want 3 (initial + 2 restarts)", k.Faults)
-	}
-}
-
-func TestPolicyRestartBackoffSequence(t *testing.T) {
-	// With BackoffBase set, each policy restart is delayed exponentially:
-	// base<<0, base<<1, ... The KindBackoff trace events record the
-	// sequence.
-	tr := trace.New(0)
-	k := newTestKernel(t, Options{
-		Flavour: FlavourTickTock, FaultPolicy: PolicyRestart,
-		MaxRestarts: 3, BackoffBase: 512, Trace: tr,
-	})
-	p := load(t, k, crasher())
-	run(t, k)
-	if p.Restarts != 3 || p.State != StateFaulted {
-		t.Fatalf("restarts=%d state=%v", p.Restarts, p.State)
-	}
-	var delays []uint64
-	var wakes []uint64
-	for _, ev := range tr.Events() {
-		if ev.Kind == trace.KindBackoff {
-			delays = append(delays, ev.B)
-			wakes = append(wakes, ev.Cycle+ev.B)
-		}
-	}
-	want := []uint64{512, 1024, 2048}
-	if len(delays) != len(want) {
-		t.Fatalf("backoff events=%v, want %v", delays, want)
-	}
-	for i := range want {
-		if delays[i] != want[i] {
-			t.Fatalf("backoff delays=%v, want %v", delays, want)
-		}
-	}
-	// Each restarted boot really waited out its delay: the boot's first
-	// fault happens after the wake cycle.
-	var faultCycles []uint64
-	for _, ev := range tr.Events() {
-		if ev.Kind == trace.KindFault {
-			faultCycles = append(faultCycles, ev.Cycle)
-		}
-	}
-	if len(faultCycles) != 4 {
-		t.Fatalf("fault events=%d, want 4", len(faultCycles))
-	}
-	for i, wake := range wakes {
-		if faultCycles[i+1] < wake {
-			t.Fatalf("restart %d faulted at cycle %d, before its backoff wake %d", i+1, faultCycles[i+1], wake)
-		}
-	}
-}
-
-func TestPolicyQuarantineAfterExhaustion(t *testing.T) {
-	k := newTestKernel(t, Options{Flavour: FlavourTickTock, FaultPolicy: PolicyQuarantine, MaxRestarts: 2})
-	p := load(t, k, crasher())
-	run(t, k)
-	if p.State != StateQuarantined {
-		t.Fatalf("state=%v, want quarantined", p.State)
-	}
-	if !strings.Contains(p.FaultReason, "quarantined after 2 restarts") {
-		t.Fatalf("FaultReason=%q", p.FaultReason)
-	}
-	if k.Quarantines != 1 {
-		t.Fatalf("Quarantines=%d, want 1", k.Quarantines)
-	}
-	if !strings.Contains(k.Output(p), "quarantining crasher") {
-		t.Fatalf("output=%q lacks quarantine notice", k.Output(p))
-	}
-	if p.Alive() || p.Runnable(k.Meter().Cycles()+1<<20) {
-		t.Fatal("quarantined process still schedulable")
-	}
-}
-
-func TestWatchdogFaultsRunaway(t *testing.T) {
-	// A process that spins without syscalls for Watchdog consecutive
-	// timeslices is declared runaway; a well-behaved neighbour is not.
-	k := newTestKernel(t, Options{Flavour: FlavourTickTock, Watchdog: 3})
-	bad := load(t, k, runaway())
-	good := load(t, k, helloApp("good", "hi\r\n"))
-	if _, err := k.Run(50); err != nil {
-		t.Fatal(err)
-	}
-	if bad.State != StateFaulted {
-		t.Fatalf("runaway state=%v, want faulted", bad.State)
-	}
-	if !strings.Contains(bad.FaultReason, "watchdog") {
-		t.Fatalf("FaultReason=%q", bad.FaultReason)
-	}
-	if k.WatchdogFires != 1 {
-		t.Fatalf("WatchdogFires=%d", k.WatchdogFires)
-	}
-	if good.State != StateExited {
-		t.Fatalf("good neighbour state=%v", good.State)
-	}
-}
-
-func TestWatchdogSparesSyscallingProcess(t *testing.T) {
-	// whileone-style spinning interrupted by periodic syscalls must never
-	// trip the watchdog: the syscall resets the staleness counter.
-	k := newTestKernel(t, Options{Flavour: FlavourTickTock, Watchdog: 3, Timeslice: 2000})
-	p := load(t, k, helloApp("chatty", strings.Repeat("x", 40)))
-	if _, err := k.Run(100); err != nil {
-		t.Fatal(err)
-	}
-	if k.WatchdogFires != 0 {
-		t.Fatalf("WatchdogFires=%d for a syscalling process", k.WatchdogFires)
-	}
-	if p.State != StateExited {
-		t.Fatalf("state=%v", p.State)
 	}
 }

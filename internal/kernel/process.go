@@ -4,45 +4,20 @@ import (
 	"fmt"
 
 	"ticktock/internal/armv7m"
+	"ticktock/internal/kcore"
 )
 
 // State is a process lifecycle state.
-type State uint8
+type State = kcore.State
 
 // Process states.
 const (
-	// StateReady: runnable.
-	StateReady State = iota
-	// StateYielded: waiting for an upcall (timer or event).
-	StateYielded
-	// StateExited: terminated voluntarily.
-	StateExited
-	// StateFaulted: terminated by the kernel after a fault.
-	StateFaulted
-	// StateQuarantined: permanently isolated by the kernel after
-	// exhausting its restart budget under PolicyQuarantine. A quarantined
-	// process is never scheduled again, but the board keeps running —
-	// the graceful-degradation terminal state.
-	StateQuarantined
+	StateReady       = kcore.StateReady
+	StateYielded     = kcore.StateYielded
+	StateExited      = kcore.StateExited
+	StateFaulted     = kcore.StateFaulted
+	StateQuarantined = kcore.StateQuarantined
 )
-
-// String implements fmt.Stringer.
-func (s State) String() string {
-	switch s {
-	case StateReady:
-		return "ready"
-	case StateYielded:
-		return "yielded"
-	case StateExited:
-		return "exited"
-	case StateFaulted:
-		return "faulted"
-	case StateQuarantined:
-		return "quarantined"
-	default:
-		return fmt.Sprintf("State(%d)", uint8(s))
-	}
-}
 
 // Buffer is a user-shared buffer registered via an allow syscall.
 type Buffer struct {
@@ -50,48 +25,23 @@ type Buffer struct {
 	Len  uint32
 }
 
-// Process is the kernel's per-process record.
+// Process is the kernel's per-process record: the port-neutral record
+// (identity, state, wake deadline, restarts, console output) plus the
+// ARMv7-M saved context, memory manager, shared buffers and upcalls.
 type Process struct {
-	ID    int
-	Name  string
-	State State
+	coreProcess
 
 	// MM owns this process's memory and MPU bookkeeping.
 	MM MemoryManager
-
-	// Entry is the program entry point in flash.
-	Entry uint32
 
 	// Saved user context: the callee-saved registers the exception
 	// frame does not capture, plus the process stack pointer.
 	SavedRegs [8]uint32 // r4..r11
 	PSP       uint32
 
-	// started reports whether a first exception frame has been built.
-	started bool
-
 	// AllowedRO/AllowedRW are the per-driver shared buffers.
 	AllowedRO map[uint32]Buffer
 	AllowedRW map[uint32]Buffer
-
-	// WakeAt, when non-zero, is the meter cycle count at which a
-	// yielded process becomes ready again (alarm driver).
-	WakeAt uint64
-
-	// ExitCode is set on voluntary exit.
-	ExitCode uint32
-	// FaultReason describes why the process was faulted.
-	FaultReason string
-
-	// Grants tracks allocated grant bases, newest first.
-	Grants []uint32
-
-	// Restarts counts kernel-initiated restarts (fault policy).
-	Restarts int
-
-	// consecPreempts counts consecutive full-timeslice preemptions with
-	// no intervening syscall — the software watchdog's staleness signal.
-	consecPreempts int
 
 	// initialBreak and stackSize are remembered from load time so the
 	// restart policy can reset the process.
@@ -127,30 +77,18 @@ type ScheduledUpcall struct {
 	A0, A1, A2 uint32
 }
 
-// Runnable reports whether the scheduler may pick the process.
-func (p *Process) Runnable(now uint64) bool {
-	switch p.State {
-	case StateReady:
-		return true
-	case StateYielded:
-		return p.WakeAt != 0 && now >= p.WakeAt
-	default:
-		return false
-	}
-}
-
-// Alive reports whether the process can ever run again.
-func (p *Process) Alive() bool {
-	return p.State == StateReady || p.State == StateYielded
-}
-
 // buildInitialFrame lays a synthetic exception frame on the process stack
 // so the first "resume" is indistinguishable from any later one — exactly
 // how Tock starts processes. The stack pointer starts at the top of the
-// declared stack area and the frame's return address is the entry point.
-func (p *Process) buildInitialFrame(m *armv7m.Machine, stackTop uint32) error {
-	sp := (stackTop &^ 7) - 32 // 8-byte aligned, room for the 8-word frame
+// declared stack area (clamped to the break) and the frame's return
+// address is the entry point.
+func (p *Process) buildInitialFrame(m *armv7m.Machine) error {
 	layout := p.MM.Layout()
+	stackTop := layout.MemoryStart + p.stackSize
+	if p.stackSize == 0 || stackTop > layout.AppBreak {
+		stackTop = layout.AppBreak
+	}
+	sp := (stackTop &^ 7) - 32 // 8-byte aligned, room for the 8-word frame
 	words := [8]uint32{
 		layout.MemoryStart, // r0: app arguments, Tock passes memory info
 		layout.AppBreak,    // r1
@@ -167,6 +105,5 @@ func (p *Process) buildInitialFrame(m *armv7m.Machine, stackTop uint32) error {
 		}
 	}
 	p.PSP = sp
-	p.started = true
 	return nil
 }

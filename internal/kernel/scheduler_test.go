@@ -55,7 +55,11 @@ func TestCooperativeSchedulerStarvation(t *testing.T) {
 	// Bound the run by machine cycles: cooperative + spinner = one giant
 	// quantum; cap the machine budget through a small quanta count won't
 	// help since Run(0) is unbounded. Use RunOnce with a budget instead.
-	if err := k.switchToProcess(k.Procs[0]); err != nil {
+	g := armPort{k}
+	if err := g.Protect(k.Procs[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Restore(k.Procs[0]); err != nil {
 		t.Fatal(err)
 	}
 	stop, err := k.Board.Machine.Run(5000)

@@ -45,51 +45,6 @@ const (
 	RetNoMem   = 0xFFFF_FFFD
 )
 
-// SVCName returns the human name of a syscall class for trace output.
-func SVCName(svcNum uint8) string {
-	switch svcNum {
-	case SVCYield:
-		return "yield"
-	case SVCCommand:
-		return "command"
-	case SVCAllowRW:
-		return "allow-rw"
-	case SVCAllowRO:
-		return "allow-ro"
-	case SVCMemop:
-		return "memop"
-	case SVCExit:
-		return "exit"
-	case SVCSubscribe:
-		return "subscribe"
-	case SVCUpcallDone:
-		return "upcall-done"
-	default:
-		return fmt.Sprintf("svc-%d", svcNum)
-	}
-}
-
-// svcWindows are the precomputed folded-stack window names for each
-// syscall class, so the profile hot path never concatenates strings.
-var svcWindows = [8]string{
-	SVCYield:      "syscall/yield",
-	SVCCommand:    "syscall/command",
-	SVCAllowRW:    "syscall/allow-rw",
-	SVCAllowRO:    "syscall/allow-ro",
-	SVCMemop:      "syscall/memop",
-	SVCExit:       "syscall/exit",
-	SVCSubscribe:  "syscall/subscribe",
-	SVCUpcallDone: "syscall/upcall-done",
-}
-
-// svcWindow returns the profile window name for a syscall class.
-func svcWindow(svcNum uint8) string {
-	if int(svcNum) < len(svcWindows) {
-		return svcWindows[svcNum]
-	}
-	return "syscall/" + SVCName(svcNum)
-}
-
 // syscallServiceCycles is the flavour-independent cost of servicing a
 // syscall inside the kernel — argument unstacking, process-table lookup,
 // capability checks and the return path. The paper's measurement hooks
@@ -117,17 +72,17 @@ func (k *Kernel) handleSyscall(p *Process, svcNum uint8) error {
 	if err != nil {
 		return fmt.Errorf("kernel: reading syscall frame of %s: %w", p.Name, err)
 	}
-	if h := k.Opts.Hooks.SyscallArgs; h != nil {
+	if h := k.sup.Hooks.SyscallArgs; h != nil {
 		a := h(p, svcNum, [4]uint32{f.R0, f.R1, f.R2, f.R3})
 		f.R0, f.R1, f.R2, f.R3 = a[0], a[1], a[2], a[3]
 	}
 	var ret uint32 = RetSuccess
-	if k.tracer != nil {
-		k.emit(trace.KindSyscallEnter, p, uint64(svcNum), uint64(f.R0), SVCName(svcNum))
+	if k.Tracer() != nil {
+		k.Emit(trace.KindSyscallEnter, p, uint64(svcNum), uint64(f.R0), k.ClassName(svcNum))
 		// The exit event pairs with the enter even on the early-return
 		// paths (yield delivering an upcall, exit, upcall-done), so
 		// Chrome B/E spans always close.
-		defer func() { k.emit(trace.KindSyscallExit, p, uint64(svcNum), uint64(ret), SVCName(svcNum)) }()
+		defer func() { k.Emit(trace.KindSyscallExit, p, uint64(svcNum), uint64(ret), k.ClassName(svcNum)) }()
 	}
 
 	switch svcNum {
@@ -173,7 +128,7 @@ func (k *Kernel) handleSyscall(p *Process, svcNum uint8) error {
 	case RetFail, RetInvalid, RetNoMem:
 		k.SyscallErrors++
 	}
-	if h := k.Opts.Hooks.SyscallRet; h != nil {
+	if h := k.sup.Hooks.SyscallRet; h != nil {
 		ret = h(p, svcNum, ret)
 	}
 	if err := m.WriteFrameR0(p.PSP, ret); err != nil {
@@ -294,10 +249,10 @@ func (k *Kernel) memop(p *Process, op, arg uint32) uint32 {
 			k.Meter().Add(syscallServiceCycles)
 			if err := p.MM.Brk(arg); err != nil {
 				ret = RetInvalid
-				k.emit(trace.KindBrk, p, uint64(arg), 0, "brk")
+				k.Emit(trace.KindBrk, p, uint64(arg), 0, "brk")
 				return nil
 			}
-			k.emit(trace.KindBrk, p, uint64(arg), uint64(p.MM.Layout().AppBreak), "brk")
+			k.Emit(trace.KindBrk, p, uint64(arg), uint64(p.MM.Layout().AppBreak), "brk")
 			return nil
 		})
 		return ret
@@ -308,11 +263,11 @@ func (k *Kernel) memop(p *Process, op, arg uint32) uint32 {
 			nb, err := p.MM.Sbrk(int32(arg))
 			if err != nil {
 				ret = RetInvalid
-				k.emit(trace.KindBrk, p, uint64(arg), 0, "sbrk")
+				k.Emit(trace.KindBrk, p, uint64(arg), 0, "sbrk")
 				return nil
 			}
 			ret = nb
-			k.emit(trace.KindBrk, p, uint64(arg), uint64(nb), "sbrk")
+			k.Emit(trace.KindBrk, p, uint64(arg), uint64(nb), "sbrk")
 			return nil
 		})
 		return ret
@@ -365,7 +320,7 @@ func (k *Kernel) command(p *Process, driver, cmd, arg2, arg3 uint32) uint32 {
 func (k *Kernel) consoleCmd(p *Process, cmd, arg2 uint32) uint32 {
 	switch cmd {
 	case 0:
-		k.appendOutput(p, string(rune(arg2&0x7F)))
+		k.AppendOutput(p, string(rune(arg2&0x7F)))
 		k.Meter().Add(cycles.MMIO)
 		return RetSuccess
 	case 1:
@@ -379,7 +334,7 @@ func (k *Kernel) consoleCmd(p *Process, cmd, arg2 uint32) uint32 {
 			return RetFail
 		}
 		k.Meter().Add(uint64(n) * cycles.Load)
-		k.appendOutput(p, string(data))
+		k.AppendOutput(p, string(data))
 		return n
 	default:
 		return RetInvalid
@@ -406,7 +361,7 @@ func (k *Kernel) alarmCmd(p *Process, cmd, arg2 uint32) uint32 {
 			_ = k.instrument("allocate_grant", func() error {
 				k.Meter().Add(syscallServiceCycles)
 				addr, err = p.MM.AllocateGrant(8)
-				k.emit(trace.KindGrantAlloc, p, 8, uint64(addr), "alarm")
+				k.Emit(trace.KindGrantAlloc, p, 8, uint64(addr), "alarm")
 				return nil
 			})
 			if err != nil {
@@ -474,12 +429,12 @@ func (k *Kernel) grantCmd(p *Process, cmd, arg2 uint32) uint32 {
 		addr, err := p.MM.AllocateGrant(arg2)
 		if err != nil {
 			ret = RetNoMem
-			k.emit(trace.KindGrantAlloc, p, uint64(arg2), 0, "grant")
+			k.Emit(trace.KindGrantAlloc, p, uint64(arg2), 0, "grant")
 			return nil
 		}
 		p.Grants = append(p.Grants, addr)
 		ret = RetSuccess
-		k.emit(trace.KindGrantAlloc, p, uint64(arg2), uint64(addr), "grant")
+		k.Emit(trace.KindGrantAlloc, p, uint64(arg2), uint64(addr), "grant")
 		return nil
 	})
 	return ret
@@ -558,7 +513,6 @@ func (k *Kernel) ipcCmd(p *Process, cmd, arg2 uint32) uint32 {
 	if err := k.Board.Machine.Mem.WriteBytes(dst.Addr, data); err != nil {
 		return RetFail
 	}
-	k.ipcSeq++
 	k.Meter().Add(uint64(n) * (cycles.Load + cycles.Store))
 	return n
 }

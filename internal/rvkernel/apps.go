@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"ticktock/internal/kcore"
 	"ticktock/internal/riscv"
 	"ticktock/internal/rv32"
 )
@@ -113,7 +114,7 @@ func ReleaseSubset() []App {
 type CampaignRow struct {
 	Chip   string
 	App    string
-	State  State
+	State  kcore.State
 	Output string
 }
 

@@ -3,6 +3,7 @@ package rvkernel
 import (
 	"testing"
 
+	"ticktock/internal/kcore"
 	"ticktock/internal/metrics"
 	"ticktock/internal/riscv"
 )
@@ -18,7 +19,7 @@ func TestRVMetricsAndProfileInvariant(t *testing.T) {
 				t.Fatal(err)
 			}
 			reg := metrics.NewRegistry()
-			k.AttachMetrics(reg)
+			k.Attach(kcore.Observe{Metrics: reg})
 			p, err := k.LoadProcess(ReleaseSubset()[0]) // c_hello
 			if err != nil {
 				t.Fatal(err)

@@ -3,7 +3,9 @@ package rvkernel
 import (
 	"testing"
 
+	"ticktock/internal/kcore"
 	"ticktock/internal/riscv"
+	"ticktock/internal/rv32"
 	"ticktock/internal/trace"
 )
 
@@ -17,7 +19,7 @@ func TestTraceCountsMatchKernelCounters(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		k.Trace = tr
+		k.Attach(kcore.Observe{Trace: tr})
 		for _, app := range ReleaseSubset() {
 			if _, err := k.LoadProcess(app); err != nil {
 				return nil, err
@@ -58,5 +60,39 @@ func TestTraceCountsMatchKernelCounters(t *testing.T) {
 	}
 	if got, want := traced.Switches(), plain.Switches(); got != want {
 		t.Errorf("traced switches=%d, untraced %d", got, want)
+	}
+}
+
+// TestClassBeyondABIStaysNumeric pins the port's class table: RISC-V's
+// ABI defines classes 0..5, so class 6 (subscribe on ARM) traces as
+// svc-6 and fails as an invalid syscall.
+func TestClassBeyondABIStaysNumeric(t *testing.T) {
+	k, err := New(riscv.ChipHiFive1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := trace.New(0)
+	k.Attach(kcore.Observe{Trace: tr})
+	app := stdApp("svc6", func(a *rv32.Assembler) {
+		syscall(a, 6, 0, 0, 0, 0)
+		exit(a, 0)
+	})
+	if _, err := k.LoadProcess(app); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := k.Run(100); err != nil {
+		t.Fatal(err)
+	}
+	var labels []string
+	for _, ev := range tr.Events() {
+		if ev.Kind == trace.KindSyscallEnter && ev.A == 6 {
+			labels = append(labels, ev.Label)
+		}
+	}
+	if len(labels) != 1 || labels[0] != "svc-6" {
+		t.Fatalf("class-6 syscall labels %q, want [svc-6]", labels)
+	}
+	if got := k.Counters().SyscallErrors; got != 1 {
+		t.Fatalf("SyscallErrors=%d, want 1", got)
 	}
 }
