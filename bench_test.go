@@ -21,6 +21,7 @@ import (
 	"ticktock/internal/difftest"
 	"ticktock/internal/faultinject"
 	"ticktock/internal/flightrec"
+	"ticktock/internal/kcore"
 	"ticktock/internal/kernel"
 	"ticktock/internal/membench"
 	"ticktock/internal/metrics"
@@ -130,7 +131,7 @@ func BenchmarkFig10_ProofEffort(b *testing.B) {
 func BenchmarkDifferentialCampaign(b *testing.B) {
 	var s difftest.Summary
 	for i := 0; i < b.N; i++ {
-		rows := difftest.RunAll()
+		rows := difftest.RunAllConfig(difftest.Config{})
 		s = difftest.Summarize(rows)
 		if s.Unexpected != 0 || s.Errored != 0 {
 			b.Fatalf("unexpected diffs: %+v", s)
@@ -268,7 +269,7 @@ func spinner() kernel.App {
 // which must stay 0.
 func BenchmarkAblation_TraceOverhead(b *testing.B) {
 	run := func(tr *trace.Tracer) (uint64, float64, uint64) {
-		k, err := kernel.New(kernel.Options{Flavour: kernel.FlavourTickTock, Timeslice: 200, Trace: tr})
+		k, err := kernel.New(kernel.Options{Flavour: kernel.FlavourTickTock, Timeslice: 200, Observe: kcore.Observe{Trace: tr}})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -313,7 +314,7 @@ func BenchmarkAblation_TraceOverhead(b *testing.B) {
 // exactly the instrumented run's total simulated cycles.
 func BenchmarkAblation_MetricsOverhead(b *testing.B) {
 	run := func(reg *metrics.Registry) (*kernel.Kernel, uint64, float64, uint64) {
-		k, err := kernel.New(kernel.Options{Flavour: kernel.FlavourTickTock, Timeslice: 200, Metrics: reg})
+		k, err := kernel.New(kernel.Options{Flavour: kernel.FlavourTickTock, Timeslice: 200, Observe: kcore.Observe{Metrics: reg}})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -362,7 +363,7 @@ func BenchmarkAblation_MetricsOverhead(b *testing.B) {
 // must stay 0.
 func BenchmarkAblation_FlightRecOverhead(b *testing.B) {
 	run := func(rec *flightrec.Recorder) (uint64, float64, uint64) {
-		k, err := kernel.New(kernel.Options{Flavour: kernel.FlavourTickTock, Timeslice: 200, FlightRec: rec})
+		k, err := kernel.New(kernel.Options{Flavour: kernel.FlavourTickTock, Timeslice: 200, Observe: kcore.Observe{FlightRec: rec}})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -409,7 +410,7 @@ func BenchmarkAblation_FlightRecOverhead(b *testing.B) {
 // events, nonzero live series) so the guard cannot pass vacuously.
 func BenchmarkAblation_TelemetryOverhead(b *testing.B) {
 	run := func(tr *trace.Tracer) (uint64, float64, uint64) {
-		k, err := kernel.New(kernel.Options{Flavour: kernel.FlavourTickTock, Timeslice: 200, Trace: tr})
+		k, err := kernel.New(kernel.Options{Flavour: kernel.FlavourTickTock, Timeslice: 200, Observe: kcore.Observe{Trace: tr}})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -453,12 +454,12 @@ func BenchmarkAblation_TelemetryOverhead(b *testing.B) {
 		}
 
 		// Campaign layer: telemetered report must be byte-identical.
-		plainRep, _, err := faultinject.RunSupervised(cfg, sup)
+		plainRep, _, err := faultinject.RunSupervised(cfg, sup, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
 		telPlane := telemetry.New()
-		telRep, _, err := faultinject.RunSupervisedTelemetry(cfg, sup, telPlane)
+		telRep, _, err := faultinject.RunSupervised(cfg, sup, telPlane)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -20,16 +20,16 @@
 // byte-scan oracle core and the block-cache fast core (docs/SPEED.md),
 // and any divergence is a bug — exit 1 on the first non-ok row.
 //
-// With -timeout or -retries the campaign runs under the crash-resilient
-// supervisor (internal/campaign): a wedged case is cancelled at the
-// wall-clock bound, a panicking case is recovered, failed cases are
-// retried up to the budget, and a case failing every attempt becomes an
-// errored row instead of taking the pool down.
+// Every campaign runs under the crash-resilient supervisor
+// (internal/campaign): a panicking case is recovered, and a case
+// failing every attempt becomes an errored row carrying its last error
+// instead of taking the pool down. -timeout cancels a wedged case at
+// the wall-clock bound; -retries re-runs failed cases up to the budget.
 //
 // With -serve ADDR a live telemetry server answers while the campaign
 // runs: /metrics, /progress, /healthz and /timeline (see
 // docs/OBSERVABILITY.md). -progress renders a single-line live ticker
-// to stderr. Both force the supervised path; neither changes the rows.
+// to stderr. Neither changes the rows.
 //
 // With -runpack DIR the campaign is sealed into a content-addressed
 // artifact pack under DIR (verify it with `runpack verify`). With
@@ -55,7 +55,7 @@ func main() {
 	bug := flag.String("bug", "", "re-enable a published baseline bug (grant-overlap, brk-underflow, missed-mode-switch)")
 	packDir := flag.String("runpack", "", "seal the campaign into a content-addressed artifact pack under DIR")
 	distillDir := flag.String("distill", "", "distill every unexpected divergence into a regression pack under DIR")
-	timeout := flag.Duration("timeout", 0, "per-case wall-clock timeout under the campaign supervisor (0 = unsupervised)")
+	timeout := flag.Duration("timeout", 0, "per-case wall-clock timeout under the campaign supervisor (0 = unbounded)")
 	retries := flag.Int("retries", 0, "retry budget per case under the campaign supervisor")
 	cores := flag.Bool("cores", false, "diff the block-cache fast core against the byte-scan oracle core instead of kernel flavours")
 	serve := flag.String("serve", "", "serve live telemetry on ADDR while the campaign runs (/metrics, /progress, /healthz, /timeline); the bound address is printed to stderr")
@@ -101,21 +101,15 @@ func main() {
 		fmt.Fprintf(os.Stderr, "telemetry: serving http://%s\n", srv.Addr())
 	}
 
-	var rows []difftest.Row
-	if *timeout > 0 || *retries > 0 || plane != nil {
-		tty := (*telemetry.TTY)(nil)
-		if *progress {
-			tty = telemetry.StartTTY(os.Stderr, plane, 0)
-		}
-		var err error
-		rows, _, err = difftest.RunAllSupervisedTelemetry(cfg, campaign.Config{Timeout: *timeout, Retries: *retries}, plane)
-		tty.Stop()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "difftest: %v\n", err)
-			os.Exit(1)
-		}
-	} else {
-		rows = difftest.RunAllConfig(cfg)
+	tty := (*telemetry.TTY)(nil)
+	if *progress {
+		tty = telemetry.StartTTY(os.Stderr, plane, 0)
+	}
+	rows, _, err := difftest.RunAllSupervised(cfg, campaign.Config{Timeout: *timeout, Retries: *retries}, plane)
+	tty.Stop()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "difftest: %v\n", err)
+		os.Exit(1)
 	}
 	fmt.Print(difftest.Table(rows))
 	if *packDir != "" {

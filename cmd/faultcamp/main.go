@@ -10,36 +10,40 @@
 //	          [-resume FILE] [-timeout D] [-retries N] [-stop-after N]
 //	          [-quarantine DIR] [-chaos SPEC] [-serve ADDR] [-progress]
 //
-// The same seed reproduces a byte-identical report. The exit status is
-// non-zero when any scenario hit an infrastructure error or — the hard
-// gate — any isolation-contract violation; an *empty* campaign (no
-// scenarios, or every injection skipped with nothing else to show)
-// exits 2 with a distinct message, so a vacuously green run can never
-// pass for evidence. With -replay, every violating run is
-// flight-recorded and the machine state immediately before the
-// violation is replayed and printed — the time-travel view of how the
-// contract broke.
+// Every campaign runs under the crash-resilient supervisor
+// (internal/campaign), so a scenario that panics is recovered instead
+// of taking the process down. The same seed reproduces a
+// byte-identical report. The exit status is non-zero when any scenario
+// hit an infrastructure error or — the hard gate — any
+// isolation-contract violation; an *empty* campaign (no scenarios, or
+// every injection skipped with nothing else to show) exits 2 with a
+// distinct message, so a vacuously green run can never pass for
+// evidence. With -replay, every violating run is flight-recorded and
+// the machine state immediately before the violation is replayed and
+// printed — the time-travel view of how the contract broke.
 //
 // With -serve ADDR a live telemetry server answers while the campaign
 // runs: /metrics (Prometheus exposition of the streaming fleet
 // aggregate), /progress (JSON progress snapshot), /healthz and
 // /timeline (the merged wall-clock/kernel-event fleet trace in Chrome
 // trace-event JSON). -progress renders a single-line live ticker to
-// stderr. Both force the supervised path; neither changes the report —
-// telemetry observes the campaign, it never steers it.
+// stderr. Neither changes the report — telemetry observes the
+// campaign, it never steers it.
 //
-// Any of -resume, -timeout, -retries, -stop-after, -quarantine,
-// -chaos, -serve or -progress runs the campaign under the
-// crash-resilient supervisor
-// (internal/campaign): per-scenario wall-clock timeouts, panic
-// isolation, retry with exponential backoff and poison quarantine. With
-// -resume FILE, completed scenarios are checkpointed to an fsync'd
-// journal and an interrupted campaign continues from where it stopped —
-// with byte-identical final output at any worker count. Quarantined
-// scenarios never fail the campaign; with -quarantine DIR each one is
-// sealed as a content-addressed bug-report pack. -chaos injects
+// The supervision flags tune that supervisor: -timeout bounds each
+// scenario's wall-clock time, -retries grants a retry budget with
+// exponential backoff, and -resume FILE checkpoints completed scenarios
+// to an fsync'd journal, so a campaign interrupted by -stop-after N
+// (which therefore needs -resume) continues from where it stopped, with
+// byte-identical final output at any worker count. -chaos injects
 // failures into the campaign machinery itself ("wedge:3,panic:5") to
-// exercise those paths end to end.
+// exercise those paths end to end; a wedge needs -timeout to end it.
+// With any of -resume, -timeout, -retries, -stop-after, -quarantine,
+// -chaos, -serve or -progress, a quarantined scenario never fails the
+// campaign, -metrics adds the campaign_* supervision series, and
+// -quarantine DIR seals each quarantined scenario as a
+// content-addressed bug-report pack. Without them, a quarantined
+// scenario fails the run.
 //
 // With -runpack DIR the campaign is sealed into a content-addressed
 // artifact pack under DIR (verify it with `runpack verify`). With
@@ -92,6 +96,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "faultcamp: empty campaign: -n %d selects no scenarios (use -n >= 1)\n", *n)
 		return 2
 	}
+	if *stopAfter > 0 && *resume == "" {
+		fmt.Fprintf(stderr, "faultcamp: -stop-after needs -resume FILE: without a journal the stopped scenarios' work is lost\n")
+		return 2
+	}
 
 	cfg := faultinject.Config{
 		Seed: *seed, N: *n, Workers: *workers,
@@ -120,40 +128,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "telemetry: serving http://%s\n", srv.Addr())
 	}
 
-	var rep *faultinject.Report
-	var supRun *campaign.Run[faultinject.Result]
-	if supervised {
-		tty := (*telemetry.TTY)(nil)
-		if *progress {
-			tty = telemetry.StartTTY(stderr, plane, 0)
-		}
-		var err error
-		rep, supRun, err = faultinject.RunSupervisedTelemetry(cfg, sup, plane)
-		tty.Stop()
-		if err != nil {
-			fmt.Fprintf(stderr, "faultcamp: %v\n", err)
-			return 1
-		}
-	} else {
-		rep = faultinject.Run(cfg)
+	tty := (*telemetry.TTY)(nil)
+	if *progress {
+		tty = telemetry.StartTTY(stderr, plane, 0)
+	}
+	rep, supRun, err := faultinject.RunSupervised(cfg, sup, plane)
+	tty.Stop()
+	if err != nil {
+		fmt.Fprintf(stderr, "faultcamp: %v\n", err)
+		return 1
 	}
 	fmt.Fprint(stdout, rep.Text())
 
 	if *packDir != "" {
-		var dir, receipt string
-		var err error
-		if supervised {
-			dir, receipt, err = runpack.EmitFaultcampSupervised(*packDir, rep, sup)
-		} else {
-			dir, receipt, err = runpack.EmitFaultcamp(*packDir, rep)
-		}
+		dir, receipt, err := runpack.EmitFaultcamp(*packDir, rep, sup)
 		if err != nil {
 			fmt.Fprintf(stderr, "faultcamp: sealing runpack: %v\n", err)
 			return 1
 		}
 		fmt.Fprintf(stderr, "runpack: %s\n%s\n", dir, receipt)
 	}
-	if *quarantineDir != "" && supRun != nil {
+	if *quarantineDir != "" {
 		for _, o := range supRun.Quarantined() {
 			dir, _, err := runpack.EmitQuarantine(*quarantineDir, cfg, o)
 			if err != nil {
@@ -194,7 +189,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *metricsOut {
 		reg := metrics.NewRegistry()
 		rep.Publish(reg)
-		if supRun != nil {
+		if supervised {
+			// Steal counts depend on timing: a plain run's dump stays
+			// deterministic.
 			supRun.Stats.Publish(reg)
 		}
 		fmt.Fprintln(stdout)
@@ -204,7 +201,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	if supRun != nil && supRun.Interrupted {
+	if supRun.Interrupted {
 		fmt.Fprintf(stderr, "faultcamp: campaign interrupted after %d newly completed scenario(s); continue with -resume %s\n",
 			supRun.Stats.Completed, *resume)
 	}
@@ -214,6 +211,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if rep.ARM.Errors+rep.RV.Errors > 0 {
 		fmt.Fprintf(stderr, "faultcamp: %d scenario error(s)\n", rep.ARM.Errors+rep.RV.Errors)
+		return 1
+	}
+	if !supervised && rep.Sup != nil {
+		fmt.Fprintf(stderr, "faultcamp: %d scenario(s) quarantined by the supervisor\n", len(rep.Sup.Quarantined))
 		return 1
 	}
 	if rep.Empty() {

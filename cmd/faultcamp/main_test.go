@@ -92,6 +92,36 @@ func TestKillAndResumeCLI(t *testing.T) {
 	}
 }
 
+// TestChaosWedgeWithoutTimeoutRejected: a wedge waits for a
+// cancellation only -timeout delivers, so without one the campaign
+// would hang forever. The CLI must refuse it, naming the timeout,
+// before running any scenario.
+func TestChaosWedgeWithoutTimeoutRejected(t *testing.T) {
+	code, stdout, stderr := runCLI(t, "-n", "3", "-chaos", "wedge:0")
+	if code == 0 {
+		t.Fatalf("wedge without -timeout exited 0; stdout:\n%s", stdout)
+	}
+	if !strings.Contains(stderr, "timeout") {
+		t.Fatalf("stderr %q does not name the missing timeout", stderr)
+	}
+	if stdout != "" {
+		t.Fatalf("scenarios ran before the rejection:\n%s", stdout)
+	}
+}
+
+// TestSupervisedStopAfterNeedsResume: -stop-after without -resume would
+// stop the campaign with nowhere to continue from, throwing the
+// unreached scenarios away. It is a usage error.
+func TestSupervisedStopAfterNeedsResume(t *testing.T) {
+	code, stdout, stderr := runCLI(t, "-n", "4", "-stop-after", "1")
+	if code != 2 {
+		t.Fatalf("exit %d, want 2; stderr:\n%s", code, stderr)
+	}
+	if !strings.Contains(stderr, "-resume") || stdout != "" {
+		t.Fatalf("stdout %q, stderr %q", stdout, stderr)
+	}
+}
+
 // TestChaosQuarantinePacks seeds a wedge and a panic into the campaign
 // machinery, and requires: exit 0 (quarantine never fails the
 // campaign), the supervision section in the report, and a sealed,

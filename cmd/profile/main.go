@@ -20,6 +20,7 @@ import (
 
 	"ticktock/internal/apps"
 	"ticktock/internal/difftest"
+	"ticktock/internal/kcore"
 	"ticktock/internal/kernel"
 	"ticktock/internal/metrics"
 )
@@ -99,11 +100,12 @@ func main() {
 		if err != nil {
 			fatalf("%v", err)
 		}
-		k, r, err := difftest.RunMeasured(tc, fl)
+		reg = metrics.NewRegistry()
+		k, err := difftest.RunFlavour(tc, fl, difftest.Config{}, kcore.Observe{Metrics: reg})
 		if err != nil {
 			fatalf("%v", err)
 		}
-		reg, prof = r, k.Profile()
+		prof = k.Profile()
 	case *all:
 		rows := difftest.RunAllConfig(difftest.Config{Metrics: true, Workers: *workers})
 		for _, r := range rows {

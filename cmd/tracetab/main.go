@@ -26,7 +26,9 @@ import (
 
 	"ticktock/internal/apps"
 	"ticktock/internal/difftest"
+	"ticktock/internal/kcore"
 	"ticktock/internal/kernel"
+	"ticktock/internal/trace"
 )
 
 func main() {
@@ -71,7 +73,8 @@ func main() {
 		os.Exit(2)
 	}
 
-	k, tr, err := difftest.RunTraced(*tc, fl, *capacity)
+	tr := trace.New(*capacity)
+	k, err := difftest.RunFlavour(*tc, fl, difftest.Config{}, kcore.Observe{Trace: tr})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tracetab: %v\n", err)
 		os.Exit(1)

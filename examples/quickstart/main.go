@@ -17,7 +17,7 @@ import (
 
 func main() {
 	reg := ticktock.NewMetricsRegistry()
-	k, err := ticktock.NewKernel(ticktock.Options{Flavour: ticktock.FlavourTickTock, Metrics: reg})
+	k, err := ticktock.NewKernel(ticktock.Options{Flavour: ticktock.FlavourTickTock, Observe: ticktock.Observe{Metrics: reg}})
 	if err != nil {
 		log.Fatal(err)
 	}

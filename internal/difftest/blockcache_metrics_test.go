@@ -6,9 +6,9 @@ import (
 	"testing"
 
 	"ticktock/internal/apps"
+	"ticktock/internal/kcore"
 	"ticktock/internal/kernel"
 	"ticktock/internal/metrics"
-	"ticktock/internal/monolithic"
 )
 
 // TestBlockcacheCountersThreeWayAccounting closes the PR-9 fast-core
@@ -29,7 +29,7 @@ func TestBlockcacheCountersThreeWayAccounting(t *testing.T) {
 	}
 	for _, fl := range []kernel.Flavour{kernel.FlavourTickTock, kernel.FlavourTock} {
 		reg := metrics.NewRegistry()
-		k, _, _, err := runOn(tc, fl, monolithic.BugSet{}, nil, reg, nil, true)
+		k, err := RunFlavour(tc, fl, Config{FastCore: true}, kcore.Observe{Metrics: reg})
 		if err != nil {
 			t.Fatalf("%s on %s: %v", tc.Name, fl, err)
 		}
@@ -80,7 +80,7 @@ func TestBlockcacheCountersThreeWayAccounting(t *testing.T) {
 // spot fix must not invent series for runs that never used the cache.
 func TestBlockcacheCountersAbsentWithoutFastCore(t *testing.T) {
 	reg := metrics.NewRegistry()
-	if _, _, _, err := runOn(apps.All()[0], kernel.FlavourTickTock, monolithic.BugSet{}, nil, reg, nil, false); err != nil {
+	if _, err := RunFlavour(apps.All()[0], kernel.FlavourTickTock, Config{}, kcore.Observe{Metrics: reg}); err != nil {
 		t.Fatal(err)
 	}
 	for _, cp := range reg.Snapshot().Counters {

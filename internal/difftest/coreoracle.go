@@ -10,14 +10,14 @@ package difftest
 // kernel and the fast core's contract is full observational equality.
 
 import (
+	"context"
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
 
 	"ticktock/internal/apps"
+	"ticktock/internal/campaign"
+	"ticktock/internal/kcore"
 	"ticktock/internal/kernel"
-	"ticktock/internal/monolithic"
 )
 
 // CoreRow is one (case, flavour) comparison between the oracle core and
@@ -36,16 +36,16 @@ type CoreRow struct {
 // OK reports whether the row shows the cores agreeing.
 func (r CoreRow) OK() bool { return r.Err == nil && r.Equal }
 
-// RunCoreOracleCase runs one case on one flavour under both cores and
+// coreOracleCase runs one case on one flavour under both cores and
 // compares output plus final states.
-func RunCoreOracleCase(tc apps.TestCase, fl kernel.Flavour) CoreRow {
+func coreOracleCase(tc apps.TestCase, fl kernel.Flavour) CoreRow {
 	row := CoreRow{Name: tc.Name, Flavour: fl}
-	_, slowOut, slowStates, err := runOn(tc, fl, monolithic.BugSet{}, nil, nil, nil, false)
+	_, slowOut, slowStates, err := runOn(tc, fl, Config{}, kcore.Observe{})
 	if err != nil {
 		row.Err = err
 		return row
 	}
-	_, fastOut, fastStates, err := runOn(tc, fl, monolithic.BugSet{}, nil, nil, nil, true)
+	_, fastOut, fastStates, err := runOn(tc, fl, Config{FastCore: true}, kcore.Observe{})
 	if err != nil {
 		row.Err = err
 		return row
@@ -56,34 +56,36 @@ func RunCoreOracleCase(tc apps.TestCase, fl kernel.Flavour) CoreRow {
 	return row
 }
 
-// RunCoreOracle runs the full release-test suite on both flavours,
-// each case once per core, on a worker pool. Every row must be OK.
+// RunCoreOracle runs the full release-test suite on both flavours, each
+// case once per core, as one supervised unit per (case, flavour) under
+// campaign.Supervise with no timeout and no retries. A comparison that
+// errors or panics comes back as an errored row. Every row must be OK.
 func RunCoreOracle(workers int) []CoreRow {
 	cases := apps.All()
 	flavours := []kernel.Flavour{kernel.FlavourTickTock, kernel.FlavourTock}
-	rows := make([]CoreRow, len(cases)*len(flavours))
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	unit := func(i int) (apps.TestCase, kernel.Flavour) {
+		return cases[i/len(flavours)], flavours[i%len(flavours)]
 	}
-	if workers > len(rows) {
-		workers = len(rows)
+	run, _ := campaign.Supervise(campaign.Config{Workers: workers}, campaign.Source[CoreRow]{
+		N:    len(cases) * len(flavours),
+		Kind: "difftest-cores",
+		Key: func(i int) string {
+			tc, fl := unit(i)
+			return tc.Name + "/" + fl.String()
+		},
+		Run: func(_ context.Context, i int) (CoreRow, error) {
+			row := coreOracleCase(unit(i))
+			return row, row.Err
+		},
+	}) // no journal: cannot fail
+	rows := make([]CoreRow, len(run.Outcomes))
+	for i, o := range run.Outcomes {
+		rows[i] = o.Result
+		if o.Status != campaign.StatusOK {
+			tc, fl := unit(i)
+			rows[i] = CoreRow{Name: tc.Name, Flavour: fl, Err: quarantineErr(o)}
+		}
 	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				rows[i] = RunCoreOracleCase(cases[i/len(flavours)], flavours[i%len(flavours)])
-			}
-		}()
-	}
-	for i := range rows {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
 	return rows
 }
 

@@ -5,25 +5,24 @@
 // memory-layout details or cycle-dependent sensor values — and the
 // remaining sixteen must match byte for byte.
 //
-// Cases are independent kernels, so the campaign runs on a worker pool;
-// a case that fails to run is recorded in its Row.Err rather than
-// aborting the campaign. When a case's result does not match its
-// expectation (an *unexpected* mismatch), the case is re-run on both
-// flavours under the kernel event tracer and the two timelines are
-// attached to the row side by side, turning a byte-diff into a causal
-// timeline.
+// Cases are independent kernels, so the campaign runs as one unit per
+// case under campaign.Supervise; a case that fails to run, or panics,
+// is recorded in its Row.Err rather than aborting the campaign. When a
+// case's result does not match its expectation (an *unexpected*
+// mismatch), the case is re-run on both flavours under the kernel event
+// tracer and the two timelines are attached to the row side by side,
+// turning a byte-diff into a causal timeline.
 package difftest
 
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
 
 	"ticktock/internal/apps"
 	"ticktock/internal/campaign"
 	"ticktock/internal/flightrec"
+	"ticktock/internal/kcore"
 	"ticktock/internal/kernel"
 	"ticktock/internal/metrics"
 	"ticktock/internal/monolithic"
@@ -41,7 +40,8 @@ type Config struct {
 	// kernel (and MissedModeSwitch in the shared switch path). Used to
 	// force unexpected divergences — and exercise the divergence dump.
 	Bugs monolithic.BugSet
-	// Workers sizes the worker pool (0 means GOMAXPROCS).
+	// Workers sizes the supervisor's shard pool (0 means one worker per
+	// CPU, campaign.Config's default).
 	Workers int
 	// NoTraceDump disables the automatic divergence trace dump.
 	NoTraceDump bool
@@ -96,11 +96,11 @@ type Row struct {
 // never OK.
 func (r Row) OK() bool { return r.Err == nil && r.Equal != r.ExpectDiff }
 
-// runOn executes the case on one kernel flavour, optionally under a
-// tracer, and returns the kernel plus the combined output and final
-// states.
-func runOn(tc apps.TestCase, fl kernel.Flavour, bugs monolithic.BugSet, tr *trace.Tracer, reg *metrics.Registry, rec *flightrec.Recorder, fast bool) (*kernel.Kernel, string, string, error) {
-	k, err := kernel.New(kernel.Options{Flavour: fl, Bugs: bugs, Trace: tr, Metrics: reg, FlightRec: rec, FastCore: fast})
+// runOn executes the case on one kernel flavour under cfg.Bugs and
+// cfg.FastCore with obs attached, and returns the kernel plus the
+// combined output and final states.
+func runOn(tc apps.TestCase, fl kernel.Flavour, cfg Config, obs kcore.Observe) (*kernel.Kernel, string, string, error) {
+	k, err := kernel.New(kernel.Options{Flavour: fl, Bugs: cfg.Bugs, FastCore: cfg.FastCore, Observe: obs})
 	if err != nil {
 		return nil, "", "", err
 	}
@@ -128,73 +128,62 @@ func runOn(tc apps.TestCase, fl kernel.Flavour, bugs monolithic.BugSet, tr *trac
 	return k, out.String(), states.String(), nil
 }
 
-// RunTraced executes one case on one flavour with tracing enabled and
-// returns the finished kernel and its tracer — the entry point for the
-// tracetab CLI and the trace-accounting checks.
-func RunTraced(tc apps.TestCase, fl kernel.Flavour, capacity int) (*kernel.Kernel, *trace.Tracer, error) {
-	tr := trace.New(capacity)
-	k, _, _, err := runOn(tc, fl, monolithic.BugSet{}, tr, nil, nil, false)
-	return k, tr, err
+// RunFlavour executes one case on one flavour under cfg.Bugs and
+// cfg.FastCore with obs attached, and returns the finished kernel — the
+// entry point for the tracetab and profile CLIs and the trace and
+// metrics accounting checks. With a registry attached, the kernel's
+// folded-stack profile is k.Profile(). The other Config fields are
+// ignored.
+func RunFlavour(tc apps.TestCase, fl kernel.Flavour, cfg Config, obs kcore.Observe) (*kernel.Kernel, error) {
+	k, _, _, err := runOn(tc, fl, cfg, obs)
+	return k, err
 }
 
 // RunRecorded executes one case on one flavour under the flight recorder
 // (with tracing, so the recording interleaves the event stream) and
 // returns the finished kernel and its recording — the entry point for
 // the replay CLI, the determinism checks and divergence bisection.
-// cfg.Bugs and cfg.TraceCapacity apply; the other fields are ignored.
+// cfg.Bugs, cfg.FastCore and cfg.TraceCapacity apply; the other fields
+// are ignored.
 func RunRecorded(tc apps.TestCase, fl kernel.Flavour, cfg Config) (*kernel.Kernel, *flightrec.Recording, error) {
-	tr := trace.New(cfg.TraceCapacity)
 	rec := flightrec.NewRecorder(fl.String())
-	k, _, _, err := runOn(tc, fl, cfg.Bugs, tr, nil, rec, cfg.FastCore)
+	k, err := RunFlavour(tc, fl, cfg, kcore.Observe{Trace: trace.New(cfg.TraceCapacity), FlightRec: rec})
 	if err != nil {
 		return nil, nil, err
 	}
 	return k, rec.Finish(), nil
 }
 
-// RunMeasured executes one case on one flavour with metrics enabled and
-// returns the finished kernel and its registry — the entry point for the
-// profile CLI. The kernel's folded-stack profile is available as
-// k.Profile().
-func RunMeasured(tc apps.TestCase, fl kernel.Flavour) (*kernel.Kernel, *metrics.Registry, error) {
-	reg := metrics.NewRegistry()
-	k, _, _, err := runOn(tc, fl, monolithic.BugSet{}, nil, reg, nil, false)
-	return k, reg, err
-}
-
-// RunCase executes one case on both flavours with the default config.
-func RunCase(tc apps.TestCase) Row { return RunCaseConfig(tc, Config{}) }
-
 // RunCaseConfig executes one case on both flavours. Infrastructure
 // failures land in Row.Err; an unexpected mismatch triggers the
 // divergence trace dump (unless disabled).
 func RunCaseConfig(tc apps.TestCase, cfg Config) Row {
-	return RunCaseTraced(tc, cfg, nil)
+	return runCase(tc, cfg, nil)
 }
 
-// RunCaseTraced is RunCaseConfig with a kernel tracer attached to the
+// runCase is RunCaseConfig with a kernel tracer attached to the
 // TickTock-flavour run — the hook the live telemetry plane uses to nest
 // a case's kernel events under its attempt span. The tracer observes
 // the cycle meter without charging it, so a traced Row is identical to
 // an untraced one. A nil tracer is exactly RunCaseConfig.
-func RunCaseTraced(tc apps.TestCase, cfg Config, tr *trace.Tracer) Row {
+func runCase(tc apps.TestCase, cfg Config, tr *trace.Tracer) Row {
 	row := Row{Name: tc.Name, ExpectDiff: tc.ExpectDiff}
-	var ttReg, tkReg *metrics.Registry
+	ttObs, tkObs := kcore.Observe{Trace: tr}, kcore.Observe{}
 	if cfg.Metrics {
-		ttReg, tkReg = metrics.NewRegistry(), metrics.NewRegistry()
+		ttObs.Metrics, tkObs.Metrics = metrics.NewRegistry(), metrics.NewRegistry()
 	}
-	ttK, tt, ttStates, err := runOn(tc, kernel.FlavourTickTock, cfg.Bugs, tr, ttReg, nil, cfg.FastCore)
+	ttK, tt, ttStates, err := runOn(tc, kernel.FlavourTickTock, cfg, ttObs)
 	if err != nil {
 		row.Err = err
 		return row
 	}
-	tkK, tk, tkStates, err := runOn(tc, kernel.FlavourTock, cfg.Bugs, nil, tkReg, nil, cfg.FastCore)
+	tkK, tk, tkStates, err := runOn(tc, kernel.FlavourTock, cfg, tkObs)
 	if err != nil {
 		row.Err = err
 		return row
 	}
 	if cfg.Metrics {
-		row.TickTockMetrics, row.TockMetrics = ttReg, tkReg
+		row.TickTockMetrics, row.TockMetrics = ttObs.Metrics, tkObs.Metrics
 		row.TickTockProfile, row.TockProfile = ttK.Profile(), tkK.Profile()
 	}
 	row.Equal = tt == tk
@@ -250,8 +239,8 @@ func bisectDivergence(tc apps.TestCase, cfg Config) (*flightrec.Divergence, stri
 func divergenceDump(tc apps.TestCase, cfg Config) string {
 	ttTr := trace.New(cfg.TraceCapacity)
 	tkTr := trace.New(cfg.TraceCapacity)
-	_, _, _, ttErr := runOn(tc, kernel.FlavourTickTock, cfg.Bugs, ttTr, nil, nil, cfg.FastCore)
-	_, _, _, tkErr := runOn(tc, kernel.FlavourTock, cfg.Bugs, tkTr, nil, nil, cfg.FastCore)
+	_, _, _, ttErr := runOn(tc, kernel.FlavourTickTock, cfg, kcore.Observe{Trace: ttTr})
+	_, _, _, tkErr := runOn(tc, kernel.FlavourTock, cfg, kcore.Observe{Trace: tkTr})
 	var b strings.Builder
 	if ttErr != nil || tkErr != nil {
 		fmt.Fprintf(&b, "trace re-run errors: ticktock=%v tock=%v\n", ttErr, tkErr)
@@ -260,65 +249,40 @@ func divergenceDump(tc apps.TestCase, cfg Config) string {
 	return b.String()
 }
 
-// RunAll executes the whole campaign with the default config.
-func RunAll() []Row { return RunAllConfig(Config{}) }
-
-// RunAllConfig executes the whole campaign on a worker pool. Cases are
-// independent kernels, so they parallelize freely; rows come back in
-// case order regardless of completion order.
+// RunAllConfig executes the whole campaign under campaign.Supervise
+// with no timeout and no retries. Cases are independent kernels, so they
+// parallelize freely; rows come back in case order regardless of
+// completion order.
 func RunAllConfig(cfg Config) []Row {
-	cases := apps.All()
-	rows := make([]Row, len(cases))
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(cases) {
-		workers = len(cases)
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				rows[i] = RunCaseConfig(cases[i], cfg)
-			}
-		}()
-	}
-	for i := range cases {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
+	rows, _, _ := RunAllSupervised(cfg, campaign.Config{}, nil) // no journal: cannot fail
 	return rows
 }
 
 // RunAllSupervised executes the campaign under the crash-resilient
-// campaign supervisor: every case gets a wall-clock timeout, panic
-// isolation and a retry budget, and a case that fails every attempt is
-// quarantined into an errored row instead of wedging or crashing the
-// pool. Rows carry live registries, profiles and error values, so they
-// are not journal-serializable: supervision here is in-memory only and
-// sup.Journal must be empty (resumable manifests are the fault
-// campaign's feature).
-func RunAllSupervised(cfg Config, sup campaign.Config) ([]Row, *campaign.Run[Row], error) {
-	return RunAllSupervisedTelemetry(cfg, sup, nil)
-}
-
-// RunAllSupervisedTelemetry is RunAllSupervised with a live telemetry
-// plane: the plane becomes the supervisor's observer (when the caller
+// campaign supervisor: every case gets sup's wall-clock timeout, panic
+// isolation and retry budget, and a case that fails every attempt is
+// quarantined into an errored row carrying its last attempt's error
+// instead of wedging or crashing the pool. Rows carry live registries,
+// profiles and error values, so they are not journal-serializable:
+// supervision here is in-memory only and sup.Journal must be empty
+// (resumable manifests are the fault campaign's feature).
+//
+// A non-nil plane becomes the supervisor's observer (when the caller
 // has not installed one), each attempt's TickTock run carries a kernel
 // tracer drawn from the plane's nest budget, and each completed row
 // publishes its per-flavour registries into the plane's streaming
 // aggregate — so the live aggregate converges to MergeMetrics of the
-// finished rows. A nil plane is exactly RunAllSupervised.
-func RunAllSupervisedTelemetry(cfg Config, sup campaign.Config, plane *telemetry.Plane) ([]Row, *campaign.Run[Row], error) {
+// finished rows. Telemetry observes the campaign; the rows are the same
+// with or without it.
+func RunAllSupervised(cfg Config, sup campaign.Config, plane *telemetry.Plane) ([]Row, *campaign.Run[Row], error) {
+	return superviseCases(apps.All(), cfg, sup, plane)
+}
+
+// superviseCases is RunAllSupervised over an explicit case list.
+func superviseCases(cases []apps.TestCase, cfg Config, sup campaign.Config, plane *telemetry.Plane) ([]Row, *campaign.Run[Row], error) {
 	if sup.Journal != "" {
 		return nil, nil, fmt.Errorf("difftest: rows are not journal-serializable; supervised difftest runs cannot resume")
 	}
-	cases := apps.All()
 	if sup.Workers == 0 {
 		sup.Workers = cfg.Workers
 	}
@@ -330,11 +294,11 @@ func RunAllSupervisedTelemetry(cfg Config, sup campaign.Config, plane *telemetry
 		Kind: "difftest",
 		Key:  func(i int) string { return cases[i].Name },
 		Run: func(ctx context.Context, i int) (Row, error) {
-			row := RunCaseTraced(cases[i], cfg, plane.UnitTracer(i))
+			row := runCase(cases[i], cfg, plane.UnitTracer(i))
 			if row.Err != nil {
 				// Surface the infrastructure failure to the supervisor so
 				// a transient one is retried and a persistent one is
-				// quarantined rather than silently booked as a row error.
+				// quarantined; the quarantined row keeps its text.
 				return Row{}, row.Err
 			}
 			plane.UnitObservation(i, func(reg *metrics.Registry) {
@@ -354,20 +318,24 @@ func RunAllSupervisedTelemetry(cfg Config, sup campaign.Config, plane *telemetry
 		case campaign.StatusOK:
 			rows[i] = o.Result
 		case campaign.StatusQuarantined:
-			rows[i] = Row{
-				Name:       cases[i].Name,
-				ExpectDiff: cases[i].ExpectDiff,
-				Err: fmt.Errorf("quarantined by the campaign supervisor: %s after %d attempts",
-					o.FinalFailure(), len(o.Attempts)),
-			}
+			rows[i] = Row{Name: cases[i].Name, ExpectDiff: cases[i].ExpectDiff, Err: quarantineErr(o)}
 		}
 	}
 	return rows, run, nil
 }
 
+// quarantineErr is the errored-row cause of a unit the supervisor
+// quarantined: the failure class and attempt count, then the last
+// attempt's own error text.
+func quarantineErr[R any](o campaign.Outcome[R]) error {
+	last := o.Attempts[len(o.Attempts)-1]
+	return fmt.Errorf("quarantined by the campaign supervisor: %s after %d attempts: %s",
+		last.Failure, len(o.Attempts), last.Err)
+}
+
 // MergeMetrics folds every row's per-flavour registries into one
 // campaign-wide registry — the snapshot-then-merge pattern that lets the
-// worker pool record without shared-registry contention. Rows without
+// supervisor's workers record without shared-registry contention. Rows without
 // metrics (errored, or Config.Metrics off) contribute nothing.
 func MergeMetrics(rows []Row) *metrics.Registry {
 	out := metrics.NewRegistry()

@@ -26,7 +26,7 @@ func TestCampaignHasTwentyOneCases(t *testing.T) {
 }
 
 func TestDifferentialCampaign(t *testing.T) {
-	rows := RunAll()
+	rows := RunAllConfig(Config{})
 	for _, r := range rows {
 		if r.Err != nil {
 			t.Errorf("%s: %v", r.Name, r.Err)
@@ -67,7 +67,7 @@ func TestStackGrowthStillFaultsOnBothKernels(t *testing.T) {
 		if tc.Name != "stack_growth" {
 			continue
 		}
-		row := RunCase(tc)
+		row := RunCaseConfig(tc, Config{})
 		if row.Err != nil {
 			t.Fatal(row.Err)
 		}
@@ -121,11 +121,10 @@ func TestDivergenceDumpOnForcedMismatch(t *testing.T) {
 	}
 }
 
-// TestErroredCaseIsRecordedNotFatal feeds the campaign a case that
-// cannot load (its RAM demand exceeds the whole process pool) and checks
-// the error is recorded per-row and tallied, not propagated.
-func TestErroredCaseIsRecordedNotFatal(t *testing.T) {
-	broken := apps.TestCase{
+// unloadableCase is a case that cannot load: its RAM demand exceeds the
+// whole process pool.
+func unloadableCase() apps.TestCase {
+	return apps.TestCase{
 		Name: "unloadable",
 		Apps: []kernel.App{{
 			Name:   "unloadable",
@@ -133,7 +132,13 @@ func TestErroredCaseIsRecordedNotFatal(t *testing.T) {
 			Build: apps.All()[0].Apps[0].Build,
 		}},
 	}
-	row := RunCase(broken)
+}
+
+// TestErroredCaseIsRecordedNotFatal feeds the campaign a case that
+// cannot load (its RAM demand exceeds the whole process pool) and checks
+// the error is recorded per-row and tallied, not propagated.
+func TestErroredCaseIsRecordedNotFatal(t *testing.T) {
+	row := RunCaseConfig(unloadableCase(), Config{})
 	if row.Err == nil {
 		t.Fatal("expected a load error")
 	}

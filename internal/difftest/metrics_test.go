@@ -6,9 +6,9 @@ import (
 	"testing"
 
 	"ticktock/internal/apps"
+	"ticktock/internal/kcore"
 	"ticktock/internal/kernel"
 	"ticktock/internal/metrics"
-	"ticktock/internal/monolithic"
 	"ticktock/internal/trace"
 )
 
@@ -21,7 +21,7 @@ func TestMetricsTracerAndKernelCountersAgree(t *testing.T) {
 		for _, tc := range apps.All() {
 			reg := metrics.NewRegistry()
 			tr := trace.New(1 << 17)
-			k, _, _, err := runOn(tc, fl, monolithic.BugSet{}, tr, reg, nil, false)
+			k, err := RunFlavour(tc, fl, Config{}, kcore.Observe{Trace: tr, Metrics: reg})
 			if err != nil {
 				t.Fatalf("%s on %s: %v", tc.Name, fl, err)
 			}
@@ -76,7 +76,7 @@ func TestMetricsTracerAndKernelCountersAgree(t *testing.T) {
 func TestCampaignProfileInvariant(t *testing.T) {
 	for _, fl := range []kernel.Flavour{kernel.FlavourTickTock, kernel.FlavourTock} {
 		for _, tc := range apps.All() {
-			k, _, err := RunMeasured(tc, fl)
+			k, err := RunFlavour(tc, fl, Config{}, kcore.Observe{Metrics: metrics.NewRegistry()})
 			if err != nil {
 				t.Fatalf("%s on %s: %v", tc.Name, fl, err)
 			}
@@ -94,11 +94,12 @@ func TestCampaignProfileInvariant(t *testing.T) {
 // meter, the switch count or the console output of any case.
 func TestMeteredRunCyclesMatchUnmetered(t *testing.T) {
 	for _, tc := range apps.All() {
-		plainK, plainOut, _, err := runOn(tc, kernel.FlavourTickTock, monolithic.BugSet{}, nil, nil, nil, false)
+		plainK, plainOut, _, err := runOn(tc, kernel.FlavourTickTock, Config{}, kcore.Observe{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		meteredK, reg, err := RunMeasured(tc, kernel.FlavourTickTock)
+		reg := metrics.NewRegistry()
+		meteredK, err := RunFlavour(tc, kernel.FlavourTickTock, Config{}, kcore.Observe{Metrics: reg})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,8 +122,8 @@ func TestMeteredRunCyclesMatchUnmetered(t *testing.T) {
 	}
 }
 
-// TestCampaignMergeAndExport runs the whole campaign with metrics on a
-// worker pool, merges the per-case snapshots, and checks the merged
+// TestCampaignMergeAndExport runs the whole campaign with metrics on
+// four workers, merges the per-case snapshots, and checks the merged
 // registry and profile are consistent with the per-row data.
 func TestCampaignMergeAndExport(t *testing.T) {
 	rows := RunAllConfig(Config{Metrics: true, Workers: 4})

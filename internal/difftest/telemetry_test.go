@@ -12,13 +12,14 @@ import (
 )
 
 // TestRunCaseTracedMatchesUntraced pins the zero-steering contract for
-// the difftest path: attaching a kernel tracer changes nothing about
-// the Row, and the tracer actually saw kernel events.
+// the difftest path: attaching a kernel tracer (runCase, the unit body
+// of a telemetered campaign) changes nothing about the Row, and the
+// tracer actually saw kernel events.
 func TestRunCaseTracedMatchesUntraced(t *testing.T) {
 	tc := apps.All()[0]
 	plain := RunCaseConfig(tc, Config{})
 	tr := trace.New(4096)
-	traced := RunCaseTraced(tc, Config{}, tr)
+	traced := runCase(tc, Config{}, tr)
 	if !reflect.DeepEqual(plain, traced) {
 		t.Fatalf("traced row differs from untraced:\nplain:  %+v\ntraced: %+v", plain, traced)
 	}
@@ -36,7 +37,7 @@ func TestSupervisedTelemetryLiveEqualsMergedRows(t *testing.T) {
 	var first string
 	for _, workers := range []int{1, 2, 4} {
 		plane := telemetry.New()
-		rows, _, err := RunAllSupervisedTelemetry(cfg, campaign.Config{Workers: workers}, plane)
+		rows, _, err := RunAllSupervised(cfg, campaign.Config{Workers: workers}, plane)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

@@ -6,8 +6,8 @@ import (
 	"testing"
 
 	"ticktock/internal/apps"
+	"ticktock/internal/kcore"
 	"ticktock/internal/kernel"
-	"ticktock/internal/monolithic"
 	"ticktock/internal/trace"
 )
 
@@ -20,7 +20,8 @@ import (
 func TestTracedCampaignCountsMatchKernelCounters(t *testing.T) {
 	for _, fl := range []kernel.Flavour{kernel.FlavourTickTock, kernel.FlavourTock} {
 		for _, tc := range apps.All() {
-			k, tr, err := RunTraced(tc, fl, 1<<17)
+			tr := trace.New(1 << 17)
+			k, err := RunFlavour(tc, fl, Config{}, kcore.Observe{Trace: tr})
 			if err != nil {
 				t.Fatalf("%s on %s: %v", tc.Name, fl, err)
 			}
@@ -83,11 +84,12 @@ func TestTracedCampaignCountsMatchKernelCounters(t *testing.T) {
 // and the same Stats with and without the tracer attached.
 func TestTracedRunCyclesMatchUntraced(t *testing.T) {
 	for _, tc := range apps.All() {
-		plainK, _, _, err := runOn(tc, kernel.FlavourTickTock, monolithic.BugSet{}, nil, nil, nil, false)
+		plainK, err := RunFlavour(tc, kernel.FlavourTickTock, Config{}, kcore.Observe{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		tracedK, tr, err := RunTraced(tc, kernel.FlavourTickTock, 1<<17)
+		tr := trace.New(1 << 17)
+		tracedK, err := RunFlavour(tc, kernel.FlavourTickTock, Config{}, kcore.Observe{Trace: tr})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,12 +3,11 @@ package faultinject
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
 
 	"ticktock/internal/apps"
 	"ticktock/internal/armv7m"
+	"ticktock/internal/campaign"
 	"ticktock/internal/difftest"
 	"ticktock/internal/flightrec"
 	"ticktock/internal/kcore"
@@ -49,55 +48,33 @@ func rvApps() map[string]rvkernel.App {
 	return out
 }
 
-// Run executes the campaign on a worker pool. Scenarios are independent
+// Run executes the campaign under campaign.Supervise with no timeout,
+// retries or journal, on cfg.Workers workers. Scenarios are independent
 // kernel pairs, so they parallelize freely; results land by index, so
-// the report is identical under any worker count.
+// the report is identical under any worker count. Chaos is ignored: it
+// exercises supervision settings a plain run does not have (see
+// RunSupervised). A scenario that panics is quarantined into the
+// report's supervision section instead of crashing the process.
 func Run(cfg Config) *Report {
 	cfg = cfg.withDefaults()
-	scenarios := GenScenarios(cfg)
-	results := make([]Result, len(scenarios))
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(scenarios) {
-		workers = len(scenarios)
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				results[i] = RunScenario(scenarios[i], cfg)
-			}
-		}()
-	}
-	for i := range scenarios {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	rep := &Report{Config: cfg, Results: results}
-	rep.tally()
-	return rep
+	run, _ := campaign.Supervise(campaign.Config{Workers: cfg.Workers}, units(cfg, nil, nil)) // no journal: cannot fail
+	return ReportFromRun(cfg, run)
 }
 
 // RunScenario executes one scenario on both ports: an uninjected
 // baseline and an injected run each, classifying the injected run
 // against its baseline.
 func RunScenario(sc Scenario, cfg Config) Result {
-	return RunScenarioTraced(sc, cfg, nil)
+	return runScenario(sc, cfg, nil)
 }
 
-// RunScenarioTraced is RunScenario with a kernel tracer attached to the
+// runScenario is RunScenario with a kernel tracer attached to the
 // *injected* runs on both ports — the hook the live telemetry plane
 // uses to nest a scenario's kernel events under its attempt span in the
 // fleet timeline. The tracer observes the cycle meter without charging
 // it, so a traced Result is identical to an untraced one. A nil tracer
 // is exactly RunScenario.
-func RunScenarioTraced(sc Scenario, cfg Config, tr *trace.Tracer) Result {
+func runScenario(sc Scenario, cfg Config, tr *trace.Tracer) Result {
 	cfg = cfg.withDefaults()
 	return Result{
 		Scenario: sc,
@@ -106,20 +83,14 @@ func RunScenarioTraced(sc Scenario, cfg Config, tr *trace.Tracer) Result {
 	}
 }
 
-// RecordScenario re-runs one scenario's *injected* run on both ports
-// under the flight recorder, regardless of outcome, and returns the two
-// recordings. The runs are deterministic, so replaying either recording
-// reproduces the injected faults exactly as the campaign saw them — the
-// injection comes back from the recorded state, it is never re-rolled.
-func RecordScenario(sc Scenario, cfg Config) (arm, rv *flightrec.Recording, err error) {
-	return RecordRuns(sc, cfg, true)
-}
-
 // RecordRuns re-runs one scenario on both ports under the flight
-// recorder, with or without the injection armed — the uninjected
-// recording is the clean twin a campaign violation is bisected against
-// (runpack's auto-distillation). Same determinism contract as
-// RecordScenario.
+// recorder, regardless of outcome, with or without the injection armed,
+// and returns the two recordings. The runs are deterministic, so
+// replaying an injected recording reproduces the injected faults
+// exactly as the campaign saw them — the injection comes back from the
+// recorded state, it is never re-rolled. The uninjected recording is
+// the clean twin a campaign violation is bisected against (runpack's
+// auto-distillation).
 //
 // The contract is both-or-neither: a caller never receives one port's
 // recording alongside an error for the other (a half pair would seal
@@ -133,12 +104,12 @@ func RecordRuns(sc Scenario, cfg Config, inject bool) (arm, rv *flightrec.Record
 	}
 	armRec := flightrec.NewRecorder(armPort)
 	var armErr, rvErr error
-	if _, _, _, e := armRun(sc, cfg, inject, armRec, nil); e != nil {
+	if _, _, _, e := armRun(sc, cfg, inject, kcore.Observe{FlightRec: armRec}); e != nil {
 		armErr = fmt.Errorf("faultinject: recording %s: %w", armPort, e)
 	}
 	chip := riscv.Chips[sc.Chip%len(riscv.Chips)]
 	rvRec := flightrec.NewRecorder("rv32-" + chip.Name)
-	if _, _, _, e := rvRun(sc, cfg, chip, inject, rvRec, nil); e != nil {
+	if _, _, _, e := rvRun(sc, cfg, chip, inject, kcore.Observe{FlightRec: rvRec}); e != nil {
 		rvErr = fmt.Errorf("faultinject: recording rv32-%s: %w", chip.Name, e)
 	}
 	if armErr != nil || rvErr != nil {
@@ -266,7 +237,7 @@ func runARMScenario(sc Scenario, cfg Config, tr *trace.Tracer) PortResult {
 	if sc.Monolithic {
 		port = "arm-tock"
 	}
-	base, _, _, err := armRun(sc, cfg, false, nil, nil)
+	base, _, _, err := armRun(sc, cfg, false, kcore.Observe{})
 	if err != nil {
 		return PortResult{Port: port, Err: err.Error()}
 	}
@@ -274,7 +245,7 @@ func runARMScenario(sc Scenario, cfg Config, tr *trace.Tracer) PortResult {
 	if cfg.Record {
 		rec = flightrec.NewRecorder(port)
 	}
-	inj, violations, applied, err := armRun(sc, cfg, true, rec, tr)
+	inj, violations, applied, err := armRun(sc, cfg, true, kcore.Observe{Trace: tr, FlightRec: rec})
 	if err != nil {
 		return PortResult{Port: port, Err: err.Error()}
 	}
@@ -285,13 +256,13 @@ func runARMScenario(sc Scenario, cfg Config, tr *trace.Tracer) PortResult {
 	return pr
 }
 
-// armRun executes the scenario's test case once on the ARM port,
-// optionally with the scenario's injection armed. Hook injections
-// (syscall corruption, bus faults) arm before boot and fire on their
-// nth event; boundary injections fire at the scenario's scheduling
-// quantum. It returns the run signature, the isolation sweep's findings
+// armRun executes the scenario's test case once on the ARM port with
+// obs attached, optionally with the scenario's injection armed. Hook
+// injections (syscall corruption, bus faults) arm before boot and fire
+// on their nth event; boundary injections fire at the scenario's
+// scheduling quantum. It returns the run signature, the isolation sweep's findings
 // (injected runs only) and whether the injection actually fired.
-func armRun(sc Scenario, cfg Config, inject bool, rec *flightrec.Recorder, tr *trace.Tracer) (runSignature, []string, bool, error) {
+func armRun(sc Scenario, cfg Config, inject bool, obs kcore.Observe) (runSignature, []string, bool, error) {
 	tc, ok := armCases()[sc.App]
 	if !ok {
 		return runSignature{}, nil, false, fmt.Errorf("faultinject: no ARM case %q", sc.App)
@@ -310,9 +281,8 @@ func armRun(sc Scenario, cfg Config, inject bool, rec *flightrec.Recorder, tr *t
 		MaxRestarts: cfg.MaxRestarts,
 		Watchdog:    cfg.Watchdog,
 		BackoffBase: cfg.BackoffBase,
-		FlightRec:   rec,
 		FastCore:    cfg.FastCore,
-		Trace:       tr,
+		Observe:     obs,
 	}
 	applied := false
 	var machine *armv7m.Machine
@@ -435,7 +405,7 @@ func armIsolation(k *kernel.Kernel, granular bool) []string {
 func runRVScenario(sc Scenario, cfg Config, tr *trace.Tracer) PortResult {
 	chip := riscv.Chips[sc.Chip%len(riscv.Chips)]
 	port := "rv32-" + chip.Name
-	base, _, _, err := rvRun(sc, cfg, chip, false, nil, nil)
+	base, _, _, err := rvRun(sc, cfg, chip, false, kcore.Observe{})
 	if err != nil {
 		return PortResult{Port: port, Err: err.Error()}
 	}
@@ -443,7 +413,7 @@ func runRVScenario(sc Scenario, cfg Config, tr *trace.Tracer) PortResult {
 	if cfg.Record {
 		rec = flightrec.NewRecorder(port)
 	}
-	inj, violations, applied, err := rvRun(sc, cfg, chip, true, rec, tr)
+	inj, violations, applied, err := rvRun(sc, cfg, chip, true, kcore.Observe{Trace: tr, FlightRec: rec})
 	if err != nil {
 		return PortResult{Port: port, Err: err.Error()}
 	}
@@ -455,7 +425,7 @@ func runRVScenario(sc Scenario, cfg Config, tr *trace.Tracer) PortResult {
 }
 
 // rvRun is the RISC-V twin of armRun.
-func rvRun(sc Scenario, cfg Config, chip riscv.ChipConfig, inject bool, rec *flightrec.Recorder, tr *trace.Tracer) (runSignature, []string, bool, error) {
+func rvRun(sc Scenario, cfg Config, chip riscv.ChipConfig, inject bool, obs kcore.Observe) (runSignature, []string, bool, error) {
 	app, ok := rvApps()[sc.App]
 	if !ok {
 		return runSignature{}, nil, false, fmt.Errorf("faultinject: no RISC-V app %q", sc.App)
@@ -464,7 +434,7 @@ func rvRun(sc Scenario, cfg Config, chip riscv.ChipConfig, inject bool, rec *fli
 	if err != nil {
 		return runSignature{}, nil, false, err
 	}
-	k.Attach(kcore.Observe{Trace: tr, FlightRec: rec})
+	k.Attach(obs)
 	k.SetFastCore(cfg.FastCore)
 	k.FaultPolicy = rvkernel.PolicyRestart
 	if sc.Quarantine {

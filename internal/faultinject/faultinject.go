@@ -131,7 +131,8 @@ type Config struct {
 	Seed int64
 	// N is the scenario count (0 means DefaultScenarios).
 	N int
-	// Workers sizes the worker pool (0 means GOMAXPROCS).
+	// Workers sizes the supervisor's shard pool (0 means one worker per
+	// CPU, campaign.Config's default).
 	Workers int
 	// MaxRestarts, Watchdog and BackoffBase configure the supervised
 	// kernels (zero means the campaign defaults 2, 3 and 512).
@@ -150,13 +151,12 @@ type Config struct {
 	// quantum boundaries) is exactly the invalidation stressor for the
 	// cache, and classifications must be byte-identical either way.
 	FastCore bool
-	// Chaos injects failures into the *campaign machinery itself* when
-	// the campaign runs supervised (RunSupervised): a spec like
-	// "wedge:3,panic:5,flaky:7" wedges scenario 3 until its timeout,
-	// panics inside scenario 5 and makes scenario 7 fail its first
-	// attempt. It exercises the supervisor's timeout, crash-recovery,
-	// retry and quarantine paths end to end; unsupervised Run ignores
-	// it. See ParseChaos.
+	// Chaos injects failures into the *campaign machinery itself* under
+	// RunSupervised: a spec like "wedge:3,panic:5,flaky:7" wedges
+	// scenario 3 until its timeout, panics inside scenario 5 and makes
+	// scenario 7 fail its first attempt. It exercises the supervisor's
+	// timeout, crash-recovery, retry and quarantine paths end to end;
+	// Run ignores it. See ParseChaos.
 	Chaos string
 }
 
@@ -427,8 +427,8 @@ type QuarantinedScenario struct {
 }
 
 // trivial reports whether the supervisor had nothing to report — the
-// condition under which the report renders byte-identically to an
-// unsupervised run.
+// condition under which the report renders byte-identically under any
+// supervision settings.
 func (s *Supervision) trivial() bool {
 	return s.Timeouts == 0 && s.Crashes == 0 && s.Errors == 0 &&
 		s.Retries == 0 && s.Pending == 0 && len(s.Quarantined) == 0
@@ -448,10 +448,9 @@ type Report struct {
 	Violations []string
 	// Divergent counts scenarios the two ports classified differently.
 	Divergent int
-	// Sup carries the supervised campaign's supervision summary; nil
-	// for unsupervised runs and for supervised runs where the
+	// Sup carries the campaign's supervision summary; nil when the
 	// supervisor had nothing to do, so clean campaigns render
-	// byte-identically either way.
+	// byte-identically under any supervision settings.
 	Sup *Supervision
 }
 

@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"ticktock/internal/campaign"
+	"ticktock/internal/telemetry"
 )
 
 // This file splits the campaign into supervised units and runs it under
@@ -49,7 +50,8 @@ func (c Config) Fingerprint() []byte {
 // Chaos modes for ParseChaos.
 const (
 	// ChaosWedge blocks the scenario until the supervisor's timeout
-	// cancels it — the wedged-emulator failure mode.
+	// cancels it — the wedged-emulator failure mode. RunSupervised
+	// rejects it when no timeout is set, since nothing would cancel it.
 	ChaosWedge = "wedge"
 	// ChaosPanic panics inside the scenario — the worker-crash failure
 	// mode.
@@ -91,20 +93,40 @@ func ParseChaos(spec string) (map[int]string, error) {
 	return out, nil
 }
 
-// Units splits the campaign into supervised units — one scenario per
-// unit, journal-codec'd as JSON — for campaign.Supervise.
-func Units(cfg Config) (campaign.Source[Result], error) {
-	return UnitsTelemetry(cfg, nil)
-}
-
 // RunSupervised executes the campaign under the crash-resilient
-// supervisor and folds the outcomes back into a Report. The report's
-// aggregates are derived from terminal outcomes only, so they are
-// byte-identical at any worker count and across interrupt/resume; the
-// invocation-local stats (steals, resume count) live in run.Stats and
-// go to metrics, never into the report.
-func RunSupervised(cfg Config, sup campaign.Config) (*Report, *campaign.Run[Result], error) {
-	return RunSupervisedTelemetry(cfg, sup, nil)
+// supervisor with sup's timeout, retries, journal and chaos spec, and
+// folds the outcomes back into a Report. The report's aggregates are
+// derived from terminal outcomes only, so they are byte-identical at
+// any worker count and across interrupt/resume; the invocation-local
+// stats (steals, resume count) live in run.Stats and go to metrics,
+// never into the report.
+//
+// A non-nil plane becomes the supervisor's observer (when the caller
+// has not installed one) and receives per-unit tracers and metric
+// publishes (see UnitsTelemetry). Telemetry observes the campaign, it
+// never steers it: the Report and Run are the same with a nil plane.
+func RunSupervised(cfg Config, sup campaign.Config, plane *telemetry.Plane) (*Report, *campaign.Run[Result], error) {
+	cfg = cfg.withDefaults()
+	chaos, err := ParseChaos(cfg.Chaos)
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, mode := range chaos {
+		if mode == ChaosWedge && sup.Timeout <= 0 {
+			return nil, nil, fmt.Errorf("faultinject: chaos %q wedges a scenario until the supervisor's timeout cancels it, but no timeout is set (campaign.Config.Timeout, faultcamp -timeout)", cfg.Chaos)
+		}
+	}
+	if sup.Workers == 0 {
+		sup.Workers = cfg.Workers
+	}
+	if sup.Observer == nil && plane != nil {
+		sup.Observer = plane
+	}
+	run, err := campaign.Supervise(sup, units(cfg, chaos, plane))
+	if err != nil {
+		return nil, run, err
+	}
+	return ReportFromRun(cfg, run), run, nil
 }
 
 // ReportFromRun folds supervised outcomes into the campaign report.

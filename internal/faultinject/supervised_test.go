@@ -7,16 +7,18 @@ import (
 	"time"
 
 	"ticktock/internal/campaign"
+	"ticktock/internal/telemetry"
 )
 
 // TestSupervisedMatchesUnsupervised pins the byte-compatibility
-// contract: a supervised campaign with nothing for the supervisor to do
-// renders exactly the bytes the plain worker pool renders — which is
-// what keeps the committed regression runpacks verifiable.
+// contract: a campaign with nothing for the supervisor to do renders
+// the same bytes under Run's bare supervision as under RunSupervised
+// with another worker count, and grows no supervision section — which
+// is what keeps the committed regression runpacks verifiable.
 func TestSupervisedMatchesUnsupervised(t *testing.T) {
 	cfg := Config{Seed: 42, N: 12}
 	plain := Run(cfg)
-	rep, run, err := RunSupervised(cfg, campaign.Config{Workers: 3})
+	rep, run, err := RunSupervised(cfg, campaign.Config{Workers: 3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +39,7 @@ func TestSupervisedMatchesUnsupervised(t *testing.T) {
 // the final report must be byte-identical to an uninterrupted run's.
 func TestSupervisedKillAndResumeDeterminism(t *testing.T) {
 	cfg := Config{Seed: 42, N: 10}
-	uninterrupted, _, err := RunSupervised(cfg, campaign.Config{Workers: 3})
+	uninterrupted, _, err := RunSupervised(cfg, campaign.Config{Workers: 3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +52,7 @@ func TestSupervisedKillAndResumeDeterminism(t *testing.T) {
 		journal := filepath.Join(t.TempDir(), "campaign.journal")
 		first, run1, err := RunSupervised(cfg, campaign.Config{
 			Workers: 2, Journal: journal, StopAfter: stopAfter, CheckpointEvery: 3,
-		})
+		}, nil)
 		if err != nil {
 			t.Fatalf("stopAfter=%d: %v", stopAfter, err)
 		}
@@ -65,7 +67,7 @@ func TestSupervisedKillAndResumeDeterminism(t *testing.T) {
 			t.Fatalf("stopAfter=%d: interrupted text lacks supervision line", stopAfter)
 		}
 
-		resumed, run2, err := RunSupervised(cfg, campaign.Config{Workers: 5, Journal: journal})
+		resumed, run2, err := RunSupervised(cfg, campaign.Config{Workers: 5, Journal: journal}, nil)
 		if err != nil {
 			t.Fatalf("stopAfter=%d resume: %v", stopAfter, err)
 		}
@@ -88,7 +90,7 @@ func TestSupervisedChaosQuarantine(t *testing.T) {
 	cfg := Config{Seed: 42, N: 8, Chaos: "wedge:1,panic:3,flaky:5"}
 	rep, run, err := RunSupervised(cfg, campaign.Config{
 		Workers: 4, Timeout: 500 * time.Millisecond, Retries: 1,
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +140,7 @@ func TestSupervisedChaosQuarantine(t *testing.T) {
 func TestSupervisedQuarantineSurvivesResume(t *testing.T) {
 	cfg := Config{Seed: 42, N: 6, Chaos: "panic:0"}
 	sup := campaign.Config{Workers: 1, Retries: 1, Clock: &campaign.FakeClock{}}
-	straight, _, err := RunSupervised(cfg, sup)
+	straight, _, err := RunSupervised(cfg, sup, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +148,7 @@ func TestSupervisedQuarantineSurvivesResume(t *testing.T) {
 	journal := filepath.Join(t.TempDir(), "campaign.journal")
 	supJ := sup
 	supJ.Journal, supJ.StopAfter = journal, 2
-	if _, run1, err := RunSupervised(cfg, supJ); err != nil {
+	if _, run1, err := RunSupervised(cfg, supJ, nil); err != nil {
 		t.Fatal(err)
 	} else if run1.Outcomes[0].Status != campaign.StatusQuarantined {
 		// Worker 1 walks its shard front-to-back, so scenario 0 is in
@@ -155,7 +157,7 @@ func TestSupervisedQuarantineSurvivesResume(t *testing.T) {
 	}
 	supR := sup
 	supR.Journal = journal
-	resumed, run2, err := RunSupervised(cfg, supR)
+	resumed, run2, err := RunSupervised(cfg, supR, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,5 +240,46 @@ func TestReportEmpty(t *testing.T) {
 	quarantined.tally()
 	if quarantined.Empty() {
 		t.Fatal("quarantine evidence should not be empty")
+	}
+}
+
+// TestChaosWedgeNeedsTimeout: a wedge waits for a cancellation only a
+// timeout delivers, so without one the campaign would hang forever.
+// RunSupervised must refuse the spec up front, naming the timeout,
+// before any scenario runs.
+func TestChaosWedgeNeedsTimeout(t *testing.T) {
+	cfg := Config{Seed: 42, N: 3, Chaos: "panic:1,wedge:0"}
+	plane := telemetry.New()
+	_, run, err := RunSupervised(cfg, campaign.Config{Retries: 1}, plane)
+	if err == nil || !strings.Contains(err.Error(), "timeout") {
+		t.Fatalf("wedge without a timeout: err %v, want one naming the timeout", err)
+	}
+	if run != nil || plane.Progress().Units != 0 {
+		t.Fatalf("campaign started before the spec was rejected: run=%v progress=%+v", run, plane.Progress())
+	}
+	// With a timeout the same spec runs to completion.
+	rep, _, err := RunSupervised(cfg, campaign.Config{Timeout: 100 * time.Millisecond, Retries: 1}, nil)
+	if err != nil || rep.Sup == nil || len(rep.Sup.Quarantined) != 2 {
+		t.Fatalf("wedge with a timeout: err %v, rep %+v", err, rep)
+	}
+}
+
+// TestRunQuarantinesCrashedScenario pins the gate behind Run: its bare
+// supervision (no timeout, retries or journal) recovers a panicking
+// scenario instead of crashing the process, and the report says so in
+// a supervision section, which is what the campaign obligation and a
+// plain faultcamp run fail on.
+func TestRunQuarantinesCrashedScenario(t *testing.T) {
+	cfg := Config{Seed: 42, N: 4}.withDefaults()
+	run, err := campaign.Supervise(campaign.Config{}, units(cfg, map[int]string{2: ChaosPanic}, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := ReportFromRun(cfg, run)
+	if rep.Sup == nil || len(rep.Sup.Quarantined) != 1 || rep.Sup.Quarantined[0].Failure != campaign.FailCrashed {
+		t.Fatalf("crashed scenario not quarantined: %+v", rep.Sup)
+	}
+	if got, want := rep.Text(), Run(cfg).Text(); got == want {
+		t.Fatal("quarantine left no trace in the report text")
 	}
 }

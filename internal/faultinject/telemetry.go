@@ -57,17 +57,25 @@ func (res Result) publishUnit(reg *metrics.Registry) {
 	}
 }
 
-// UnitsTelemetry is Units with a live telemetry plane attached: every
+// UnitsTelemetry splits the campaign into supervised units — one
+// scenario per unit, journal-codec'd as JSON, with cfg's chaos spec
+// applied — for campaign.Supervise. With a non-nil plane, every
 // attempt's injected runs feed a kernel tracer drawn from the plane's
 // nest budget, and completed units register a publish closure that the
 // plane folds into its streaming aggregate when the supervisor marks
-// the unit terminal. A nil plane is exactly Units.
+// the unit terminal.
 func UnitsTelemetry(cfg Config, plane *telemetry.Plane) (campaign.Source[Result], error) {
 	cfg = cfg.withDefaults()
 	chaos, err := ParseChaos(cfg.Chaos)
 	if err != nil {
 		return campaign.Source[Result]{}, err
 	}
+	return units(cfg, chaos, plane), nil
+}
+
+// units builds the unit source for a defaulted cfg and a parsed chaos
+// spec (nil for none); a nil plane is the untelemetered source.
+func units(cfg Config, chaos map[int]string, plane *telemetry.Plane) campaign.Source[Result] {
 	scenarios := GenScenarios(cfg)
 	var mu sync.Mutex
 	flakyFired := map[int]bool{}
@@ -94,7 +102,7 @@ func UnitsTelemetry(cfg Config, plane *telemetry.Plane) (campaign.Source[Result]
 					return Result{}, fmt.Errorf("chaos: scenario %d transient failure", i)
 				}
 			}
-			res := RunScenarioTraced(scenarios[i], cfg, plane.UnitTracer(i))
+			res := runScenario(scenarios[i], cfg, plane.UnitTracer(i))
 			plane.UnitObservation(i, res.publishUnit)
 			return res, nil
 		},
@@ -104,29 +112,5 @@ func UnitsTelemetry(cfg Config, plane *telemetry.Plane) (campaign.Source[Result]
 			err := json.Unmarshal(b, &r)
 			return r, err
 		},
-	}, nil
-}
-
-// RunSupervisedTelemetry is RunSupervised with a live telemetry plane:
-// the plane becomes the supervisor's observer (when the caller has not
-// installed one) and receives per-unit tracers and metric publishes.
-// The Report and Run it returns are byte-identical to RunSupervised's —
-// telemetry observes the campaign, it never steers it.
-func RunSupervisedTelemetry(cfg Config, sup campaign.Config, plane *telemetry.Plane) (*Report, *campaign.Run[Result], error) {
-	cfg = cfg.withDefaults()
-	src, err := UnitsTelemetry(cfg, plane)
-	if err != nil {
-		return nil, nil, err
 	}
-	if sup.Workers == 0 {
-		sup.Workers = cfg.Workers
-	}
-	if sup.Observer == nil && plane != nil {
-		sup.Observer = plane
-	}
-	run, err := campaign.Supervise(sup, src)
-	if err != nil {
-		return nil, run, err
-	}
-	return ReportFromRun(cfg, run), run, nil
 }

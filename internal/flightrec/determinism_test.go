@@ -151,11 +151,11 @@ func TestFaultInjectionReplayDeterminism(t *testing.T) {
 		BitAttr: 0,
 	}
 	cfg := faultinject.Config{}
-	arm1, rv1, err := faultinject.RecordScenario(sc, cfg)
+	arm1, rv1, err := faultinject.RecordRuns(sc, cfg, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	arm2, rv2, err := faultinject.RecordScenario(sc, cfg)
+	arm2, rv2, err := faultinject.RecordRuns(sc, cfg, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,12 +5,10 @@ import (
 
 	"ticktock/internal/armv7m"
 	"ticktock/internal/cycles"
-	"ticktock/internal/flightrec"
 	"ticktock/internal/kcore"
 	"ticktock/internal/metrics"
 	"ticktock/internal/monolithic"
 	"ticktock/internal/tbf"
-	"ticktock/internal/trace"
 )
 
 // Flavour selects which memory-management implementation backs the kernel.
@@ -74,15 +72,13 @@ type Options struct {
 	Timeslice uint32
 	// Padding forwards to the granular allocator (§6.2 padded config).
 	Padding uint32
-	// Trace, Metrics and FlightRec are the observers New attaches
-	// (kcore.Observe documents each). On this port metrics also carry
-	// Figure 11's per-method cycle histograms and the machine's
-	// instruction and exception counts, and the trace carries exception
-	// entry and return events. None charges the cycle meter, so an
-	// observed run reports the same Figure 11/12 numbers as a bare one.
-	Trace     *trace.Tracer
-	Metrics   *metrics.Registry
-	FlightRec *flightrec.Recorder
+	// Observe names the observers New attaches (kcore.Observe documents
+	// each). On this port metrics also carry Figure 11's per-method
+	// cycle histograms and the machine's instruction and exception
+	// counts, and the trace carries exception entry and return events.
+	// None charges the cycle meter, so an observed run reports the same
+	// Figure 11/12 numbers as a bare one.
+	Observe kcore.Observe
 	// FastCore enables the machine's block-cache fast core
 	// (armv7m.Machine.SetFastCore): predecoded basic blocks with
 	// accessmap-backed batch execute checks and load/store interval
@@ -174,7 +170,7 @@ func New(opts Options) (*Kernel, error) {
 		Classes:     SVCUpcallDone + 1,
 		Scheduler:   opts.Scheduler,
 	})
-	k.Attach(kcore.Observe{Trace: opts.Trace, Metrics: opts.Metrics, FlightRec: opts.FlightRec})
+	k.Attach(opts.Observe)
 	return k, nil
 }
 

@@ -3,6 +3,7 @@ package kernel
 import (
 	"testing"
 
+	"ticktock/internal/kcore"
 	"ticktock/internal/metrics"
 )
 
@@ -10,7 +11,7 @@ import (
 // returns the kernel.
 func runMetered(t *testing.T, fl Flavour, reg *metrics.Registry) *Kernel {
 	t.Helper()
-	k := newTestKernel(t, Options{Flavour: fl, Metrics: reg})
+	k := newTestKernel(t, Options{Flavour: fl, Observe: kcore.Observe{Metrics: reg}})
 	p := load(t, k, helloApp("hello", "hi"))
 	run(t, k)
 	if p.State != StateExited {

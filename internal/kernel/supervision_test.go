@@ -63,7 +63,7 @@ func forEachPort(t *testing.T, f func(t *testing.T, port supervisionPort)) {
 func bootARM(t *testing.T, pol policy, apps ...string) supervised {
 	k := newTestKernel(t, Options{
 		Flavour: FlavourTickTock, FaultPolicy: pol.fault, MaxRestarts: pol.maxRestarts,
-		BackoffBase: pol.backoff, Watchdog: pol.watchdog, Timeslice: pol.timeslice, Trace: pol.trace,
+		BackoffBase: pol.backoff, Watchdog: pol.watchdog, Timeslice: pol.timeslice, Observe: kcore.Observe{Trace: pol.trace},
 	})
 	byName := map[string]App{
 		"crasher": crasher(),

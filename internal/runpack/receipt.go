@@ -200,17 +200,18 @@ var executors = map[string]func(args []string) ([]byte, error){
 	KindReplay:    executeReplay,
 }
 
-// FaultcampCommand renders the receipt command for a campaign config.
-func FaultcampCommand(cfg faultinject.Config) string {
-	return fmt.Sprintf("faultcamp -seed %d -n %d", cfg.Seed, cfg.N)
-}
-
-// FaultcampSupervisedCommand renders the receipt command for a
-// supervised campaign whose report carries a supervision section: the
-// chaos spec, retry budget and timeout are part of what re-derives the
-// result bytes, so they belong in the command.
-func FaultcampSupervisedCommand(cfg faultinject.Config, sup campaign.Config) string {
-	cmd := FaultcampCommand(cfg)
+// FaultcampCommand renders the receipt command that re-derives rep, run
+// under supervision settings sup. A report without a supervision
+// section renders the same bytes under any settings, so it gets the
+// plain "faultcamp -seed N -n N" command; one with a supervision section
+// also carries the chaos spec, retry budget and timeout, which are part
+// of what re-derives its result bytes.
+func FaultcampCommand(rep *faultinject.Report, sup campaign.Config) string {
+	cfg := rep.Config
+	cmd := fmt.Sprintf("faultcamp -seed %d -n %d", cfg.Seed, cfg.N)
+	if rep.Sup == nil {
+		return cmd
+	}
 	if cfg.Chaos != "" {
 		cmd += fmt.Sprintf(" -chaos %q", cfg.Chaos)
 	}
@@ -226,35 +227,22 @@ func FaultcampSupervisedCommand(cfg faultinject.Config, sup campaign.Config) str
 func executeFaultcamp(args []string) ([]byte, error) {
 	var cfg faultinject.Config
 	var sup campaign.Config
-	supervised := false
 	if err := parseFlags(args, map[string]func(string) error{
-		"-seed":  func(v string) (err error) { cfg.Seed, err = strconv.ParseInt(v, 10, 64); return },
-		"-n":     func(v string) (err error) { cfg.N, err = strconv.Atoi(v); return },
-		"-chaos": func(v string) error { cfg.Chaos = v; supervised = true; return nil },
-		"-retries": func(v string) (err error) {
-			sup.Retries, err = strconv.Atoi(v)
-			supervised = true
-			return
-		},
-		"-timeout": func(v string) (err error) {
-			sup.Timeout, err = time.ParseDuration(v)
-			supervised = true
-			return
-		},
+		"-seed":    func(v string) (err error) { cfg.Seed, err = strconv.ParseInt(v, 10, 64); return },
+		"-n":       func(v string) (err error) { cfg.N, err = strconv.Atoi(v); return },
+		"-chaos":   func(v string) error { cfg.Chaos = v; return nil },
+		"-retries": func(v string) (err error) { sup.Retries, err = strconv.Atoi(v); return },
+		"-timeout": func(v string) (err error) { sup.Timeout, err = time.ParseDuration(v); return },
 	}); err != nil {
 		return nil, err
 	}
 	if cfg.N == 0 {
 		return nil, fmt.Errorf("runpack: faultcamp command needs -n")
 	}
-	if supervised {
-		rep, _, err := faultinject.RunSupervised(cfg, sup)
-		if err != nil {
-			return nil, err
-		}
-		return []byte(rep.Text()), nil
+	rep, _, err := faultinject.RunSupervised(cfg, sup, nil)
+	if err != nil {
+		return nil, err
 	}
-	rep := faultinject.Run(cfg)
 	return []byte(rep.Text()), nil
 }
 

@@ -73,7 +73,7 @@ func TestReceiptExecutesOnBothPorts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rc.Kind != KindFaultcamp || rc.Command != FaultcampCommand(smallCampaign) {
+	if rc.Kind != KindFaultcamp || rc.Command != "faultcamp -seed 7 -n 2" {
 		t.Fatalf("unexpected receipt: %+v", rc)
 	}
 
@@ -94,7 +94,7 @@ func TestReceiptExecutesOnBothPorts(t *testing.T) {
 	// Re-derive the witness recordings for both ports and require
 	// byte-identical encodings plus matching replayed state digests.
 	sc := faultinject.GenScenarios(smallCampaign)[0]
-	arm, rv, err := faultinject.RecordScenario(sc, smallCampaign)
+	arm, rv, err := faultinject.RecordRuns(sc, smallCampaign, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"ticktock/internal/campaign"
 	"ticktock/internal/difftest"
 	"ticktock/internal/faultinject"
 	"ticktock/internal/kernel"
@@ -20,7 +21,7 @@ var smallCampaign = faultinject.Config{Seed: 7, N: 2}
 func buildFaultcampPack(t *testing.T) string {
 	t.Helper()
 	rep := faultinject.Run(smallCampaign)
-	dir, receipt, err := EmitFaultcamp(t.TempDir(), rep)
+	dir, receipt, err := EmitFaultcamp(t.TempDir(), rep, campaign.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

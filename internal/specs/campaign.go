@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"ticktock/internal/campaign"
+	"ticktock/internal/kcore"
 	"ticktock/internal/kernel"
 	"ticktock/internal/trace"
 	"ticktock/internal/verify"
@@ -60,7 +61,7 @@ func nestedBackoffProbe(kernelBase uint64, supBase time.Duration) (delays []uint
 		tr := trace.New(0)
 		k, err := kernel.New(kernel.Options{
 			Flavour: kernel.FlavourTickTock, FaultPolicy: kernel.PolicyRestart,
-			MaxRestarts: 3, BackoffBase: kernelBase, Trace: tr,
+			MaxRestarts: 3, BackoffBase: kernelBase, Observe: kcore.Observe{Trace: tr},
 		})
 		if err != nil {
 			return 0, err

@@ -16,6 +16,7 @@ import (
 	"ticktock/internal/apps"
 	"ticktock/internal/armv7m"
 	"ticktock/internal/faultinject"
+	"ticktock/internal/kcore"
 	"ticktock/internal/kernel"
 	"ticktock/internal/trace"
 	"ticktock/internal/verify"
@@ -110,7 +111,7 @@ func BuildSupervision(sc Scale) *verify.Registry {
 				tr := trace.New(0)
 				k, err := kernel.New(kernel.Options{
 					Flavour: kernel.FlavourTickTock, FaultPolicy: kernel.PolicyRestart,
-					MaxRestarts: 3, BackoffBase: base, Trace: tr,
+					MaxRestarts: 3, BackoffBase: base, Observe: kcore.Observe{Trace: tr},
 				})
 				if err != nil {
 					t.Failf("boot", "%v", err)
@@ -237,6 +238,10 @@ func BuildSupervision(sc Scale) *verify.Registry {
 		Body: func(t *verify.T) {
 			t.Enumerate(uint64(n))
 			rep := faultinject.Run(faultinject.Config{Seed: 1, N: n})
+			if rep.Sup != nil {
+				// A scenario that crashed was quarantined, not run.
+				t.Failf("supervision", "%d scenario(s) quarantined by the campaign supervisor", len(rep.Sup.Quarantined))
+			}
 			for _, v := range rep.Violations {
 				t.Failf("violation", "%s", v)
 			}

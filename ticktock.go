@@ -23,6 +23,7 @@ import (
 	"ticktock/internal/cyclebench"
 	"ticktock/internal/difftest"
 	"ticktock/internal/fluxarm"
+	"ticktock/internal/kcore"
 	"ticktock/internal/kernel"
 	"ticktock/internal/membench"
 	"ticktock/internal/metrics"
@@ -58,10 +59,16 @@ const (
 // BugSet re-enables the paper's published bugs on the baseline kernel.
 type BugSet = monolithic.BugSet
 
+// Observe names the observers a kernel reports to (Options.Observe):
+// an event tracer, a metrics registry and a flight recorder, each
+// optional.
+type Observe = kcore.Observe
+
 // MetricsRegistry collects counters, gauges and cycle histograms from a
-// kernel run. Pass one in Options.Metrics to instrument a kernel; the
-// instrumentation observes the simulated-cycle meter but never charges
-// it, so a metered run is cycle-identical to an unmetered one.
+// kernel run. Pass one as Options.Observe.Metrics to instrument a
+// kernel; the instrumentation observes the simulated-cycle meter but
+// never charges it, so a metered run is cycle-identical to an unmetered
+// one.
 type MetricsRegistry = metrics.Registry
 
 // MetricLabel is one key=value dimension on a metric series.
@@ -86,7 +93,7 @@ type TestCase = apps.TestCase
 // RunDifferentialCampaign executes all release tests on both kernel
 // flavours in parallel and reports the comparison rows (§6.1). Per-case
 // failures are recorded in each row's Err field.
-func RunDifferentialCampaign() []difftest.Row { return difftest.RunAll() }
+func RunDifferentialCampaign() []difftest.Row { return difftest.RunAllConfig(difftest.Config{}) }
 
 // CompareCycles regenerates the Figure 11 cycle table.
 func CompareCycles() ([]cyclebench.Row, error) { return cyclebench.Compare() }
