@@ -75,7 +75,7 @@ func TestBlockCacheSpeedupGuard(t *testing.T) {
 		var slow, fast corebench.Result
 		var ratio float64
 		for attempt := 0; attempt < 3; attempt++ {
-			slow, fast, ratio = corebench.Speedup(pt.newRunner, 10, 5)
+			slow, fast, ratio = corebench.Speedup(pt.newRunner, 5)
 			t.Logf("%s: oracle=%.0f fast=%.0f ns/kcycle speedup=%.1fx (%d sim cycles)",
 				pt.name, slow.NsPerKCycle(), fast.NsPerKCycle(), ratio, fast.SimCycles)
 			if ratio >= 5 {

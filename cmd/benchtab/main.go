@@ -196,7 +196,7 @@ func blockcacheArtifact() *benchjson.File {
 		var fast corebench.Result
 		var ratio float64
 		for attempt := 0; attempt < 3; attempt++ {
-			_, fast, ratio = corebench.Speedup(pt.newRunner, 10, 5)
+			_, fast, ratio = corebench.Speedup(pt.newRunner, 5)
 			if ratio >= 5 {
 				break
 			}

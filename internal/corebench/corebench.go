@@ -13,6 +13,7 @@ package corebench
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"ticktock/internal/armv7m"
@@ -315,24 +316,34 @@ func (r Runner) Measure(quanta int) Result {
 	return Result{Port: r.Port, Fast: r.Fast, SimCycles: cycles, Elapsed: time.Since(start)}
 }
 
+// trialQuanta is the length of one timed Speedup trial: 800 quanta is
+// about 3.3M simulated cycles, tens of milliseconds on the fast core and
+// several times that on the oracle, so a scheduler tick or a GC cycle
+// landing in a trial moves its time by a few percent, not by the
+// verdict.
+const trialQuanta = 800
+
 // Speedup measures both cores best-of-trials on one port and returns the
 // oracle result, the fast result, and the wall-time-per-cycle ratio
-// (oracle / fast; higher is better for the fast core). Trials are
-// interleaved slow/fast so drifting machine load hits both cores alike,
-// and the minimum per core is kept: on a contended box contention only
-// ever adds time, so the per-core minimum is the closest observation to
-// the true cost.
-func Speedup(newRunner func(fast bool) Runner, quanta, trials int) (slow, fast Result, ratio float64) {
+// (oracle / fast; higher is better for the fast core). Each trial runs
+// trialQuanta quanta after a forced GC, so no trial pays for the
+// previous one's garbage. Trials are interleaved slow/fast so drifting
+// machine load hits both cores alike, and the minimum per core is kept:
+// on a contended box contention only ever adds time, so the per-core
+// minimum is the closest observation to the true cost.
+func Speedup(newRunner func(fast bool) Runner, trials int) (slow, fast Result, ratio float64) {
 	rs, rf := newRunner(false), newRunner(true)
 	// Warm both machines so cold caches and first-run allocations drop
 	// out of the timed trials.
-	rs.Measure(quanta/4 + 1)
-	rf.Measure(quanta/4 + 1)
+	rs.Measure(trialQuanta/4 + 1)
+	rf.Measure(trialQuanta/4 + 1)
 	for i := 0; i < trials; i++ {
-		if r := rs.Measure(quanta); i == 0 || r.NsPerKCycle() < slow.NsPerKCycle() {
+		runtime.GC()
+		if r := rs.Measure(trialQuanta); i == 0 || r.NsPerKCycle() < slow.NsPerKCycle() {
 			slow = r
 		}
-		if r := rf.Measure(quanta); i == 0 || r.NsPerKCycle() < fast.NsPerKCycle() {
+		runtime.GC()
+		if r := rf.Measure(trialQuanta); i == 0 || r.NsPerKCycle() < fast.NsPerKCycle() {
 			fast = r
 		}
 	}

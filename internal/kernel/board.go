@@ -48,8 +48,6 @@ const (
 type Board struct {
 	Machine *armv7m.Machine
 	Meter   *cycles.Meter
-	flash   *armv7m.Segment
-	ram     *armv7m.Segment
 
 	// nextFlashSlot is the bump pointer for application flash slots.
 	nextFlashSlot uint32
@@ -58,12 +56,10 @@ type Board struct {
 // NewBoard constructs the simulated chip.
 func NewBoard() (*Board, error) {
 	mem := armv7m.NewMemory()
-	flash, err := mem.Map("flash", FlashBase, FlashSize)
-	if err != nil {
+	if _, err := mem.Map("flash", FlashBase, FlashSize); err != nil {
 		return nil, err
 	}
-	ram, err := mem.Map("ram", RAMBase, RAMSize)
-	if err != nil {
+	if _, err := mem.Map("ram", RAMBase, RAMSize); err != nil {
 		return nil, err
 	}
 	m := armv7m.NewMachine(mem)
@@ -71,8 +67,6 @@ func NewBoard() (*Board, error) {
 	return &Board{
 		Machine:       m,
 		Meter:         m.Meter,
-		flash:         flash,
-		ram:           ram,
 		nextFlashSlot: AppFlashBase,
 	}, nil
 }

@@ -1,9 +1,12 @@
 // Package physmem models the physical address space of a microcontroller
-// as a sorted set of non-overlapping, byte-backed segments (flash, RAM,
-// peripherals). All accesses are little-endian. Both the ARMv7-M machine
-// model (internal/armv7m) and the RV32 machine model (internal/rv32)
-// execute against this memory; protection (MPU/PMP) is layered on top by
-// each architecture.
+// as a sorted set of non-overlapping segments (flash, RAM, peripherals).
+// Segments are backed sparsely: storage comes in fixed-size pages that
+// are allocated on a page's first write, and a read of a page never
+// written returns zeros, so mapping a 1 MiB flash costs a page table,
+// not a megabyte. All accesses are little-endian. Both the ARMv7-M
+// machine model (internal/armv7m) and the RV32 machine model
+// (internal/rv32) execute against this memory; protection (MPU/PMP) is
+// layered on top by each architecture.
 package physmem
 
 import (
@@ -12,20 +15,78 @@ import (
 	"sort"
 )
 
+// Storage pages. Page boundaries are aligned to pageSize in the address
+// space, whatever a segment's base, so each page holds whole
+// DirtyPageSize pages and an address's page offset is its low bits.
+const (
+	pageShift = 12
+	pageSize  = 1 << pageShift
+	pageMask  = pageSize - 1
+)
+
+type page [pageSize]byte
+
 // Segment is a contiguous range of backed physical memory.
 type Segment struct {
 	Name string
 	Base uint32
-	Data []byte
+
+	// end is the first address past the segment, widened so a segment
+	// that reaches the top of the address space does not wrap to 0.
+	end uint64
+
+	// pages[i] stores the page numbered first+i; nil until that page is
+	// first written, and read as zeros until then.
+	first uint32
+	pages []*page
 }
 
 // Contains reports whether addr falls inside the segment.
 func (s *Segment) Contains(addr uint32) bool {
-	return addr >= s.Base && uint64(addr) < uint64(s.Base)+uint64(len(s.Data))
+	return addr >= s.Base && uint64(addr) < s.end
 }
 
 // End returns the first address past the segment.
-func (s *Segment) End() uint32 { return s.Base + uint32(len(s.Data)) }
+func (s *Segment) End() uint32 { return uint32(s.end) }
+
+// read copies [addr, addr+len(dst)) into dst a page at a time. The span
+// must lie inside the segment.
+func (s *Segment) read(addr uint32, dst []byte) {
+	for len(dst) > 0 {
+		off := addr & pageMask
+		n := min(len(dst), pageSize-int(off))
+		if p := s.pages[addr>>pageShift-s.first]; p != nil {
+			copy(dst[:n], p[off:])
+		} else {
+			clear(dst[:n])
+		}
+		dst = dst[n:]
+		addr += uint32(n)
+	}
+}
+
+// write stores src at [addr, addr+len(src)) a page at a time, allocating
+// each page it touches that has none yet. The span must lie inside the
+// segment.
+func (s *Segment) write(addr uint32, src []byte) {
+	for len(src) > 0 {
+		off := addr & pageMask
+		n := copy(s.writable(addr)[off:], src)
+		src = src[n:]
+		addr += uint32(n)
+	}
+}
+
+// writable returns the page holding addr, allocating it on first write.
+func (s *Segment) writable(addr uint32) *page {
+	i := addr>>pageShift - s.first
+	p := s.pages[i]
+	if p == nil {
+		p = new(page)
+		s.pages[i] = p
+	}
+	return p
+}
 
 // BusError reports an access to unmapped physical memory.
 type BusError struct {
@@ -64,21 +125,25 @@ type Memory struct {
 // NewMemory returns an empty address space.
 func NewMemory() *Memory { return &Memory{} }
 
-// Map adds a segment backed by size zeroed bytes. It returns an error if
-// the new segment overlaps an existing one or wraps the address space.
+// Map adds a segment of size bytes that reads as zeros until written. It
+// returns an error if the new segment overlaps an existing one or wraps
+// the address space.
 func (m *Memory) Map(name string, base uint32, size uint32) (*Segment, error) {
 	if size == 0 {
 		return nil, fmt.Errorf("armv7m: segment %q has zero size", name)
 	}
-	if uint64(base)+uint64(size) > 1<<32 {
+	end := uint64(base) + uint64(size)
+	if end > 1<<32 {
 		return nil, fmt.Errorf("armv7m: segment %q wraps the 32-bit address space", name)
 	}
-	seg := &Segment{Name: name, Base: base, Data: make([]byte, size)}
 	for _, s := range m.segs {
-		if base < s.End() && s.Base < seg.End() {
+		if uint64(base) < s.end && uint64(s.Base) < end {
 			return nil, fmt.Errorf("armv7m: segment %q overlaps %q", name, s.Name)
 		}
 	}
+	first := base >> pageShift
+	last := uint32((end - 1) >> pageShift)
+	seg := &Segment{Name: name, Base: base, end: end, first: first, pages: make([]*page, last-first+1)}
 	m.segs = append(m.segs, seg)
 	sort.Slice(m.segs, func(i, j int) bool { return m.segs[i].Base < m.segs[j].Base })
 	return seg, nil
@@ -86,11 +151,11 @@ func (m *Memory) Map(name string, base uint32, size uint32) (*Segment, error) {
 
 // Segment returns the segment containing addr, or nil.
 func (m *Memory) Segment(addr uint32) *Segment {
-	if s := m.last; s != nil && addr >= s.Base && uint64(addr) < uint64(s.Base)+uint64(len(s.Data)) {
+	if s := m.last; s != nil && addr >= s.Base && uint64(addr) < s.end {
 		return s
 	}
 	// Binary search over sorted segment bases.
-	i := sort.Search(len(m.segs), func(i int) bool { return m.segs[i].End() > addr })
+	i := sort.Search(len(m.segs), func(i int) bool { return m.segs[i].end > uint64(addr) })
 	if i < len(m.segs) && m.segs[i].Contains(addr) {
 		m.last = m.segs[i]
 		return m.segs[i]
@@ -104,19 +169,19 @@ func (m *Memory) Segments() []*Segment { return m.segs }
 // TrackDirty enables write tracking at DirtyPageSize granularity. Every
 // page that already holds a non-zero byte is marked dirty immediately,
 // so a tracker attached after some setup writes still sees a complete
-// picture: untracked pages are guaranteed to be all-zero.
+// picture: untracked pages are guaranteed to be all-zero. Only allocated
+// storage is scanned; a page never written holds no non-zero byte.
 func (m *Memory) TrackDirty() {
 	m.dirty = make(map[uint32]struct{})
 	for _, s := range m.segs {
-		for off := 0; off < len(s.Data); off += DirtyPageSize {
-			end := off + DirtyPageSize
-			if end > len(s.Data) {
-				end = len(s.Data)
+		for i, p := range s.pages {
+			if p == nil {
+				continue
 			}
-			for _, b := range s.Data[off:end] {
-				if b != 0 {
-					m.dirty[(s.Base+uint32(off))&^uint32(DirtyPageSize-1)] = struct{}{}
-					break
+			base := (s.first + uint32(i)) << pageShift
+			for off := 0; off < pageSize; off += DirtyPageSize {
+				if [DirtyPageSize]byte(p[off:off+DirtyPageSize]) != [DirtyPageSize]byte{} {
+					m.dirty[base+uint32(off)] = struct{}{}
 				}
 			}
 		}
@@ -153,62 +218,94 @@ func (m *Memory) markDirty(addr, n uint32) {
 	}
 }
 
-// checkSpan verifies [addr, addr+n) is fully backed by one segment. The
-// last-hit check is duplicated from Segment so the common case inlines
-// into the load/store bodies without a call.
-func (m *Memory) checkSpan(addr uint32, n uint32) (*Segment, error) {
-	if s := m.last; s != nil && addr >= s.Base && uint64(addr)+uint64(n) <= uint64(s.Base)+uint64(len(s.Data)) {
-		return s, nil
+// lastHit returns the last-hit segment if it backs all of [addr,
+// addr+n), else nil. It is small enough to inline, so the common case of
+// every access costs two compares and no call; a miss goes to
+// checkSpan.
+func (m *Memory) lastHit(addr uint32, n uint32) *Segment {
+	if s := m.last; s != nil && addr >= s.Base && uint64(addr)+uint64(n) <= s.end {
+		return s
 	}
-	return m.checkSpanSlow(addr, n)
+	return nil
 }
 
-func (m *Memory) checkSpanSlow(addr uint32, n uint32) (*Segment, error) {
+// checkSpan verifies [addr, addr+n) is fully backed by one segment.
+func (m *Memory) checkSpan(addr uint32, n uint32) (*Segment, error) {
 	seg := m.Segment(addr)
-	if seg == nil || uint64(addr)+uint64(n) > uint64(seg.End()) {
+	if seg == nil || uint64(addr)+uint64(n) > seg.end {
 		return nil, &BusError{Addr: addr}
 	}
 	return seg, nil
 }
 
-// ReadByte loads one byte.
+// LoadByte loads one byte.
 func (m *Memory) LoadByte(addr uint32) (byte, error) {
-	seg, err := m.checkSpan(addr, 1)
-	if err != nil {
-		return 0, err
+	seg := m.lastHit(addr, 1)
+	if seg == nil {
+		var err error
+		if seg, err = m.checkSpan(addr, 1); err != nil {
+			return 0, err
+		}
 	}
-	return seg.Data[addr-seg.Base], nil
+	if p := seg.pages[addr>>pageShift-seg.first]; p != nil {
+		return p[addr&pageMask], nil
+	}
+	return 0, nil
 }
 
-// WriteByte stores one byte.
+// StoreByte stores one byte.
 func (m *Memory) StoreByte(addr uint32, v byte) error {
-	seg, err := m.checkSpan(addr, 1)
-	if err != nil {
-		return err
+	seg := m.lastHit(addr, 1)
+	if seg == nil {
+		var err error
+		if seg, err = m.checkSpan(addr, 1); err != nil {
+			return err
+		}
 	}
-	seg.Data[addr-seg.Base] = v
+	seg.writable(addr)[addr&pageMask] = v
 	if m.dirty != nil {
 		m.markDirty(addr, 1)
 	}
 	return nil
 }
 
-// ReadWord loads a little-endian 32-bit word.
+// ReadWord loads a little-endian 32-bit word. A word that straddles two
+// pages takes the byte-wise path.
 func (m *Memory) ReadWord(addr uint32) (uint32, error) {
-	seg, err := m.checkSpan(addr, 4)
-	if err != nil {
-		return 0, err
+	seg := m.lastHit(addr, 4)
+	if seg == nil {
+		var err error
+		if seg, err = m.checkSpan(addr, 4); err != nil {
+			return 0, err
+		}
 	}
-	return binary.LittleEndian.Uint32(seg.Data[addr-seg.Base:]), nil
+	if off := addr & pageMask; off <= pageSize-4 {
+		if p := seg.pages[addr>>pageShift-seg.first]; p != nil {
+			return binary.LittleEndian.Uint32(p[off:]), nil
+		}
+		return 0, nil
+	}
+	var b [4]byte
+	seg.read(addr, b[:])
+	return binary.LittleEndian.Uint32(b[:]), nil
 }
 
 // WriteWord stores a little-endian 32-bit word.
 func (m *Memory) WriteWord(addr uint32, v uint32) error {
-	seg, err := m.checkSpan(addr, 4)
-	if err != nil {
-		return err
+	seg := m.lastHit(addr, 4)
+	if seg == nil {
+		var err error
+		if seg, err = m.checkSpan(addr, 4); err != nil {
+			return err
+		}
 	}
-	binary.LittleEndian.PutUint32(seg.Data[addr-seg.Base:], v)
+	if off := addr & pageMask; off <= pageSize-4 {
+		binary.LittleEndian.PutUint32(seg.writable(addr)[off:], v)
+	} else {
+		var b [4]byte
+		binary.LittleEndian.PutUint32(b[:], v)
+		seg.write(addr, b[:])
+	}
 	if m.dirty != nil {
 		m.markDirty(addr, 4)
 	}
@@ -217,23 +314,28 @@ func (m *Memory) WriteWord(addr uint32, v uint32) error {
 
 // ReadBytes copies n bytes starting at addr.
 func (m *Memory) ReadBytes(addr uint32, n uint32) ([]byte, error) {
-	seg, err := m.checkSpan(addr, n)
-	if err != nil {
-		return nil, err
+	seg := m.lastHit(addr, n)
+	if seg == nil {
+		var err error
+		if seg, err = m.checkSpan(addr, n); err != nil {
+			return nil, err
+		}
 	}
-	off := addr - seg.Base
 	out := make([]byte, n)
-	copy(out, seg.Data[off:off+n])
+	seg.read(addr, out)
 	return out, nil
 }
 
 // WriteBytes stores b starting at addr.
 func (m *Memory) WriteBytes(addr uint32, b []byte) error {
-	seg, err := m.checkSpan(addr, uint32(len(b)))
-	if err != nil {
-		return err
+	seg := m.lastHit(addr, uint32(len(b)))
+	if seg == nil {
+		var err error
+		if seg, err = m.checkSpan(addr, uint32(len(b))); err != nil {
+			return err
+		}
 	}
-	copy(seg.Data[addr-seg.Base:], b)
+	seg.write(addr, b)
 	if m.dirty != nil && len(b) > 0 {
 		m.markDirty(addr, uint32(len(b)))
 	}

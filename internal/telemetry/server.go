@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"time"
 
 	"ticktock/internal/metrics"
@@ -17,9 +18,13 @@ import (
 //	/progress — the Progress JSON snapshot
 //	/healthz  — liveness ("ok")
 //	/timeline — the fleet Chrome trace so far
+//	/debug/pprof/ — the host Go runtime's profiles (net/http/pprof)
 //
 // Endpoints are read-only snapshots and safe to poll while the
-// campaign runs.
+// campaign runs. The pprof handlers are mounted on the server's own
+// mux. Importing net/http/pprof also registers them on
+// http.DefaultServeMux, but nothing here serves that mux, so a host
+// profile is reachable only through a running Server.
 type Server struct {
 	ln  net.Listener
 	srv *http.Server
@@ -51,6 +56,11 @@ func Serve(addr string, p *Plane) (*Server, error) {
 		w.Header().Set("Content-Type", "application/json")
 		_ = trace.ExportFleetChromeJSON(w, p.Timeline())
 	})
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	s := &Server{ln: ln, srv: &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}}
 	go func() { _ = s.srv.Serve(ln) }()
 	return s, nil

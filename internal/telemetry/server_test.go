@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"compress/gzip"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -86,5 +87,18 @@ func TestServerEndpoints(t *testing.T) {
 	}
 	if len(tl.TraceEvents) == 0 {
 		t.Fatal("timeline has no events")
+	}
+
+	body, _ = get(t, base+"/debug/pprof/")
+	if !strings.Contains(body, "goroutine") || !strings.Contains(body, "profile") {
+		t.Fatalf("pprof index lists no profiles:\n%s", body)
+	}
+	body, _ = get(t, base+"/debug/pprof/profile?seconds=1")
+	zr, err := gzip.NewReader(strings.NewReader(body))
+	if err != nil {
+		t.Fatalf("CPU profile is not gzip-compressed: %v", err)
+	}
+	if raw, err := io.ReadAll(zr); err != nil || len(raw) == 0 {
+		t.Fatalf("CPU profile does not decompress: %d bytes, %v", len(raw), err)
 	}
 }
