@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci fmt vet build test race benchmod bench profile cover ablation faultcamp accessbench benchjson replaycheck runcheck campaigncheck telemetrycheck
+.PHONY: ci fmt vet build test race benchmod bench profile cover ablation faultcamp accessbench replaycheck runcheck campaigncheck telemetrycheck
 
 # ci is the gate the concurrency-touching paths (parallel difftest
 # campaign, goroutine-safe Stats, tracer, metrics registry) must keep
@@ -48,24 +48,12 @@ cover:
 ablation:
 	$(GO) test -bench 'Ablation_TraceOverhead|Ablation_MetricsOverhead|Ablation_FaultInjectOverhead|Ablation_FlightRecOverhead|Ablation_TelemetryOverhead' -benchtime 1x -run '^$$' .
 
-# accessbench records the interval access-map engine against the
-# per-byte scan baseline on the 64 KiB acceptance query, per port, and
-# emits the machine-readable artifact CI archives.
+# accessbench prints the interval access-map engine against the
+# per-byte scan baseline on the 64 KiB acceptance query, per port, so
+# the margin stays visible in CI logs. The >= 10x floor is a test,
+# TestAccessMapSpeedupGuard, in `make test`.
 accessbench:
 	$(GO) test -bench 'AccessMap' -benchtime 100x -run '^$$' .
-	$(GO) run ./cmd/benchtab -accessmap-json BENCH_accessmap.json
-	$(GO) run ./cmd/benchtab -validate BENCH_accessmap.json
-
-# benchjson emits and validates the machine-readable benchmark
-# artifacts — the perf trajectory CI plots across commits. The kernel
-# and accessmap artifacts are regenerated per run; the blockcache one
-# is also committed at the repo root so the pinned >= 5x fast-core
-# speedup travels with the tree (regenerate on a quiet machine).
-benchjson:
-	$(GO) run ./cmd/benchtab -json BENCH_kernel.json -accessmap-json BENCH_accessmap.json -blockcache-json BENCH_blockcache.json
-	$(GO) run ./cmd/benchtab -validate BENCH_kernel.json,BENCH_accessmap.json,BENCH_blockcache.json
-	@for f in BENCH_kernel.json BENCH_accessmap.json BENCH_blockcache.json; do \
-		test -s $$f || { echo "missing artifact $$f"; exit 1; }; done
 
 # replaycheck runs the flight-recorder determinism and bisection suite
 # under the race detector: byte-identical recordings, replay == live

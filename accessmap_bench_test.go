@@ -59,38 +59,45 @@ func amPMP() *riscv.PMP {
 	return p
 }
 
-// BenchmarkAccessMap compares the interval engine against the per-byte
-// oracle on the acceptance query: is a full 64 KiB span user-writable?
-func BenchmarkAccessMap(b *testing.B) {
-	type port struct {
-		name     string
-		interval func(start, length uint32) bool
-		bytescan func(start, length uint32) bool
-	}
+// amPort is one port's acceptance query — is a full 64 KiB span at base
+// user-writable? — through the interval engine and the per-byte oracle.
+type amPort struct {
+	name     string
+	base     uint32
+	interval func(start, length uint32) bool
+	bytescan func(start, length uint32) bool
+}
+
+// amPorts builds the 64 KiB RW fixture on every port.
+func amPorts() []amPort {
 	v7, v8, pm := amV7M(), amV8M(), amPMP()
-	ports := []port{
-		{"armv7m", func(s, l uint32) bool { return v7.AccessibleUser(s, l, mpu.AccessWrite) },
+	return []amPort{
+		{"armv7m", amQueryBase,
+			func(s, l uint32) bool { return v7.AccessibleUser(s, l, mpu.AccessWrite) },
 			func(s, l uint32) bool { return v7.AccessibleUserByteScan(s, l, mpu.AccessWrite) }},
-		{"armv8m", func(s, l uint32) bool { return v8.AccessibleUser(s, l, mpu.AccessWrite) },
+		{"armv8m", amQueryBase,
+			func(s, l uint32) bool { return v8.AccessibleUser(s, l, mpu.AccessWrite) },
 			func(s, l uint32) bool { return v8.AccessibleUserByteScan(s, l, mpu.AccessWrite) }},
-		{"riscv", func(s, l uint32) bool { return pm.AccessibleUser(s, l, mpu.AccessWrite) },
+		{"riscv", rvQueryBase,
+			func(s, l uint32) bool { return pm.AccessibleUser(s, l, mpu.AccessWrite) },
 			func(s, l uint32) bool { return pm.AccessibleUserByteScan(s, l, mpu.AccessWrite) }},
 	}
-	for _, pt := range ports {
-		base := uint32(amQueryBase)
-		if pt.name == "riscv" {
-			base = rvQueryBase
-		}
+}
+
+// BenchmarkAccessMap compares the interval engine against the per-byte
+// oracle on the acceptance query.
+func BenchmarkAccessMap(b *testing.B) {
+	for _, pt := range amPorts() {
 		b.Run(pt.name+"/interval", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if !pt.interval(base, amQueryLen) {
+				if !pt.interval(pt.base, amQueryLen) {
 					b.Fatal("span not accessible")
 				}
 			}
 		})
 		b.Run(pt.name+"/bytescan", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if !pt.bytescan(base, amQueryLen) {
+				if !pt.bytescan(pt.base, amQueryLen) {
 					b.Fatal("span not accessible")
 				}
 			}
@@ -98,15 +105,12 @@ func BenchmarkAccessMap(b *testing.B) {
 	}
 }
 
-// TestAccessMapSpeedupGuard enforces the acceptance criterion: on a
-// 64 KiB range query, the interval engine must beat the per-byte scan by
-// at least 10x. The real margin is orders of magnitude larger; 10x keeps
-// the guard robust on noisy CI machines while still catching a revert to
-// scanning.
+// TestAccessMapSpeedupGuard enforces the acceptance criterion on every
+// port: on a 64 KiB range query, the interval engine must beat the
+// per-byte scan by at least 10x. The real margin is orders of magnitude
+// larger; 10x keeps the guard robust on noisy CI machines while still
+// catching a revert to scanning.
 func TestAccessMapSpeedupGuard(t *testing.T) {
-	h := amV7M()
-	h.AccessibleUser(amQueryBase, amQueryLen, mpu.AccessWrite) // build the map outside the timed region
-
 	const intervalIters = 2000
 	best := func(f func()) time.Duration {
 		b := time.Duration(1<<63 - 1)
@@ -119,26 +123,29 @@ func TestAccessMapSpeedupGuard(t *testing.T) {
 		}
 		return b
 	}
-	intervalTotal := best(func() {
-		for i := 0; i < intervalIters; i++ {
-			if !h.AccessibleUser(amQueryBase, amQueryLen, mpu.AccessWrite) {
-				t.Fatal("span not accessible")
+	for _, pt := range amPorts() {
+		pt.interval(pt.base, amQueryLen) // build the map outside the timed region
+		intervalTotal := best(func() {
+			for i := 0; i < intervalIters; i++ {
+				if !pt.interval(pt.base, amQueryLen) {
+					t.Fatalf("%s: span not accessible", pt.name)
+				}
 			}
+		})
+		scanTotal := best(func() {
+			if !pt.bytescan(pt.base, amQueryLen) {
+				t.Fatalf("%s: span not accessible", pt.name)
+			}
+		})
+		perInterval := intervalTotal / intervalIters
+		if perInterval == 0 {
+			perInterval = 1
 		}
-	})
-	scanTotal := best(func() {
-		if !h.AccessibleUserByteScan(amQueryBase, amQueryLen, mpu.AccessWrite) {
-			t.Fatal("span not accessible")
+		speedup := float64(scanTotal) / float64(perInterval)
+		t.Logf("%s: interval=%v/query bytescan=%v/query speedup=%.0fx", pt.name, perInterval, scanTotal, speedup)
+		if speedup < 10 {
+			t.Errorf("%s: interval engine only %.1fx faster than byte scan on 64 KiB (need >= 10x)", pt.name, speedup)
 		}
-	})
-	perInterval := intervalTotal / intervalIters
-	if perInterval == 0 {
-		perInterval = 1
-	}
-	speedup := float64(scanTotal) / float64(perInterval)
-	t.Logf("interval=%v/query bytescan=%v/query speedup=%.0fx", perInterval, scanTotal, speedup)
-	if speedup < 10 {
-		t.Fatalf("interval engine only %.1fx faster than byte scan on 64 KiB (need >= 10x)", speedup)
 	}
 }
 

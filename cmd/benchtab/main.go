@@ -3,101 +3,21 @@
 // (granular) vs Tock (monolithic baseline), over the release tests plus
 // allocator-stressing workloads.
 //
-// Beyond the human-readable table it emits the machine-readable
-// benchmark artifacts CI archives on every run:
+// Usage:
 //
-//	benchtab                               # Figure 11 table on stdout
-//	benchtab -json BENCH_kernel.json       # kernel method costs artifact
-//	benchtab -accessmap-json BENCH_accessmap.json
-//	benchtab -blockcache-json BENCH_blockcache.json
-//	benchtab -validate BENCH_kernel.json,BENCH_accessmap.json,BENCH_blockcache.json
+//	benchtab
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
-	"time"
 
-	"ticktock/internal/armv7m"
-	"ticktock/internal/armv8m"
-	"ticktock/internal/benchjson"
-	"ticktock/internal/corebench"
 	"ticktock/internal/cyclebench"
-	"ticktock/internal/mpu"
-	"ticktock/internal/riscv"
 )
 
 func main() {
-	jsonPath := flag.String("json", "", "write the kernel method-cost artifact (BENCH_kernel.json) to FILE")
-	amPath := flag.String("accessmap-json", "", "write the access-map engine artifact (BENCH_accessmap.json) to FILE")
-	bcPath := flag.String("blockcache-json", "", "write the block-cache fast-core artifact (BENCH_blockcache.json) to FILE")
-	validate := flag.String("validate", "", "comma-separated artifact files to parse and validate, then exit")
 	flag.Parse()
-
-	if *validate != "" {
-		for _, path := range strings.Split(*validate, ",") {
-			path = strings.TrimSpace(path)
-			f, err := benchjson.ReadFile(path)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
-				os.Exit(1)
-			}
-			// The blockcache artifact is committed to pin the fast-core
-			// acceptance ratio, so validation enforces the floor the
-			// speedup guard tests against — a committed row under 5x is
-			// as much a regression as a failing guard.
-			if f.Suite == "blockcache" {
-				for _, row := range f.Rows {
-					if row.Speedup < 5 {
-						fmt.Fprintf(os.Stderr, "benchtab: %s: row %s records %.1fx speedup (floor is 5x)\n", path, row.Name, row.Speedup)
-						os.Exit(1)
-					}
-				}
-			}
-			fmt.Printf("%s: suite %s, %d rows, schema %d — ok\n", path, f.Suite, len(f.Rows), f.Schema)
-		}
-		return
-	}
-
-	if *amPath != "" {
-		if err := benchjson.WriteFile(*amPath, accessmapArtifact()); err != nil {
-			fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", *amPath)
-		if *jsonPath == "" && *bcPath == "" {
-			return
-		}
-	}
-
-	if *bcPath != "" {
-		if err := benchjson.WriteFile(*bcPath, blockcacheArtifact()); err != nil {
-			fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", *bcPath)
-		if *jsonPath == "" {
-			return
-		}
-	}
-
-	if *jsonPath != "" {
-		rows, err := cyclebench.JSONRows()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
-			os.Exit(1)
-		}
-		f := &benchjson.File{Schema: benchjson.Schema, Suite: "kernel", Rows: rows}
-		if err := benchjson.WriteFile(*jsonPath, f); err != nil {
-			fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", *jsonPath)
-		return
-	}
-
 	rows, err := cyclebench.Compare()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
@@ -106,124 +26,4 @@ func main() {
 	fmt.Println("Figure 11: Average CPU cycles for process tasks")
 	fmt.Print(cyclebench.Table(rows))
 	fmt.Println("\n(simulated deterministic cycle model; compare shapes, not absolutes)")
-}
-
-// The access-map artifact times the interval engine against the per-byte
-// oracle on the 64 KiB acceptance query, per port — the same setup as
-// BenchmarkAccessMap, reduced to one artifact row per port.
-const (
-	amQueryBase = 0x2000_0000
-	amQueryLen  = 64 * 1024
-	rvQueryBase = 0x8000_0000
-)
-
-func accessmapArtifact() *benchjson.File {
-	v7 := armv7m.NewMPUHardware()
-	v7.CtrlEnable = true
-	rasr := uint32(15)<<armv7m.RASRSizeShift | armv7m.EncodeAP(mpu.ReadWriteOnly) | armv7m.RASREnable
-	if err := v7.WriteRegion(0, amQueryBase, rasr); err != nil {
-		panic(err)
-	}
-
-	v8 := armv8m.NewMPUHardware()
-	v8.CtrlEnable = true
-	limit := uint32(amQueryBase + amQueryLen - armv8m.Granule)
-	if err := v8.WriteRegion(0, amQueryBase|armv8m.EncodeRBAR(mpu.ReadWriteOnly), limit|armv8m.RLAREnable); err != nil {
-		panic(err)
-	}
-
-	pm := riscv.NewPMP(riscv.ChipHiFive1)
-	reg, err := riscv.EncodeNAPOT(rvQueryBase, amQueryLen)
-	if err != nil {
-		panic(err)
-	}
-	if err := pm.SetEntry(0, riscv.EncodeCfg(mpu.ReadWriteOnly, riscv.ANapot), reg); err != nil {
-		panic(err)
-	}
-
-	type port struct {
-		name     string
-		base     uint32
-		interval func(start, length uint32) bool
-		bytescan func(start, length uint32) bool
-	}
-	ports := []port{
-		{"armv7m", amQueryBase,
-			func(s, l uint32) bool { return v7.AccessibleUser(s, l, mpu.AccessWrite) },
-			func(s, l uint32) bool { return v7.AccessibleUserByteScan(s, l, mpu.AccessWrite) }},
-		{"armv8m", amQueryBase,
-			func(s, l uint32) bool { return v8.AccessibleUser(s, l, mpu.AccessWrite) },
-			func(s, l uint32) bool { return v8.AccessibleUserByteScan(s, l, mpu.AccessWrite) }},
-		{"riscv", rvQueryBase,
-			func(s, l uint32) bool { return pm.AccessibleUser(s, l, mpu.AccessWrite) },
-			func(s, l uint32) bool { return pm.AccessibleUserByteScan(s, l, mpu.AccessWrite) }},
-	}
-
-	f := &benchjson.File{Schema: benchjson.Schema, Suite: "accessmap"}
-	for _, pt := range ports {
-		intervalNs := timeQuery(pt.interval, pt.base, 2000)
-		scanNs := timeQuery(pt.bytescan, pt.base, 3)
-		speedup := 0.0
-		if intervalNs > 0 {
-			speedup = scanNs / intervalNs
-		}
-		f.Rows = append(f.Rows, benchjson.Row{
-			Name:    "accessmap/" + pt.name,
-			NsPerOp: intervalNs,
-			Speedup: speedup,
-		})
-	}
-	return f
-}
-
-// The block-cache artifact measures the fast core against the oracle
-// core on the corebench preemptive workloads — the same measurement
-// TestBlockCacheSpeedupGuard pins at >= 5x. NsPerOp is the fast core's
-// wall nanoseconds per thousand simulated cycles; Speedup is the
-// oracle-vs-fast ratio on that metric.
-func blockcacheArtifact() *benchjson.File {
-	f := &benchjson.File{Schema: benchjson.Schema, Suite: "blockcache"}
-	ports := []struct {
-		name      string
-		newRunner func(fast bool) corebench.Runner
-	}{
-		{"armv7m", corebench.NewARMRunner},
-		{"rv32", corebench.NewRVRunner},
-	}
-	for _, pt := range ports {
-		// Retry like the speedup guard: contention only ever lowers a
-		// measured ratio, so the first quiet attempt is the real one.
-		var fast corebench.Result
-		var ratio float64
-		for attempt := 0; attempt < 3; attempt++ {
-			_, fast, ratio = corebench.Speedup(pt.newRunner, 5)
-			if ratio >= 5 {
-				break
-			}
-		}
-		f.Rows = append(f.Rows, benchjson.Row{
-			Name:      "blockcache/" + pt.name,
-			NsPerOp:   fast.NsPerKCycle(),
-			SimCycles: float64(fast.SimCycles),
-			Speedup:   ratio,
-		})
-	}
-	return f
-}
-
-// timeQuery returns the best-of-3 mean wall nanoseconds per query.
-func timeQuery(q func(start, length uint32) bool, base uint32, iters int) float64 {
-	best := time.Duration(1<<63 - 1)
-	for trial := 0; trial < 3; trial++ {
-		start := time.Now()
-		for i := 0; i < iters; i++ {
-			if !q(base, amQueryLen) {
-				panic("span not accessible")
-			}
-		}
-		if d := time.Since(start); d < best {
-			best = d
-		}
-	}
-	return float64(best.Nanoseconds()) / float64(iters)
 }

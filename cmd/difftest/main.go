@@ -18,7 +18,8 @@
 // With -cores the campaign diffs emulator cores instead of kernel
 // flavours: every release test runs on both flavours under the trusted
 // byte-scan oracle core and the block-cache fast core (docs/SPEED.md),
-// and any divergence is a bug — exit 1 on the first non-ok row.
+// and any divergence is a bug — exit 1 on the first non-ok row. -cores
+// takes no flag but -j; any other is a usage error (exit 2).
 //
 // Every campaign runs under the crash-resilient supervisor
 // (internal/campaign): a panicking case is recovered, and a case
@@ -40,7 +41,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 
 	"ticktock/internal/campaign"
 	"ticktock/internal/difftest"
@@ -49,28 +52,25 @@ import (
 )
 
 func main() {
-	verbose := flag.Bool("v", false, "print both outputs for differing tests")
-	workers := flag.Int("j", 0, "worker pool size (0 = GOMAXPROCS)")
-	notrace := flag.Bool("notrace", false, "disable divergence trace dumps")
-	bug := flag.String("bug", "", "re-enable a published baseline bug (grant-overlap, brk-underflow, missed-mode-switch)")
-	packDir := flag.String("runpack", "", "seal the campaign into a content-addressed artifact pack under DIR")
-	distillDir := flag.String("distill", "", "distill every unexpected divergence into a regression pack under DIR")
-	timeout := flag.Duration("timeout", 0, "per-case wall-clock timeout under the campaign supervisor (0 = unbounded)")
-	retries := flag.Int("retries", 0, "retry budget per case under the campaign supervisor")
-	cores := flag.Bool("cores", false, "diff the block-cache fast core against the byte-scan oracle core instead of kernel flavours")
-	serve := flag.String("serve", "", "serve live telemetry on ADDR while the campaign runs (/metrics, /progress, /healthz, /timeline); the bound address is printed to stderr")
-	progress := flag.Bool("progress", false, "render a single-line live progress ticker to stderr")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	if *cores {
-		rows := difftest.RunCoreOracle(*workers)
-		fmt.Print(difftest.CoreOracleTable(rows))
-		for _, r := range rows {
-			if !r.OK() {
-				os.Exit(1)
-			}
-		}
-		return
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("difftest", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	verbose := fs.Bool("v", false, "print both outputs for differing tests")
+	workers := fs.Int("j", 0, "worker pool size (0 = GOMAXPROCS)")
+	notrace := fs.Bool("notrace", false, "disable divergence trace dumps")
+	bug := fs.String("bug", "", "re-enable a published baseline bug (grant-overlap, brk-underflow, missed-mode-switch)")
+	packDir := fs.String("runpack", "", "seal the campaign into a content-addressed artifact pack under DIR")
+	distillDir := fs.String("distill", "", "distill every unexpected divergence into a regression pack under DIR")
+	timeout := fs.Duration("timeout", 0, "per-case wall-clock timeout under the campaign supervisor (0 = unbounded)")
+	retries := fs.Int("retries", 0, "retry budget per case under the campaign supervisor")
+	cores := fs.Bool("cores", false, "diff the block-cache fast core against the byte-scan oracle core instead of kernel flavours (takes only -j)")
+	serve := fs.String("serve", "", "serve live telemetry on ADDR while the campaign runs (/metrics, /progress, /healthz, /timeline); the bound address is printed to stderr")
+	progress := fs.Bool("progress", false, "render a single-line live progress ticker to stderr")
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
 
 	cfg := difftest.Config{Workers: *workers, NoTraceDump: *notrace, Metrics: *packDir != ""}
@@ -83,8 +83,29 @@ func main() {
 	case "missed-mode-switch":
 		cfg.Bugs.MissedModeSwitch = true
 	default:
-		fmt.Fprintf(os.Stderr, "difftest: unknown -bug %q\n", *bug)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "difftest: unknown -bug %q\n", *bug)
+		return 2
+	}
+
+	if *cores {
+		var extra []string
+		fs.Visit(func(f *flag.Flag) {
+			if f.Name != "cores" && f.Name != "j" {
+				extra = append(extra, "-"+f.Name)
+			}
+		})
+		if len(extra) > 0 {
+			fmt.Fprintf(stderr, "difftest: -cores takes only -j, not %s\n", strings.Join(extra, ", "))
+			return 2
+		}
+		rows := difftest.RunCoreOracle(*workers)
+		fmt.Fprint(stdout, difftest.CoreOracleTable(rows))
+		for _, r := range rows {
+			if !r.OK() {
+				return 1
+			}
+		}
+		return 0
 	}
 
 	var plane *telemetry.Plane
@@ -94,31 +115,31 @@ func main() {
 	if *serve != "" {
 		srv, err := telemetry.Serve(*serve, plane)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "difftest: telemetry server: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "difftest: telemetry server: %v\n", err)
+			return 1
 		}
 		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "telemetry: serving http://%s\n", srv.Addr())
+		fmt.Fprintf(stderr, "telemetry: serving http://%s\n", srv.Addr())
 	}
 
 	tty := (*telemetry.TTY)(nil)
 	if *progress {
-		tty = telemetry.StartTTY(os.Stderr, plane, 0)
+		tty = telemetry.StartTTY(stderr, plane, 0)
 	}
 	rows, _, err := difftest.RunAllSupervised(cfg, campaign.Config{Timeout: *timeout, Retries: *retries}, plane)
 	tty.Stop()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "difftest: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "difftest: %v\n", err)
+		return 1
 	}
-	fmt.Print(difftest.Table(rows))
+	fmt.Fprint(stdout, difftest.Table(rows))
 	if *packDir != "" {
 		dir, receipt, err := runpack.EmitDifftest(*packDir, cfg, rows)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "difftest: sealing runpack: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "difftest: sealing runpack: %v\n", err)
+			return 1
 		}
-		fmt.Fprintf(os.Stderr, "runpack: %s\n%s\n", dir, receipt)
+		fmt.Fprintf(stderr, "runpack: %s\n%s\n", dir, receipt)
 	}
 	if *distillDir != "" {
 		for _, r := range rows {
@@ -127,24 +148,25 @@ func main() {
 			}
 			dir, _, err := runpack.DistillCase(*distillDir, r.Name, cfg.Bugs)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "difftest: distilling %s: %v\n", r.Name, err)
-				os.Exit(1)
+				fmt.Fprintf(stderr, "difftest: distilling %s: %v\n", r.Name, err)
+				return 1
 			}
-			fmt.Fprintf(os.Stderr, "distilled %s -> %s\n", r.Name, dir)
+			fmt.Fprintf(stderr, "distilled %s -> %s\n", r.Name, dir)
 		}
 	}
 	for _, r := range rows {
 		if *verbose && !r.Equal && r.Err == nil {
-			fmt.Printf("\n--- %s (ticktock) ---\n%s--- %s (tock) ---\n%s", r.Name, r.TickTock, r.Name, r.Tock)
+			fmt.Fprintf(stdout, "\n--- %s (ticktock) ---\n%s--- %s (tock) ---\n%s", r.Name, r.TickTock, r.Name, r.Tock)
 		}
 		if r.Divergence != "" {
-			fmt.Printf("\n=== %s divergence trace ===\n%s", r.Name, r.Divergence)
+			fmt.Fprintf(stdout, "\n=== %s divergence trace ===\n%s", r.Name, r.Divergence)
 		}
 		if r.BisectionText != "" {
-			fmt.Printf("\n=== %s flight-recorder bisection ===\n%s\n", r.Name, r.BisectionText)
+			fmt.Fprintf(stdout, "\n=== %s flight-recorder bisection ===\n%s\n", r.Name, r.BisectionText)
 		}
 	}
 	if s := difftest.Summarize(rows); s.Unexpected > 0 || s.Errored > 0 {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }

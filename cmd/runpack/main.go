@@ -11,12 +11,12 @@
 //	runpack show DIR
 //
 // verify re-checks the whole integrity chain — directory name, receipt,
-// member digests, recording replays, benchjson self-digests — and exits
-// non-zero on the first mismatch; a single flipped byte anywhere in a
-// manifest-covered file fails the pack. With -rerun it also re-executes
-// the receipt's command in-process and requires the re-derived result
-// to hash identically. ls lists the packs under a root; show prints one
-// pack's receipt and manifest summary.
+// member digests, recording replays — and exits non-zero on the first
+// mismatch; a single flipped byte anywhere in a manifest-covered file
+// fails the pack. With -rerun it also re-executes the receipt's command
+// in-process and requires the re-derived result to hash identically. ls
+// lists the packs under a root; show prints one pack's receipt and
+// manifest summary.
 package main
 
 import (

@@ -25,8 +25,6 @@ import (
 
 // Result is one measured run.
 type Result struct {
-	Port      string
-	Fast      bool
 	SimCycles uint64
 	Elapsed   time.Duration
 }
@@ -292,28 +290,26 @@ func RunRV(m *rv32.Machine, quanta int) uint64 {
 // machines instead would bias the ratio — setup cost amortizes over far
 // less wall time on the fast core than on the oracle.
 type Runner struct {
-	Port string
-	Fast bool
-	run  func(quanta int) uint64
+	run func(quanta int) uint64
 }
 
 // NewARMRunner builds a persistent ARM workload runner.
 func NewARMRunner(fast bool) Runner {
 	m := NewARM(fast)
-	return Runner{Port: "armv7m", Fast: fast, run: func(q int) uint64 { return RunARM(m, q) }}
+	return Runner{run: func(q int) uint64 { return RunARM(m, q) }}
 }
 
 // NewRVRunner builds a persistent RV32 workload runner.
 func NewRVRunner(fast bool) Runner {
 	m := NewRV(fast)
-	return Runner{Port: "rv32", Fast: fast, run: func(q int) uint64 { return RunRV(m, q) }}
+	return Runner{run: func(q int) uint64 { return RunRV(m, q) }}
 }
 
 // Measure times one run of the given number of quanta.
 func (r Runner) Measure(quanta int) Result {
 	start := time.Now()
 	cycles := r.run(quanta)
-	return Result{Port: r.Port, Fast: r.Fast, SimCycles: cycles, Elapsed: time.Since(start)}
+	return Result{SimCycles: cycles, Elapsed: time.Since(start)}
 }
 
 // trialQuanta is the length of one timed Speedup trial: 800 quanta is

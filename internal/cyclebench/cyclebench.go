@@ -9,11 +9,9 @@ package cyclebench
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"ticktock/internal/apps"
 	"ticktock/internal/armv7m"
-	"ticktock/internal/benchjson"
 	"ticktock/internal/kernel"
 )
 
@@ -133,49 +131,4 @@ func Table(rows []Row) string {
 		fmt.Fprintf(&b, "%-26s %14.2f %14.2f %+9.2f%%\n", r.Method, r.TickTock, r.Tock, r.PctDiff())
 	}
 	return b.String()
-}
-
-// JSONRows measures both flavours and assembles the BENCH_kernel.json
-// artifact rows: one row per method and flavour carrying the amortised
-// wall ns per method invocation, the mean simulated cycles, and — for the
-// TickTock rows — the speedup against the monolithic oracle (Tock mean /
-// TickTock mean, so >1 means the granular kernel is cheaper).
-func JSONRows() ([]benchjson.Row, error) {
-	measure := func(fl kernel.Flavour) (*kernel.Stats, time.Duration, error) {
-		start := time.Now()
-		st, err := RunFlavour(fl)
-		return st, time.Since(start), err
-	}
-	tt, ttWall, err := measure(kernel.FlavourTickTock)
-	if err != nil {
-		return nil, err
-	}
-	tk, tkWall, err := measure(kernel.FlavourTock)
-	if err != nil {
-		return nil, err
-	}
-	perOp := func(st *kernel.Stats, wall time.Duration) float64 {
-		var total uint64
-		for _, m := range Methods {
-			total += st.Get(m).Count
-		}
-		if total == 0 {
-			return 0
-		}
-		return float64(wall.Nanoseconds()) / float64(total)
-	}
-	ttNs, tkNs := perOp(tt, ttWall), perOp(tk, tkWall)
-	var rows []benchjson.Row
-	for _, m := range Methods {
-		ttMean, tkMean := tt.Get(m).Mean(), tk.Get(m).Mean()
-		speedup := 0.0
-		if ttMean > 0 {
-			speedup = tkMean / ttMean
-		}
-		rows = append(rows,
-			benchjson.Row{Name: m + "/ticktock", NsPerOp: ttNs, SimCycles: ttMean, Speedup: speedup},
-			benchjson.Row{Name: m + "/tock", NsPerOp: tkNs, SimCycles: tkMean, Speedup: 1},
-		)
-	}
-	return rows, nil
 }

@@ -45,9 +45,6 @@ type Config struct {
 	Workers int
 	// NoTraceDump disables the automatic divergence trace dump.
 	NoTraceDump bool
-	// TraceCapacity bounds each divergence tracer's ring buffer
-	// (0 means trace.DefaultCapacity).
-	TraceCapacity int
 	// Metrics enables per-case metric snapshots: each flavour's run
 	// gets a fresh registry and folded-stack profile, attached to the
 	// Row. Merge them across the campaign with MergeMetrics /
@@ -143,11 +140,10 @@ func RunFlavour(tc apps.TestCase, fl kernel.Flavour, cfg Config, obs kcore.Obser
 // (with tracing, so the recording interleaves the event stream) and
 // returns the finished kernel and its recording — the entry point for
 // the replay CLI, the determinism checks and divergence bisection.
-// cfg.Bugs, cfg.FastCore and cfg.TraceCapacity apply; the other fields
-// are ignored.
+// cfg.Bugs and cfg.FastCore apply; the other fields are ignored.
 func RunRecorded(tc apps.TestCase, fl kernel.Flavour, cfg Config) (*kernel.Kernel, *flightrec.Recording, error) {
 	rec := flightrec.NewRecorder(fl.String())
-	k, err := RunFlavour(tc, fl, cfg, kcore.Observe{Trace: trace.New(cfg.TraceCapacity), FlightRec: rec})
+	k, err := RunFlavour(tc, fl, cfg, kcore.Observe{Trace: trace.New(trace.DefaultCapacity), FlightRec: rec})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -237,8 +233,8 @@ func bisectDivergence(tc apps.TestCase, cfg Config) (*flightrec.Divergence, stri
 // renders the two timelines side by side. The runs are deterministic, so
 // the re-run reproduces the divergence exactly.
 func divergenceDump(tc apps.TestCase, cfg Config) string {
-	ttTr := trace.New(cfg.TraceCapacity)
-	tkTr := trace.New(cfg.TraceCapacity)
+	ttTr := trace.New(trace.DefaultCapacity)
+	tkTr := trace.New(trace.DefaultCapacity)
 	_, _, _, ttErr := runOn(tc, kernel.FlavourTickTock, cfg, kcore.Observe{Trace: ttTr})
 	_, _, _, tkErr := runOn(tc, kernel.FlavourTock, cfg, kcore.Observe{Trace: tkTr})
 	var b strings.Builder

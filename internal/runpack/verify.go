@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"strings"
 
-	"ticktock/internal/benchjson"
 	"ticktock/internal/flightrec"
 )
 
@@ -37,7 +36,6 @@ func (o VerifyOptions) logf(format string, args ...any) {
 //   - every recording member decodes (the TTFR codec's CRC fails closed
 //     on corruption), replays to its final snapshot, and re-derives the
 //     state digest the manifest promised;
-//   - every BENCH_*.json member validates its own sha256 self-digest;
 //   - with Rerun, the receipt command re-executed in-process produces
 //     result bytes hashing to the manifest's result digest.
 //
@@ -107,12 +105,6 @@ func Verify(dir string, opts VerifyOptions) error {
 				fe.Name, fe.Replay.Snapshots, fe.Replay.FinalCycle, fe.Replay.StateDigest)
 		} else {
 			opts.logf("member %s ok (%d bytes)", fe.Name, fe.Size)
-		}
-		if strings.HasPrefix(fe.Name, "BENCH_") && strings.HasSuffix(fe.Name, ".json") {
-			if _, err := benchjson.Parse(data); err != nil {
-				return fmt.Errorf("runpack: %s: member %s: %w", dir, fe.Name, err)
-			}
-			opts.logf("member %s benchjson self-digest ok", fe.Name)
 		}
 	}
 	if !resultSeen {
