@@ -47,6 +47,7 @@ import (
 
 	"ticktock/internal/campaign"
 	"ticktock/internal/difftest"
+	"ticktock/internal/monolithic"
 	"ticktock/internal/runpack"
 	"ticktock/internal/telemetry"
 )
@@ -74,17 +75,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	cfg := difftest.Config{Workers: *workers, NoTraceDump: *notrace, Metrics: *packDir != ""}
-	switch *bug {
-	case "":
-	case "grant-overlap":
-		cfg.Bugs.GrantOverlap = true
-	case "brk-underflow":
-		cfg.Bugs.BrkUnderflow = true
-	case "missed-mode-switch":
-		cfg.Bugs.MissedModeSwitch = true
-	default:
-		fmt.Fprintf(stderr, "difftest: unknown -bug %q\n", *bug)
-		return 2
+	if *bug != "" {
+		var ok bool
+		if cfg.Bugs, ok = monolithic.ParseBug(*bug); !ok {
+			fmt.Fprintf(stderr, "difftest: unknown -bug %q\n", *bug)
+			return 2
+		}
 	}
 
 	if *cores {

@@ -30,26 +30,6 @@ func fatalf(format string, args ...any) {
 	os.Exit(1)
 }
 
-func findCase(name string) (apps.TestCase, bool) {
-	for _, tc := range apps.All() {
-		if tc.Name == name {
-			return tc, true
-		}
-	}
-	return apps.TestCase{}, false
-}
-
-func parseFlavour(s string) (kernel.Flavour, error) {
-	switch s {
-	case "ticktock":
-		return kernel.FlavourTickTock, nil
-	case "tock":
-		return kernel.FlavourTock, nil
-	default:
-		return 0, fmt.Errorf("unknown flavour %q (want ticktock or tock)", s)
-	}
-}
-
 // render writes the registry/profile pair in the requested format.
 func render(w io.Writer, format string, reg *metrics.Registry, prof *metrics.Profile) error {
 	switch format {
@@ -92,13 +72,13 @@ func main() {
 	var prof *metrics.Profile
 	switch {
 	case *caseName != "":
-		tc, ok := findCase(*caseName)
+		tc, ok := apps.Find(*caseName)
 		if !ok {
 			fatalf("unknown case %q; -list shows the available names", *caseName)
 		}
-		fl, err := parseFlavour(*flavourName)
-		if err != nil {
-			fatalf("%v", err)
+		fl, ok := kernel.ParseFlavour(*flavourName)
+		if !ok {
+			fatalf("unknown flavour %q (want ticktock or tock)", *flavourName)
 		}
 		reg = metrics.NewRegistry()
 		k, err := difftest.RunFlavour(tc, fl, difftest.Config{}, kcore.Observe{Metrics: reg})

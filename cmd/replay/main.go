@@ -74,27 +74,15 @@ func doRecord(caseName, flavour, outPath, packDir string) error {
 	if outPath == "" && packDir == "" {
 		return fmt.Errorf("-record needs -o FILE or -runpack DIR")
 	}
-	var tc *apps.TestCase
-	all := apps.All()
-	for i := range all {
-		if all[i].Name == caseName {
-			tc = &all[i]
-			break
-		}
-	}
-	if tc == nil {
+	tc, ok := apps.Find(caseName)
+	if !ok {
 		return fmt.Errorf("unknown case %q", caseName)
 	}
-	var fl kernel.Flavour
-	switch flavour {
-	case "ticktock":
-		fl = kernel.FlavourTickTock
-	case "tock":
-		fl = kernel.FlavourTock
-	default:
+	fl, ok := kernel.ParseFlavour(flavour)
+	if !ok {
 		return fmt.Errorf("unknown flavour %q", flavour)
 	}
-	k, rec, err := difftest.RunRecorded(*tc, fl, difftest.Config{})
+	k, rec, err := difftest.RunRecorded(tc, fl, difftest.Config{})
 	if err != nil {
 		return err
 	}

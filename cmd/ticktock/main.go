@@ -42,13 +42,8 @@ func main() {
 		return
 	}
 
-	var fl kernel.Flavour
-	switch *flavour {
-	case "ticktock":
-		fl = kernel.FlavourTickTock
-	case "tock":
-		fl = kernel.FlavourTock
-	default:
+	fl, ok := kernel.ParseFlavour(*flavour)
+	if !ok {
 		fmt.Fprintf(os.Stderr, "ticktock: unknown flavour %q\n", *flavour)
 		os.Exit(2)
 	}
@@ -77,13 +72,9 @@ func main() {
 
 	selected := cases
 	if flag.NArg() > 0 {
-		byName := map[string]apps.TestCase{}
-		for _, tc := range cases {
-			byName[tc.Name] = tc
-		}
 		selected = nil
 		for _, name := range flag.Args() {
-			tc, ok := byName[name]
+			tc, ok := apps.Find(name)
 			if !ok {
 				fmt.Fprintf(os.Stderr, "ticktock: unknown test %q (use -list)\n", name)
 				os.Exit(2)

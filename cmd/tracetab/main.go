@@ -42,39 +42,26 @@ func main() {
 	toCycle := flag.Uint64("to-cycle", ^uint64(0), "only render events at or before this cycle")
 	flag.Parse()
 
-	cases := apps.All()
 	if *list {
-		for _, tc := range cases {
+		for _, tc := range apps.All() {
 			fmt.Println(tc.Name)
 		}
 		return
 	}
 
-	var tc *apps.TestCase
-	for i := range cases {
-		if cases[i].Name == *caseName {
-			tc = &cases[i]
-			break
-		}
-	}
-	if tc == nil {
+	tc, ok := apps.Find(*caseName)
+	if !ok {
 		fmt.Fprintf(os.Stderr, "tracetab: unknown case %q (use -list)\n", *caseName)
 		os.Exit(2)
 	}
-
-	var fl kernel.Flavour
-	switch *flavour {
-	case "ticktock":
-		fl = kernel.FlavourTickTock
-	case "tock":
-		fl = kernel.FlavourTock
-	default:
+	fl, ok := kernel.ParseFlavour(*flavour)
+	if !ok {
 		fmt.Fprintf(os.Stderr, "tracetab: unknown flavour %q\n", *flavour)
 		os.Exit(2)
 	}
 
 	tr := trace.New(*capacity)
-	k, err := difftest.RunFlavour(*tc, fl, difftest.Config{}, kcore.Observe{Trace: tr})
+	k, err := difftest.RunFlavour(tc, fl, difftest.Config{}, kcore.Observe{Trace: tr})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "tracetab: %v\n", err)
 		os.Exit(1)

@@ -18,6 +18,7 @@ import (
 	"ticktock/internal/kernel"
 	"ticktock/internal/membench"
 	"ticktock/internal/metrics"
+	"ticktock/internal/monolithic"
 	"ticktock/internal/riscv"
 	"ticktock/internal/rvkernel"
 	"ticktock/internal/trace"
@@ -92,6 +93,21 @@ func TestByteIdentity(t *testing.T) {
 				t.Fatal(err)
 			}
 			d.addRecording("difftest/record/"+tc.Name+"/"+fl.String(), rec)
+		}
+	}
+	for _, bug := range []struct {
+		name string
+		set  monolithic.BugSet
+	}{
+		{"grant-overlap", monolithic.BugSet{GrantOverlap: true}},
+		{"brk-underflow", monolithic.BugSet{BrkUnderflow: true}},
+		{"missed-mode-switch", monolithic.BugSet{MissedModeSwitch: true}},
+	} {
+		rows := difftest.RunAllConfig(difftest.Config{Bugs: bug.set})
+		d.add("difftest/bug/"+bug.name+"/table", difftest.Table(rows))
+		for _, row := range rows {
+			d.add("difftest/bug/"+bug.name+"/divergence/"+row.Name, row.Divergence)
+			d.add("difftest/bug/"+bug.name+"/bisection/"+row.Name, row.BisectionText)
 		}
 	}
 

@@ -111,6 +111,16 @@ func printer(name, msg string) kernel.App {
 	})
 }
 
+// Find returns the release-test case called name.
+func Find(name string) (TestCase, bool) {
+	for _, tc := range All() {
+		if tc.Name == name {
+			return tc, true
+		}
+	}
+	return TestCase{}, false
+}
+
 // All returns the 21 release-test cases.
 func All() []TestCase {
 	return []TestCase{

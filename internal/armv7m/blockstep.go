@@ -3,10 +3,10 @@ package armv7m
 // The fast core: Run dispatches through a translation cache of
 // predecoded basic blocks instead of per-instruction Step calls. The
 // MPU execute check runs once per block entry over the block's cover
-// (via the accessmap, stamped with the MPU configuration generation),
-// cycle accounting is charged in per-batch prefix sums, and the slow
-// path is re-entered only on control flow leaving the block, a pending
-// tick, a trap, a privilege change, or a configuration-stamp change.
+// (via the accessmap, keyed on the map it was read from), cycle
+// accounting is charged in per-batch prefix sums, and the slow path is
+// re-entered only on control flow leaving the block, a pending tick, a
+// trap, a privilege change, or a new access map.
 // Step stays the trusted byte-scan oracle; docs/SPEED.md describes the
 // equivalence argument, and the difftest core-oracle suite plus the
 // internal/specs block-cache obligations check it differentially.
@@ -31,9 +31,9 @@ type fastState struct {
 
 // SetFastCore enables or disables the block-cache fast core. Enabling
 // it changes only speed: Run and the data-access checks take cached
-// paths whose decisions are stamped with the MPU configuration
-// generation, and every divergence-prone case (denial, trap, control
-// flow, unmapped fetch) falls back to the oracle machinery.
+// paths whose decisions are keyed on the MPU's current access map, and
+// every divergence-prone case (denial, trap, control flow, unmapped
+// fetch) falls back to the oracle machinery.
 func (m *Machine) SetFastCore(on bool) {
 	if !on {
 		m.fast = nil
@@ -76,7 +76,6 @@ func (m *Machine) buildBlock(pc uint32) *blockcache.Block[Instr] {
 		Base:   pc,
 		Instrs: p.Instrs[i : i+n],
 		Prefix: make([]uint64, n+1),
-		Cover:  -1,
 	}
 	for k, in := range b.Instrs {
 		b.Prefix[k+1] = b.Prefix[k] + in.Cost()
@@ -197,13 +196,14 @@ func (m *Machine) runFast(budget uint64) (*Stop, error) {
 			continue
 		}
 		priv := m.CPU.Privileged()
-		stamp := m.MPU.FastStamp()
-		if b.Cover < 0 || b.Stamp != stamp || b.Priv != priv {
+		am := m.MPU.Current(m.MPU.Ctrl())
+		if am == nil || b.Map != am || b.Priv != priv {
+			am = m.MPU.AccessMap()
 			b.Cover = 0
-			if iv, ok := m.MPU.AccessMap().Lookup(pc, mpu.AccessExecute, priv); ok {
+			if iv, ok := am.Lookup(pc, mpu.AccessExecute, priv); ok {
 				b.Cover = blockcache.CoverFromInterval(b.Base, len(b.Instrs), 4, iv)
 			}
-			b.Stamp, b.Priv = stamp, priv
+			b.Map, b.Priv = am, priv
 			f.table.Stats.CoverRechecks++
 		}
 		n := b.Cover

@@ -249,7 +249,7 @@ func TestFastCoreInvalidationMidRun(t *testing.T) {
 		}},
 		{"ctrl-toggle", func(m *Machine) {
 			// Exported control bit flipped without a WriteRegion: the
-			// stamp must still catch it (FastStamp folds CtrlEnable).
+			// access-map cache compares CtrlEnable, so the map changes.
 			m.MPU.CtrlEnable = false
 		}},
 	}

@@ -496,11 +496,10 @@ func (i MRS) Cost() uint64   { return CostMSR }
 func (i MRS) String() string { return fmt.Sprintf("mrs r%d, %s", i.Rd, i.Spec) }
 
 // ISB is an instruction synchronization barrier. Architecturally required
-// after CONTROL writes; the emulator charges its cost and records that the
-// barrier happened so fluxarm contracts can require it.
+// after CONTROL writes; the emulator charges its cost.
 type ISB struct{}
 
-func (i ISB) Exec(m *Machine) error { m.isbSeen = true; return nil }
+func (i ISB) Exec(m *Machine) error { return nil }
 func (i ISB) Cost() uint64          { return CostBarrier }
 func (i ISB) String() string        { return "isb" }
 

@@ -117,7 +117,6 @@ type Machine struct {
 	fast *fastState
 
 	pcWritten bool
-	isbSeen   bool
 
 	// Fault latches the MemManage fault status on each MPU violation,
 	// like the SCB's MMFSR/MMFAR.
@@ -217,13 +216,12 @@ func (m *Machine) writePC(v uint32) {
 func (m *Machine) checkAccess(addr uint32, kind mpu.AccessKind) error {
 	if f := m.fast; f != nil {
 		priv := m.CPU.Privileged()
-		stamp := m.MPU.FastStamp()
-		if f.hints.Allows(addr, 1, kind, priv, stamp) {
+		if f.hints.Allows(addr, 1, kind, priv, m.MPU.Current(m.MPU.Ctrl())) {
 			f.table.Stats.HintHits++
 			return nil
 		}
 		f.table.Stats.HintMisses++
-		if f.hints.Update(addr, 1, kind, priv, stamp, m.MPU.AccessMap()) {
+		if f.hints.Update(addr, 1, kind, priv, m.MPU.AccessMap()) {
 			return nil
 		}
 	}
@@ -493,15 +491,6 @@ func (m *Machine) Run(budget uint64) (*Stop, error) {
 			return &Stop{Reason: StopBudget}, nil
 		}
 	}
-}
-
-// ISBSeen reports (and clears) whether an ISB barrier executed since the
-// last call. The fluxarm contracts require an ISB between a CONTROL write
-// and the subsequent exception return.
-func (m *Machine) ISBSeen() bool {
-	s := m.isbSeen
-	m.isbSeen = false
-	return s
 }
 
 // SwitchToUser is the hardware-level tail of the kernel's context switch:

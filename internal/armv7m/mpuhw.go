@@ -114,8 +114,12 @@ func apAllows(ap uint32, privileged bool, kind mpu.AccessKind) bool {
 
 // MPUHardware models the ARMv7-M memory protection unit: a control
 // register and eight RBAR/RASR register pairs. Register writes take effect
-// immediately, exactly as MMIO stores to 0xE000ED90.. would.
+// immediately, exactly as MMIO stores to 0xE000ED90.. would. The access
+// map derived from the registers, and the range queries answered from it,
+// come from the embedded cache.
 type MPUHardware struct {
+	accessmap.Cache
+
 	// CtrlEnable is MPU_CTRL.ENABLE.
 	CtrlEnable bool
 	// PrivDefEna is MPU_CTRL.PRIVDEFENA: when set, privileged accesses
@@ -136,25 +140,27 @@ type MPUHardware struct {
 	// Writes counts region-register writes (WriteRegion + ClearRegion)
 	// when metrics are attached; nil-safe.
 	Writes *metrics.Counter
-
-	// MapBuilds counts access-map constructions; the cache-invalidation
-	// ablation guard asserts it only moves when the configuration does.
-	MapBuilds uint64
-
-	// gen counts configuration mutations (region writes, clears, raw bit
-	// flips, snapshot restores). The derived access map is cached against
-	// it — and against the control bits, which are exported fields and so
-	// can change without a method call.
-	gen      uint64
-	amap     *accessmap.Map
-	amapGen  uint64
-	amapCtrl bool
-	amapPriv bool
 }
 
 // NewMPUHardware returns a disabled MPU with all regions cleared.
 func NewMPUHardware() *MPUHardware {
-	return &MPUHardware{PrivDefEna: true}
+	h := &MPUHardware{PrivDefEna: true}
+	h.Cache = accessmap.NewCache(h)
+	return h
+}
+
+// Ctrl returns the MPU_CTRL bits the model keeps as fields, ENABLE (bit
+// 0) and PRIVDEFENA (bit 2): the control word the access-map cache
+// compares on every lookup.
+func (h *MPUHardware) Ctrl() uint32 {
+	var c uint32
+	if h.CtrlEnable {
+		c |= 1
+	}
+	if h.PrivDefEna {
+		c |= 4
+	}
+	return c
 }
 
 // WriteRegion programs region pair (rbar, rasr). The region number is taken
@@ -182,7 +188,7 @@ func (h *MPUHardware) WriteRegion(number int, rbar, rasr uint32) error {
 	h.rasr[number] = rasr
 	h.RegionWriteLog = append(h.RegionWriteLog, number)
 	h.Writes.Inc()
-	h.gen++
+	h.Invalidate()
 	return nil
 }
 
@@ -195,7 +201,7 @@ func (h *MPUHardware) ClearRegion(number int) error {
 	h.rasr[number] = 0
 	h.RegionWriteLog = append(h.RegionWriteLog, number)
 	h.Writes.Inc()
-	h.gen++
+	h.Invalidate()
 	return nil
 }
 
@@ -214,29 +220,7 @@ func (h *MPUHardware) FlipBits(number int, rbarXor, rasrXor uint32) {
 	}
 	h.rbar[number] ^= rbarXor
 	h.rasr[number] ^= rasrXor
-	h.gen++
-}
-
-// Generation returns the configuration-generation counter: it advances on
-// every register mutation (WriteRegion, ClearRegion, FlipBits, Restore),
-// including the unvalidated fault-injection path, so cached derivations of
-// the register state can detect staleness.
-func (h *MPUHardware) Generation() uint64 { return h.gen }
-
-// FastStamp folds the generation counter with the control bits that also
-// key the cached access map (CtrlEnable and PrivDefEna are exported bools
-// mutated without a gen bump). Equal stamps imply an identical effective
-// configuration, so block-cache entries keyed on the stamp stay sound
-// even when a control bit is toggled away and back.
-func (h *MPUHardware) FastStamp() uint64 {
-	s := h.gen << 2
-	if h.CtrlEnable {
-		s |= 2
-	}
-	if h.PrivDefEna {
-		s |= 1
-	}
-	return s
+	h.Invalidate()
 }
 
 // Region returns the raw register pair for region number.
@@ -304,12 +288,12 @@ func (h *MPUHardware) Check(addr uint32, kind mpu.AccessKind, privileged bool) e
 	return &mpu.ProtectionError{Addr: addr, Kind: kind, Privileged: privileged}
 }
 
-// boundaries collects every address at which the MPU decision can change:
+// Boundaries collects every address at which the MPU decision can change:
 // each enabled region's base and end, plus subregion boundaries where the
 // SRD bits take effect. Completeness of this set is what Build's
 // segment-uniformity argument rests on; the oracle-equivalence specs check
 // it differentially against the per-byte scan.
-func (h *MPUHardware) boundaries() []uint64 {
+func (h *MPUHardware) Boundaries() []uint64 {
 	bs := make([]uint64, 0, 2*NumRegions)
 	for i := 0; i < NumRegions; i++ {
 		size := h.regionSize(i)
@@ -329,58 +313,6 @@ func (h *MPUHardware) boundaries() []uint64 {
 	return bs
 }
 
-// AccessMap returns the interval decision map derived from the current
-// register state, rebuilding it only when the configuration generation or
-// a control bit changed since the last build.
-func (h *MPUHardware) AccessMap() *accessmap.Map {
-	if h.amap == nil || h.amapGen != h.gen || h.amapCtrl != h.CtrlEnable || h.amapPriv != h.PrivDefEna {
-		h.amap = accessmap.Build(h.boundaries(), func(addr uint32, kind mpu.AccessKind, privileged bool) bool {
-			return h.Check(addr, kind, privileged) == nil
-		})
-		h.amapGen, h.amapCtrl, h.amapPriv = h.gen, h.CtrlEnable, h.PrivDefEna
-		h.MapBuilds++
-	}
-	return h.amap
-}
-
-// AccessibleUser reports whether an unprivileged access of the given kind
-// to every byte in [start, start+length) would succeed. It is used by
-// tests and the verification harness to characterize the exact
-// user-accessible footprint the hardware enforces. A zero-length range is
-// vacuously accessible; a range running past the top of the 32-bit
-// address space is not — those bytes do not exist. Answered from the
-// cached interval map in O(log intervals); AccessibleUserByteScan is the
-// per-byte oracle it must agree with.
-func (h *MPUHardware) AccessibleUser(start, length uint32, kind mpu.AccessKind) bool {
-	return h.AccessMap().AllAllowed(start, length, kind, false)
-}
-
-// AnyAccessibleUser reports whether at least one byte in [start,
-// start+length) admits an unprivileged access of the given kind. Bytes
-// past the top of the address space do not exist and are ignored. The
-// isolation sweeps use it to check entire protected spans instead of
-// sampling addresses.
-func (h *MPUHardware) AnyAccessibleUser(start, length uint32, kind mpu.AccessKind) bool {
-	return h.AccessMap().AnyAllowed(start, length, kind, false)
-}
-
-// AccessibleUserByteScan is the trusted per-byte oracle for
-// AccessibleUser: one hardware Check per byte, O(length × regions). Kept
-// for differential verification of the interval engine, not for hot
-// paths. It shares AccessibleUser's end-of-address-space semantics.
-func (h *MPUHardware) AccessibleUserByteScan(start, length uint32, kind mpu.AccessKind) bool {
-	end := uint64(start) + uint64(length)
-	if end > accessmap.AddressSpace {
-		return false
-	}
-	for a := uint64(start); a < end; a++ {
-		if h.Check(uint32(a), kind, false) != nil {
-			return false
-		}
-	}
-	return true
-}
-
 // Snapshot captures the full register state, for save/restore in tests.
 type Snapshot struct {
 	CtrlEnable bool
@@ -397,7 +329,7 @@ func (h *MPUHardware) Snapshot() Snapshot {
 // Restore overwrites the register state with a snapshot.
 func (h *MPUHardware) Restore(s Snapshot) {
 	h.CtrlEnable, h.PrivDefEna, h.rbar, h.rasr = s.CtrlEnable, s.PrivDefEna, s.RBAR, s.RASR
-	h.gen++
+	h.Invalidate()
 }
 
 // Fault status plumbing (SCB MMFSR/MMFAR, B3.2). The machine latches the

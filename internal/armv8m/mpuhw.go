@@ -90,29 +90,39 @@ func apAllows(ap uint32, privileged bool, kind mpu.AccessKind) bool {
 	}
 }
 
-// MPUHardware models the v8-M MPU registers.
+// MPUHardware models the v8-M MPU registers. The access map derived
+// from them, and the range queries answered from it, come from the
+// embedded cache.
 type MPUHardware struct {
+	accessmap.Cache
+
 	CtrlEnable bool
 	PrivDefEna bool
 
 	rbar [NumRegions]uint32
 	rlar [NumRegions]uint32
-
-	// MapBuilds counts access-map constructions; the cache-invalidation
-	// ablation guard asserts it only moves when the configuration does.
-	MapBuilds uint64
-
-	// gen counts register mutations; the derived access map is cached
-	// against it and the exported control bits.
-	gen      uint64
-	amap     *accessmap.Map
-	amapGen  uint64
-	amapCtrl bool
-	amapPriv bool
 }
 
 // NewMPUHardware returns a disabled MPU.
-func NewMPUHardware() *MPUHardware { return &MPUHardware{PrivDefEna: true} }
+func NewMPUHardware() *MPUHardware {
+	h := &MPUHardware{PrivDefEna: true}
+	h.Cache = accessmap.NewCache(h)
+	return h
+}
+
+// Ctrl returns the MPU_CTRL bits the model keeps as fields, ENABLE (bit
+// 0) and PRIVDEFENA (bit 2): the control word the access-map cache
+// compares on every lookup.
+func (h *MPUHardware) Ctrl() uint32 {
+	var c uint32
+	if h.CtrlEnable {
+		c |= 1
+	}
+	if h.PrivDefEna {
+		c |= 4
+	}
+	return c
+}
 
 // WriteRegion programs a region pair. v8-M forbids overlapping enabled
 // regions; the model rejects them, as real hardware raises a fault on the
@@ -139,7 +149,7 @@ func (h *MPUHardware) WriteRegion(number int, rbar, rlar uint32) error {
 	}
 	h.rbar[number] = rbar
 	h.rlar[number] = rlar
-	h.gen++
+	h.Invalidate()
 	return nil
 }
 
@@ -150,26 +160,8 @@ func (h *MPUHardware) ClearRegion(number int) error {
 	}
 	h.rbar[number] = 0
 	h.rlar[number] = 0
-	h.gen++
+	h.Invalidate()
 	return nil
-}
-
-// Generation returns the configuration-generation counter: it advances on
-// every register mutation so cached derivations can detect staleness.
-func (h *MPUHardware) Generation() uint64 { return h.gen }
-
-// FastStamp folds the generation counter with the CtrlEnable/PrivDefEna
-// control bits, which key the cached access map but are mutated without a
-// gen bump. Equal stamps imply an identical effective configuration.
-func (h *MPUHardware) FastStamp() uint64 {
-	s := h.gen << 2
-	if h.CtrlEnable {
-		s |= 2
-	}
-	if h.PrivDefEna {
-		s |= 1
-	}
-	return s
 }
 
 // Region returns the raw register pair.
@@ -207,9 +199,9 @@ func (h *MPUHardware) Check(addr uint32, kind mpu.AccessKind, privileged bool) e
 	return &mpu.ProtectionError{Addr: addr, Kind: kind, Privileged: privileged}
 }
 
-// boundaries collects every address at which the MPU decision can change:
+// Boundaries collects every address at which the MPU decision can change:
 // each enabled region's base and one-past-limit.
-func (h *MPUHardware) boundaries() []uint64 {
+func (h *MPUHardware) Boundaries() []uint64 {
 	bs := make([]uint64, 0, 2*NumRegions)
 	for i := 0; i < NumRegions; i++ {
 		if h.rlar[i]&RLAREnable == 0 {
@@ -220,50 +212,4 @@ func (h *MPUHardware) boundaries() []uint64 {
 		bs = append(bs, base, end)
 	}
 	return bs
-}
-
-// AccessMap returns the interval decision map derived from the current
-// register state, rebuilding it only when the configuration generation or
-// a control bit changed since the last build.
-func (h *MPUHardware) AccessMap() *accessmap.Map {
-	if h.amap == nil || h.amapGen != h.gen || h.amapCtrl != h.CtrlEnable || h.amapPriv != h.PrivDefEna {
-		h.amap = accessmap.Build(h.boundaries(), func(addr uint32, kind mpu.AccessKind, privileged bool) bool {
-			return h.Check(addr, kind, privileged) == nil
-		})
-		h.amapGen, h.amapCtrl, h.amapPriv = h.gen, h.CtrlEnable, h.PrivDefEna
-		h.MapBuilds++
-	}
-	return h.amap
-}
-
-// AccessibleUser reports whether every byte of [start, start+length) is
-// user-accessible for kind. Zero length is vacuously accessible; a range
-// running past the top of the 32-bit address space is not. Answered from
-// the cached interval map; AccessibleUserByteScan is the per-byte oracle
-// it must agree with.
-func (h *MPUHardware) AccessibleUser(start, length uint32, kind mpu.AccessKind) bool {
-	return h.AccessMap().AllAllowed(start, length, kind, false)
-}
-
-// AnyAccessibleUser reports whether at least one byte of [start,
-// start+length) is user-accessible for kind; bytes past the top of the
-// address space are ignored.
-func (h *MPUHardware) AnyAccessibleUser(start, length uint32, kind mpu.AccessKind) bool {
-	return h.AccessMap().AnyAllowed(start, length, kind, false)
-}
-
-// AccessibleUserByteScan is the trusted per-byte oracle for
-// AccessibleUser, kept for differential verification of the interval
-// engine. It shares AccessibleUser's end-of-address-space semantics.
-func (h *MPUHardware) AccessibleUserByteScan(start, length uint32, kind mpu.AccessKind) bool {
-	end := uint64(start) + uint64(length)
-	if end > accessmap.AddressSpace {
-		return false
-	}
-	for a := uint64(start); a < end; a++ {
-		if h.Check(uint32(a), kind, false) != nil {
-			return false
-		}
-	}
-	return true
 }

@@ -5,13 +5,14 @@
 // The cache itself is deliberately dumb — it never decides whether an
 // access is allowed. Permission decisions come from the port's accessmap
 // (itself differentially verified against the hardware Check oracle), and
-// every cached decision is guarded by a configuration stamp: when the
-// underlying MPU/PMP registers change (WriteRegion/ClearRegion/SetEntry/
-// FlipBits/Restore all bump the PR-4 generation counter folded into the
-// stamp), stale blocks fail their stamp comparison on next entry and
-// recompute their cover, and load/store hints drop wholesale. A stale
-// entry can therefore never authorize an access the current registers
-// would deny; see docs/SPEED.md for the full soundness argument.
+// every cached decision is keyed on the *accessmap.Map it was read from.
+// The unit's access-map cache allocates a new Map whenever the registers
+// change (WriteRegion/ClearRegion/SetEntry/FlipBits/Restore all
+// invalidate it) or a control bit differs, so stale blocks fail their map
+// comparison on next entry and recompute their cover, and load/store
+// hints drop wholesale. A stale entry can therefore never authorize an
+// access the current registers would deny; see docs/SPEED.md for the full
+// soundness argument.
 //
 // Blocks are generic over the port's decoded instruction type so armv7m
 // and rv32 share one table implementation without interface-call overhead
@@ -30,7 +31,7 @@ type Stats struct {
 	Misses        uint64 // block not cached (built or slow-stepped)
 	Builds        uint64 // blocks decoded and inserted
 	Flushes       uint64 // whole-table invalidations (program load)
-	CoverRechecks uint64 // block cover recomputed after a stamp change
+	CoverRechecks uint64 // block cover recomputed under a new map or privilege
 	SlowSteps     uint64 // instructions retired via the oracle Step path
 	HintHits      uint64 // load/store checks answered by the interval hint
 	HintMisses    uint64 // load/store checks that fell back to the full map
@@ -38,7 +39,7 @@ type Stats struct {
 
 // Block is one predecoded basic block: the quickened instruction
 // sequence starting at Base, plus the cached execute-permission cover
-// for the configuration stamp it was last checked under.
+// for the access map it was last checked under.
 type Block[I any] struct {
 	Base   uint32
 	Instrs []I
@@ -48,14 +49,14 @@ type Block[I any] struct {
 	// at index i charges exactly Prefix[i+1] — byte-identical with the
 	// oracle's per-instruction accounting.
 	Prefix []uint64
-	// Stamp and Priv key the cached Cover: it is valid only while the
-	// port's configuration stamp and the executing privilege both match.
-	Stamp uint64
-	Priv  bool
+	// Map and Priv key the cached Cover: it is valid only while the
+	// unit's current access map and the executing privilege both match.
+	// A nil Map means the cover was never computed.
+	Map  *accessmap.Map
+	Priv bool
 	// Cover is the number of leading instructions whose first byte is
-	// execute-allowed under (Stamp, Priv), mirroring the oracle fetch
-	// which checks only the first byte of each instruction. -1 means
-	// not yet computed.
+	// execute-allowed under (Map, Priv), mirroring the oracle fetch
+	// which checks only the first byte of each instruction.
 	Cover int
 	// Pure is a bitmask (bit i ⇒ Instrs[i]) of instructions the port has
 	// classified as pure: Exec always returns nil, never reads or writes
@@ -113,8 +114,8 @@ func (t *Table[I]) Insert(b *Block[I]) {
 }
 
 // Flush drops every cached block. Ports call it when the set of loaded
-// programs changes; register mutations do not need it (the stamp guard
-// on Cover handles those).
+// programs changes; register mutations do not need it (the map key on
+// Cover handles those).
 func (t *Table[I]) Flush() {
 	for i := range t.slots {
 		t.slots[i] = nil
@@ -168,20 +169,21 @@ func slotOf(kind mpu.AccessKind, privileged bool) int {
 }
 
 // Hints caches the last-hit accessmap allow interval per (kind,
-// privilege) slot, stamped with the configuration stamp it was read
-// under. A hint can only ever short-circuit the *success* case of a
-// protection check — any miss falls through to the full check, so fault
-// values and denial behaviour stay byte-identical with the oracle.
+// privilege) slot, keyed on the map it was read from. A hint can only
+// ever short-circuit the *success* case of a protection check — any miss
+// falls through to the full check, so fault values and denial behaviour
+// stay byte-identical with the oracle.
 type Hints struct {
 	iv    [numSlots]accessmap.Interval
 	valid [numSlots]bool
-	stamp uint64
+	m     *accessmap.Map
 }
 
 // Allows reports whether a size-byte access at addr is proven allowed by
-// the cached interval for (kind, privileged) under the given stamp.
-func (h *Hints) Allows(addr, size uint32, kind mpu.AccessKind, privileged bool, stamp uint64) bool {
-	if stamp != h.stamp {
+// the cached interval for (kind, privileged), given that m is the unit's
+// current map. A nil m (no current map) never allows.
+func (h *Hints) Allows(addr, size uint32, kind mpu.AccessKind, privileged bool, m *accessmap.Map) bool {
+	if m != h.m {
 		return false
 	}
 	s := slotOf(kind, privileged)
@@ -192,12 +194,13 @@ func (h *Hints) Allows(addr, size uint32, kind mpu.AccessKind, privileged bool, 
 	return h.iv[s].Start <= a && a+uint64(size) <= h.iv[s].End
 }
 
-// Update refreshes the hint slot from the map after a miss and reports
-// whether the access is allowed. A stamp change drops every slot first,
-// so intervals read under an old configuration never survive.
-func (h *Hints) Update(addr, size uint32, kind mpu.AccessKind, privileged bool, stamp uint64, m *accessmap.Map) bool {
-	if stamp != h.stamp {
-		*h = Hints{stamp: stamp}
+// Update refreshes the hint slot from the unit's current map m after a
+// miss and reports whether the access is allowed. A new map drops every
+// slot first, so intervals read under an old configuration never
+// survive.
+func (h *Hints) Update(addr, size uint32, kind mpu.AccessKind, privileged bool, m *accessmap.Map) bool {
+	if m != h.m {
+		*h = Hints{m: m}
 	}
 	iv, ok := m.Lookup(addr, kind, privileged)
 	if !ok {
@@ -208,6 +211,3 @@ func (h *Hints) Update(addr, size uint32, kind mpu.AccessKind, privileged bool, 
 	a := uint64(addr)
 	return a+uint64(size) <= iv.End
 }
-
-// Invalidate drops every cached interval unconditionally.
-func (h *Hints) Invalidate() { *h = Hints{} }

@@ -8,7 +8,7 @@ import "ticktock/internal/metrics"
 //	blockcache_hits_total             — blocks served from the table
 //	blockcache_misses_total           — lookups that built or slow-stepped
 //	blockcache_invalidations_total    — whole-table flushes plus per-block
-//	                                    cover rechecks after a stamp change
+//	                                    cover rechecks under a new map
 //	blockcache_oracle_fallbacks_total — instructions retired via the
 //	                                    trusted oracle Step path
 //	blockcache_hint_hits_total        — load/store checks answered by the

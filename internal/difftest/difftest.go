@@ -142,12 +142,20 @@ func RunFlavour(tc apps.TestCase, fl kernel.Flavour, cfg Config, obs kcore.Obser
 // the replay CLI, the determinism checks and divergence bisection.
 // cfg.Bugs and cfg.FastCore apply; the other fields are ignored.
 func RunRecorded(tc apps.TestCase, fl kernel.Flavour, cfg Config) (*kernel.Kernel, *flightrec.Recording, error) {
+	k, _, rec, err := runRecorded(tc, fl, cfg)
+	return k, rec, err
+}
+
+// runRecorded is RunRecorded that also returns the run's tracer, which
+// holds the events up to the failure when the run errors.
+func runRecorded(tc apps.TestCase, fl kernel.Flavour, cfg Config) (*kernel.Kernel, *trace.Tracer, *flightrec.Recording, error) {
+	tr := trace.New(trace.DefaultCapacity)
 	rec := flightrec.NewRecorder(fl.String())
-	k, err := RunFlavour(tc, fl, cfg, kcore.Observe{Trace: trace.New(trace.DefaultCapacity), FlightRec: rec})
+	k, err := RunFlavour(tc, fl, cfg, kcore.Observe{Trace: tr, FlightRec: rec})
 	if err != nil {
-		return nil, nil, err
+		return nil, tr, nil, err
 	}
-	return k, rec.Finish(), nil
+	return k, tr, rec.Finish(), nil
 }
 
 // RunCaseConfig executes one case on both flavours. Infrastructure
@@ -186,8 +194,7 @@ func runCase(tc apps.TestCase, cfg Config, tr *trace.Tracer) Row {
 	row.TickTock, row.Tock = tt, tk
 	row.TickTockStates, row.TockStates = ttStates, tkStates
 	if !row.OK() && !cfg.NoTraceDump {
-		row.Divergence = divergenceDump(tc, cfg)
-		row.Bisection, row.BisectionText = bisectDivergence(tc, cfg)
+		row.Divergence, row.Bisection, row.BisectionText = explainDivergence(tc, cfg)
 	}
 	return row
 }
@@ -206,43 +213,35 @@ func CrossFlavourIgnore(name string) bool {
 	return true
 }
 
-// bisectDivergence records the case on both flavours under the flight
-// recorder and binary-searches for the first snapshot where the
-// behavioural fields disagree — turning "the outputs differ" into "the
-// first wrong write happened in this quantum, in this field".
-func bisectDivergence(tc apps.TestCase, cfg Config) (*flightrec.Divergence, string) {
-	_, ttRec, ttErr := RunRecorded(tc, kernel.FlavourTickTock, cfg)
-	_, tkRec, tkErr := RunRecorded(tc, kernel.FlavourTock, cfg)
-	if ttErr != nil || tkErr != nil {
-		return nil, fmt.Sprintf("bisection re-run errors: ticktock=%v tock=%v", ttErr, tkErr)
-	}
-	div, err := flightrec.Bisect(ttRec, tkRec, CrossFlavourIgnore)
-	if err != nil {
-		return nil, fmt.Sprintf("bisection failed: %v", err)
-	}
-	if div == nil {
-		// The behavioural fields never diverge at quantum granularity —
-		// e.g. the outputs differ only in cycle-dependent values that
-		// hash differently but the dump already shows.
-		return nil, "bisection: no snapshot-level divergence in behavioural fields"
-	}
-	return div, div.String()
-}
-
-// divergenceDump re-runs the case on both flavours under tracing and
-// renders the two timelines side by side. The runs are deterministic, so
-// the re-run reproduces the divergence exactly.
-func divergenceDump(tc apps.TestCase, cfg Config) string {
-	ttTr := trace.New(trace.DefaultCapacity)
-	tkTr := trace.New(trace.DefaultCapacity)
-	_, _, _, ttErr := runOn(tc, kernel.FlavourTickTock, cfg, kcore.Observe{Trace: ttTr})
-	_, _, _, tkErr := runOn(tc, kernel.FlavourTock, cfg, kcore.Observe{Trace: tkTr})
+// explainDivergence re-runs the case once per flavour under the flight
+// recorder and the event tracer. The runs are deterministic, so they
+// reproduce the divergence exactly. It renders the two timelines side
+// by side, then binary-searches the recordings for the first snapshot
+// where the behavioural fields disagree — turning "the outputs differ"
+// into "the first wrong write happened in this quantum, in this field".
+func explainDivergence(tc apps.TestCase, cfg Config) (string, *flightrec.Divergence, string) {
+	_, ttTr, ttRec, ttErr := runRecorded(tc, kernel.FlavourTickTock, cfg)
+	_, tkTr, tkRec, tkErr := runRecorded(tc, kernel.FlavourTock, cfg)
 	var b strings.Builder
 	if ttErr != nil || tkErr != nil {
 		fmt.Fprintf(&b, "trace re-run errors: ticktock=%v tock=%v\n", ttErr, tkErr)
 	}
 	b.WriteString(trace.SideBySide("== ticktock ==", ttTr.TextDump(), "== tock ==", tkTr.TextDump(), 72))
-	return b.String()
+	dump := b.String()
+	if ttErr != nil || tkErr != nil {
+		return dump, nil, fmt.Sprintf("bisection re-run errors: ticktock=%v tock=%v", ttErr, tkErr)
+	}
+	div, err := flightrec.Bisect(ttRec, tkRec, CrossFlavourIgnore)
+	if err != nil {
+		return dump, nil, fmt.Sprintf("bisection failed: %v", err)
+	}
+	if div == nil {
+		// The behavioural fields never diverge at quantum granularity —
+		// e.g. the outputs differ only in cycle-dependent values that
+		// hash differently but the dump already shows.
+		return dump, nil, "bisection: no snapshot-level divergence in behavioural fields"
+	}
+	return dump, div, div.String()
 }
 
 // RunAllConfig executes the whole campaign under campaign.Supervise

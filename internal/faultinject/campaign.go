@@ -278,9 +278,9 @@ func armRun(sc Scenario, cfg Config, inject bool, obs kcore.Observe) (runSignatu
 	opts := kernel.Options{
 		Flavour:     fl,
 		FaultPolicy: policy,
-		MaxRestarts: cfg.MaxRestarts,
-		Watchdog:    cfg.Watchdog,
-		BackoffBase: cfg.BackoffBase,
+		MaxRestarts: MaxRestarts,
+		Watchdog:    Watchdog,
+		BackoffBase: BackoffBase,
 		FastCore:    cfg.FastCore,
 		Observe:     obs,
 	}
@@ -440,9 +440,9 @@ func rvRun(sc Scenario, cfg Config, chip riscv.ChipConfig, inject bool, obs kcor
 	if sc.Quarantine {
 		k.FaultPolicy = rvkernel.PolicyQuarantine
 	}
-	k.MaxRestarts = cfg.MaxRestarts
-	k.Watchdog = cfg.Watchdog
-	k.BackoffBase = cfg.BackoffBase
+	k.MaxRestarts = MaxRestarts
+	k.Watchdog = Watchdog
+	k.BackoffBase = BackoffBase
 	applied := false
 	if inject {
 		installHooks(sc, &k.Hooks, &applied, func() {

@@ -73,15 +73,6 @@ func (k Kind) String() string {
 	}
 }
 
-// Kinds returns every injector kind, in order.
-func Kinds() []Kind {
-	out := make([]Kind, numKinds)
-	for i := range out {
-		out[i] = Kind(i)
-	}
-	return out
-}
-
 // Outcome classifies one injected fault on one port, judged against the
 // scenario's uninjected baseline run.
 type Outcome uint8
@@ -124,7 +115,7 @@ func (o Outcome) String() string {
 }
 
 // Config tunes a campaign. The zero value runs DefaultScenarios
-// scenarios from seed 0 with the default supervision settings.
+// scenarios from seed 0.
 type Config struct {
 	// Seed is the campaign master seed; scenario i derives its own
 	// stream from Seed and i alone.
@@ -134,11 +125,6 @@ type Config struct {
 	// Workers sizes the supervisor's shard pool (0 means one worker per
 	// CPU, campaign.Config's default).
 	Workers int
-	// MaxRestarts, Watchdog and BackoffBase configure the supervised
-	// kernels (zero means the campaign defaults 2, 3 and 512).
-	MaxRestarts int
-	Watchdog    int
-	BackoffBase uint64
 	// Record runs each injected run under the flight recorder and
 	// attaches the recording to any PortResult whose isolation sweep
 	// found violations, so the pre-violation machine state can be
@@ -163,19 +149,20 @@ type Config struct {
 // DefaultScenarios is the campaign size the acceptance bar asks for.
 const DefaultScenarios = 500
 
+// The supervision settings of every campaign kernel, on both ports: a
+// faulting process restarts at most MaxRestarts times, restart n waits
+// BackoffBase << (n-1) cycles, and the watchdog faults a process after
+// Watchdog consecutive full-timeslice preemptions without a syscall.
+const (
+	MaxRestarts = 2
+	Watchdog    = 3
+	BackoffBase = 512
+)
+
 // withDefaults resolves the zero-value knobs.
 func (c Config) withDefaults() Config {
 	if c.N == 0 {
 		c.N = DefaultScenarios
-	}
-	if c.MaxRestarts == 0 {
-		c.MaxRestarts = 2
-	}
-	if c.Watchdog == 0 {
-		c.Watchdog = 3
-	}
-	if c.BackoffBase == 0 {
-		c.BackoffBase = 512
 	}
 	return c
 }

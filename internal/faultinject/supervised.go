@@ -38,8 +38,8 @@ type fingerprintView struct {
 func (c Config) Fingerprint() []byte {
 	c = c.withDefaults()
 	out, err := json.Marshal(fingerprintView{
-		Seed: c.Seed, N: c.N, MaxRestarts: c.MaxRestarts,
-		Watchdog: c.Watchdog, BackoffBase: c.BackoffBase, Chaos: c.Chaos,
+		Seed: c.Seed, N: c.N, MaxRestarts: MaxRestarts,
+		Watchdog: Watchdog, BackoffBase: BackoffBase, Chaos: c.Chaos,
 	})
 	if err != nil {
 		panic(err) // fixed struct of scalars: cannot fail

@@ -30,6 +30,17 @@ func (f Flavour) String() string {
 	return "ticktock"
 }
 
+// ParseFlavour returns the flavour whose String is name.
+func ParseFlavour(name string) (Flavour, bool) {
+	switch name {
+	case "ticktock":
+		return FlavourTickTock, true
+	case "tock":
+		return FlavourTock, true
+	}
+	return 0, false
+}
+
 // FaultPolicy decides what happens to a faulting process (Tock's
 // ProcessFaultPolicy).
 type FaultPolicy = kcore.FaultPolicy

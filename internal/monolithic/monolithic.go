@@ -46,6 +46,37 @@ type BugSet struct {
 	MissedModeSwitch bool
 }
 
+// ParseBug returns the BugSet enabling the one published bug called
+// name: grant-overlap, brk-underflow or missed-mode-switch. It is the
+// inverse of BugSet.Name.
+func ParseBug(name string) (BugSet, bool) {
+	var b BugSet
+	switch name {
+	case "grant-overlap":
+		b.GrantOverlap = true
+	case "brk-underflow":
+		b.BrkUnderflow = true
+	case "missed-mode-switch":
+		b.MissedModeSwitch = true
+	default:
+		return b, false
+	}
+	return b, true
+}
+
+// Name names the first enabled published bug, "" when none.
+func (b BugSet) Name() string {
+	switch {
+	case b.GrantOverlap:
+		return "grant-overlap"
+	case b.BrkUnderflow:
+		return "brk-underflow"
+	case b.MissedModeSwitch:
+		return "missed-mode-switch"
+	}
+	return ""
+}
+
 // MpuConfig is the per-process MPU configuration the monolithic interface
 // mutates in place (the `config: &mut MpuConfig` of Figure 3a). Alongside
 // the register values it caches the layout parameters the update path

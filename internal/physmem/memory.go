@@ -188,9 +188,6 @@ func (m *Memory) TrackDirty() {
 	}
 }
 
-// TrackingDirty reports whether write tracking is enabled.
-func (m *Memory) TrackingDirty() bool { return m.dirty != nil }
-
 // DrainDirty returns the sorted page bases written since the last drain
 // (or since TrackDirty) and clears the set. Nil when tracking is off.
 func (m *Memory) DrainDirty() []uint32 {

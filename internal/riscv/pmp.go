@@ -76,34 +76,31 @@ var (
 // Chips lists all supported chip configurations.
 var Chips = []ChipConfig{ChipHiFive1, ChipESP32C3, ChipLiteX}
 
-// PMP models the CSR state of a PMP unit.
+// PMP models the CSR state of a PMP unit. The access map derived from
+// the CSRs, and the range queries answered from it, come from the
+// embedded cache.
 type PMP struct {
+	accessmap.Cache
+
 	Chip ChipConfig
 	cfg  []uint8
 	addr []uint32 // pmpaddr registers: physical address >> 2
-
-	// WriteLog records CSR writes (entry indices) for TCB-order tests.
-	WriteLog []int
-
-	// MapBuilds counts access-map constructions; the cache-invalidation
-	// ablation guard asserts it only moves when the configuration does.
-	MapBuilds uint64
-
-	// gen counts CSR mutations (SetEntry and the unvalidated FlipBits
-	// path); the derived access map is cached against it.
-	gen     uint64
-	amap    *accessmap.Map
-	amapGen uint64
 }
 
 // NewPMP returns a PMP with all entries OFF.
 func NewPMP(chip ChipConfig) *PMP {
-	return &PMP{
+	p := &PMP{
 		Chip: chip,
 		cfg:  make([]uint8, chip.Entries),
 		addr: make([]uint32, chip.Entries),
 	}
+	p.Cache = accessmap.NewCache(p)
+	return p
 }
+
+// Ctrl returns 0: every PMP configuration input lives behind SetEntry
+// and FlipBits, which invalidate the access-map cache.
+func (p *PMP) Ctrl() uint32 { return 0 }
 
 // SetEntry writes pmpcfg[i] and pmpaddr[i]. Locked entries reject writes,
 // as the hardware silently ignores them — surfaced as an error here so the
@@ -152,8 +149,7 @@ func (p *PMP) SetEntry(i int, cfg uint8, addrReg uint32) error {
 	}
 	p.cfg[i] = cfg
 	p.addr[i] = addrReg
-	p.WriteLog = append(p.WriteLog, i)
-	p.gen++
+	p.Invalidate()
 	return nil
 }
 
@@ -163,26 +159,15 @@ func (p *PMP) ClearEntry(i int) error { return p.SetEntry(i, 0, 0) }
 // FlipBits XORs raw bit patterns into pmpcfg[i] and pmpaddr[i], bypassing
 // the SetEntry validation (lock bits, reserved encodings, TOR support) —
 // modelling a single-event upset striking the CSR file rather than a
-// csrw. The flip is not recorded in WriteLog: no instruction executed.
-// Out-of-range entries no-op.
+// csrw. Out-of-range entries no-op.
 func (p *PMP) FlipBits(i int, cfgXor uint8, addrXor uint32) {
 	if i < 0 || i >= p.Chip.Entries {
 		return
 	}
 	p.cfg[i] ^= cfgXor
 	p.addr[i] ^= addrXor
-	p.gen++
+	p.Invalidate()
 }
-
-// Generation returns the configuration-generation counter: it advances on
-// every CSR mutation (SetEntry and FlipBits), including the unvalidated
-// fault-injection path, so cached derivations can detect staleness.
-func (p *PMP) Generation() uint64 { return p.gen }
-
-// FastStamp is the configuration stamp the block-cache fast paths key
-// cached permission decisions on. For PMP every configuration input lives
-// behind SetEntry/FlipBits, so the stamp is just the generation counter.
-func (p *PMP) FastStamp() uint64 { return p.gen }
 
 // Entry returns the raw CSR values of entry i.
 func (p *PMP) Entry(i int) (cfg uint8, addrReg uint32) { return p.cfg[i], p.addr[i] }
@@ -271,11 +256,11 @@ func (p *PMP) Check(addr uint32, kind mpu.AccessKind, machineMode bool) error {
 	return &mpu.ProtectionError{Addr: addr, Kind: kind, Privileged: false}
 }
 
-// boundaries collects every address at which the PMP decision can change:
+// Boundaries collects every address at which the PMP decision can change:
 // per entry, the TOR pair's bounds (the lower bound reads the previous
 // entry's pmpaddr regardless of that entry's mode), the NA4 quad, or the
 // decoded NAPOT span.
-func (p *PMP) boundaries() []uint64 {
+func (p *PMP) Boundaries() []uint64 {
 	bs := make([]uint64, 0, 2*p.Chip.Entries)
 	for i := 0; i < p.Chip.Entries; i++ {
 		switch p.cfg[i] & CfgAMask >> CfgAShift {
@@ -294,52 +279,6 @@ func (p *PMP) boundaries() []uint64 {
 		}
 	}
 	return bs
-}
-
-// AccessMap returns the interval decision map derived from the current
-// CSR state, rebuilding it only when the configuration generation changed
-// since the last build.
-func (p *PMP) AccessMap() *accessmap.Map {
-	if p.amap == nil || p.amapGen != p.gen {
-		p.amap = accessmap.Build(p.boundaries(), func(addr uint32, kind mpu.AccessKind, privileged bool) bool {
-			return p.Check(addr, kind, privileged) == nil
-		})
-		p.amapGen = p.gen
-		p.MapBuilds++
-	}
-	return p.amap
-}
-
-// AccessibleUser reports whether a user access of kind succeeds for every
-// byte of [start, start+length). Zero length is vacuously accessible; a
-// range running past the top of the 32-bit address space is not.
-// Answered from the cached interval map; AccessibleUserByteScan is the
-// per-byte oracle it must agree with.
-func (p *PMP) AccessibleUser(start, length uint32, kind mpu.AccessKind) bool {
-	return p.AccessMap().AllAllowed(start, length, kind, false)
-}
-
-// AnyAccessibleUser reports whether at least one byte of [start,
-// start+length) admits a user access of kind; bytes past the top of the
-// address space are ignored.
-func (p *PMP) AnyAccessibleUser(start, length uint32, kind mpu.AccessKind) bool {
-	return p.AccessMap().AnyAllowed(start, length, kind, false)
-}
-
-// AccessibleUserByteScan is the trusted per-byte oracle for
-// AccessibleUser, kept for differential verification of the interval
-// engine. It shares AccessibleUser's end-of-address-space semantics.
-func (p *PMP) AccessibleUserByteScan(start, length uint32, kind mpu.AccessKind) bool {
-	end := uint64(start) + uint64(length)
-	if end > accessmap.AddressSpace {
-		return false
-	}
-	for a := uint64(start); a < end; a++ {
-		if p.Check(uint32(a), kind, false) != nil {
-			return false
-		}
-	}
-	return true
 }
 
 // DecodeNAPOT decodes a NAPOT pmpaddr register value to its (base, size)

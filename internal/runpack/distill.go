@@ -168,8 +168,9 @@ func deriveDifftestRegress(caseName, bug string) (*Regress, map[string]*flightre
 	}
 	cfg := difftest.Config{NoTraceDump: true}
 	if bug != "" {
-		if cfg.Bugs, err = ParseBug(bug); err != nil {
-			return nil, nil, err
+		var ok bool
+		if cfg.Bugs, ok = monolithic.ParseBug(bug); !ok {
+			return nil, nil, fmt.Errorf("runpack: unknown baseline bug %q", bug)
 		}
 	}
 	_, ttRec, err := difftest.RunRecorded(tc, kernel.FlavourTickTock, cfg)
@@ -330,7 +331,7 @@ func sealRegress(root, command string, r *Regress, slices map[string]*flightrec.
 // content-addressed pack. bugs names the seeded baseline bug the
 // divergence was observed under (zero for none).
 func DistillCase(root, caseName string, bugs monolithic.BugSet) (dir, receipt string, err error) {
-	bug := bugName(difftest.Config{Bugs: bugs})
+	bug := bugs.Name()
 	r, slices, err := deriveDifftestRegress(caseName, bug)
 	if err != nil {
 		return "", "", err

@@ -38,7 +38,9 @@ func prometheusText(reg *metrics.Registry) ([]byte, error) {
 	return []byte(b.String()), nil
 }
 
-// faultcampConfig is the stable config view stored in campaign packs.
+// faultcampConfig is the stable config view stored in campaign and
+// quarantine packs: the settings that determine scenario results, and
+// none of the scheduling ones such as Workers.
 type faultcampConfig struct {
 	Seed        int64  `json:"seed"`
 	N           int    `json:"n"`
@@ -46,6 +48,15 @@ type faultcampConfig struct {
 	Watchdog    int    `json:"watchdog"`
 	BackoffBase uint64 `json:"backoff_base"`
 	Chaos       string `json:"chaos,omitempty"`
+}
+
+// packConfig returns the faultcampConfig view of cfg.
+func packConfig(cfg faultinject.Config) faultcampConfig {
+	return faultcampConfig{
+		Seed: cfg.Seed, N: cfg.N,
+		MaxRestarts: faultinject.MaxRestarts, Watchdog: faultinject.Watchdog, BackoffBase: faultinject.BackoffBase,
+		Chaos: cfg.Chaos,
+	}
 }
 
 // EmitFaultcamp seals a campaign run under supervision settings sup
@@ -57,11 +68,7 @@ type faultcampConfig struct {
 // the campaign in-process.
 func EmitFaultcamp(root string, rep *faultinject.Report, sup campaign.Config) (dir, receipt string, err error) {
 	cfg := rep.Config
-	b := NewBuilder(KindFaultcamp, FaultcampCommand(rep, sup), faultcampConfig{
-		Seed: cfg.Seed, N: cfg.N,
-		MaxRestarts: cfg.MaxRestarts, Watchdog: cfg.Watchdog, BackoffBase: cfg.BackoffBase,
-		Chaos: cfg.Chaos,
-	})
+	b := NewBuilder(KindFaultcamp, FaultcampCommand(rep, sup), packConfig(cfg))
 	b.AddFile("result.txt", []byte(rep.Text()))
 	b.SetResult("result.txt")
 	b.AddFile("rows.txt", []byte(difftest.Table(rep.Rows())))
@@ -106,7 +113,7 @@ type difftestConfig struct {
 // recordings of the divergent case. The receipt's command re-runs the
 // campaign in-process.
 func EmitDifftest(root string, cfg difftest.Config, rows []difftest.Row) (dir, receipt string, err error) {
-	b := NewBuilder(KindDifftest, DifftestCommand(cfg), difftestConfig{Bug: bugName(cfg)})
+	b := NewBuilder(KindDifftest, DifftestCommand(cfg), difftestConfig{Bug: cfg.Bugs.Name()})
 	b.AddFile("result.txt", []byte(difftest.Table(rows)))
 	b.SetResult("result.txt")
 

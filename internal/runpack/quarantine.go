@@ -64,7 +64,7 @@ func EmitQuarantine(root string, cfg faultinject.Config, o campaign.Outcome[faul
 	if err != nil {
 		return "", "", err
 	}
-	b := NewBuilder(KindQuarantine, cmd, cfg)
+	b := NewBuilder(KindQuarantine, cmd, packConfig(cfg))
 	b.AddFile("result.txt", []byte(result))
 	b.AddFile("attempts.json", append(evidence, '\n'))
 	b.SetResult("result.txt")

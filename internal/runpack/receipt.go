@@ -248,7 +248,7 @@ func executeFaultcamp(args []string) ([]byte, error) {
 
 // DifftestCommand renders the receipt command for a campaign config.
 func DifftestCommand(cfg difftest.Config) string {
-	if b := bugName(cfg); b != "" {
+	if b := cfg.Bugs.Name(); b != "" {
 		return "difftest -bug " + b
 	}
 	return "difftest"
@@ -263,9 +263,9 @@ func executeDifftest(args []string) ([]byte, error) {
 	}
 	cfg := difftest.Config{NoTraceDump: true}
 	if bug != "" {
-		b, err := ParseBug(bug)
-		if err != nil {
-			return nil, err
+		b, ok := monolithic.ParseBug(bug)
+		if !ok {
+			return nil, fmt.Errorf("runpack: unknown baseline bug %q", bug)
 		}
 		cfg.Bugs = b
 	}
@@ -290,9 +290,9 @@ func executeReplay(args []string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	fl, err := ParseFlavour(flavour)
-	if err != nil {
-		return nil, err
+	fl, ok := kernel.ParseFlavour(flavour)
+	if !ok {
+		return nil, fmt.Errorf("runpack: unknown kernel flavour %q", flavour)
 	}
 	_, rec, err := difftest.RunRecorded(tc, fl, difftest.Config{})
 	if err != nil {
@@ -328,54 +328,8 @@ func findCase(name string) (apps.TestCase, error) {
 	if name == "" {
 		return apps.TestCase{}, fmt.Errorf("runpack: replay command needs -record CASE")
 	}
-	for _, tc := range apps.All() {
-		if tc.Name == name {
-			return tc, nil
-		}
+	if tc, ok := apps.Find(name); ok {
+		return tc, nil
 	}
 	return apps.TestCase{}, fmt.Errorf("runpack: unknown release-test case %q", name)
-}
-
-// ParseFlavour parses a kernel flavour name as it appears in receipt
-// commands and pack configs.
-func ParseFlavour(name string) (kernel.Flavour, error) {
-	switch name {
-	case "ticktock":
-		return kernel.FlavourTickTock, nil
-	case "tock":
-		return kernel.FlavourTock, nil
-	default:
-		return 0, fmt.Errorf("runpack: unknown kernel flavour %q", name)
-	}
-}
-
-// bugName names the single enabled baseline bug ("" when none) — the
-// inverse of ParseBug, shared by receipt commands and distilled packs.
-func bugName(cfg difftest.Config) string {
-	switch {
-	case cfg.Bugs.GrantOverlap:
-		return "grant-overlap"
-	case cfg.Bugs.BrkUnderflow:
-		return "brk-underflow"
-	case cfg.Bugs.MissedModeSwitch:
-		return "missed-mode-switch"
-	}
-	return ""
-}
-
-// ParseBug resolves a published baseline bug by name — the inverse of
-// bugName, shared with the CLIs and distilled regression packs.
-func ParseBug(name string) (monolithic.BugSet, error) {
-	var b monolithic.BugSet
-	switch name {
-	case "grant-overlap":
-		b.GrantOverlap = true
-	case "brk-underflow":
-		b.BrkUnderflow = true
-	case "missed-mode-switch":
-		b.MissedModeSwitch = true
-	default:
-		return b, fmt.Errorf("runpack: unknown baseline bug %q", name)
-	}
-	return b, nil
 }

@@ -73,6 +73,29 @@ func TestFaultcampPackVerifies(t *testing.T) {
 	}
 }
 
+// TestQuarantinePackIgnoresWorkers seals one quarantined outcome under
+// two worker counts. Workers changes scheduling, never results, so the
+// pack, named by its manifest digest, must be the same.
+func TestQuarantinePackIgnoresWorkers(t *testing.T) {
+	o := campaign.Outcome[faultinject.Result]{
+		Index: 1, Key: "sc0001", Status: campaign.StatusQuarantined,
+		Attempts: []campaign.Attempt{{Failure: campaign.FailTimeout, Err: "wedged"}},
+	}
+	var names []string
+	for _, workers := range []int{1, 2} {
+		cfg := smallCampaign
+		cfg.Workers = workers
+		dir, _, err := EmitQuarantine(t.TempDir(), cfg, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		names = append(names, filepath.Base(dir))
+	}
+	if names[0] != names[1] {
+		t.Fatalf("quarantine pack depends on Workers: %s vs %s", names[0], names[1])
+	}
+}
+
 // TestVerifyDetectsSingleFlippedByte is the negative acceptance
 // criterion: flipping one byte in ANY manifest-covered file (and in the
 // manifest and receipt themselves) must fail verification.

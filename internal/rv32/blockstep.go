@@ -72,7 +72,6 @@ func (m *Machine) buildBlock(pc uint32) *blockcache.Block[Instr] {
 		Base:   pc,
 		Instrs: p.Instrs[i : i+n],
 		Prefix: make([]uint64, n+1),
-		Cover:  -1,
 	}
 	for k, in := range b.Instrs {
 		b.Prefix[k+1] = b.Prefix[k] + in.Cost()
@@ -175,13 +174,14 @@ func (m *Machine) runFast(budget uint64) (*Stop, error) {
 			continue
 		}
 		priv := m.machineMode()
-		stamp := m.PMP.FastStamp()
-		if b.Cover < 0 || b.Stamp != stamp || b.Priv != priv {
+		am := m.PMP.Current(m.PMP.Ctrl())
+		if am == nil || b.Map != am || b.Priv != priv {
+			am = m.PMP.AccessMap()
 			b.Cover = 0
-			if iv, ok := m.PMP.AccessMap().Lookup(pc, mpu.AccessExecute, priv); ok {
+			if iv, ok := am.Lookup(pc, mpu.AccessExecute, priv); ok {
 				b.Cover = blockcache.CoverFromInterval(b.Base, len(b.Instrs), 4, iv)
 			}
-			b.Stamp, b.Priv = stamp, priv
+			b.Map, b.Priv = am, priv
 			f.table.Stats.CoverRechecks++
 		}
 		n := b.Cover

@@ -332,13 +332,12 @@ func (m *Machine) machineMode() bool { return m.Priv == PrivMachine }
 func (m *Machine) check(addr uint32, kind mpu.AccessKind) error {
 	if f := m.fast; f != nil {
 		priv := m.machineMode()
-		stamp := m.PMP.FastStamp()
-		if f.hints.Allows(addr, 1, kind, priv, stamp) {
+		if f.hints.Allows(addr, 1, kind, priv, m.PMP.Current(m.PMP.Ctrl())) {
 			f.table.Stats.HintHits++
 			return nil
 		}
 		f.table.Stats.HintMisses++
-		if f.hints.Update(addr, 1, kind, priv, stamp, m.PMP.AccessMap()) {
+		if f.hints.Update(addr, 1, kind, priv, m.PMP.AccessMap()) {
 			return nil
 		}
 	}

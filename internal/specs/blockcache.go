@@ -26,8 +26,8 @@ import (
 //     check is equivalent to the oracle's per-instruction checks.
 //   - hint_invalidation_sound: after any configuration mutation
 //     (validated writes, SEU FlipBits, control-register toggles) the
-//     stamp changes, a warmed hint goes silent, and re-warming yields
-//     the post-mutation hardware answer.
+//     unit's access map changes, a warmed hint goes silent, and
+//     re-warming yields the post-mutation hardware answer.
 //   - timer_user_entry: the cross-port preemption contract — a tick
 //     already pending when user code is entered preempts before any
 //     user instruction retires, on both ports and both cores. This is
@@ -123,28 +123,28 @@ type bcMutation struct {
 }
 
 // checkHintInvalidation warms a hint per (addr, kind), applies the
-// mutation, and demands: the stamp moved, the stale hint answers
+// mutation, and demands: the map changed, the stale hint answers
 // nothing, and a re-warmed hint reproduces the hardware verdict.
-func checkHintInvalidation(t *verify.T, am func() *accessmap.Map, stamp func() uint64,
+func checkHintInvalidation(t *verify.T, am func() *accessmap.Map,
 	check accessmap.Checker, addrs []uint32, mut bcMutation) {
 	var h blockcache.Hints
 	kinds := []mpu.AccessKind{mpu.AccessRead, mpu.AccessWrite}
-	before := stamp()
+	before := am()
 	for _, addr := range addrs {
 		for _, kind := range kinds {
-			h.Update(addr, 1, kind, false, before, am())
+			h.Update(addr, 1, kind, false, before)
 		}
 	}
 	mut.mutate()
-	after := stamp()
+	after := am()
 	t.Enumerate(1)
 	if after == before {
-		t.Failf("stamp advances", "%s: stamp unchanged (0x%x) after mutation", mut.name, before)
+		t.Failf("map changes", "%s: access map unchanged after mutation", mut.name)
 		return
 	}
 	// First pass: every pre-mutation hint must be silent under the new
-	// stamp — checked before any Update, which would legitimately
-	// re-warm the slots against the new configuration.
+	// map — checked before any Update, which would legitimately re-warm
+	// the slots against the new configuration.
 	for _, addr := range addrs {
 		for _, kind := range kinds {
 			t.Enumerate(1)
@@ -159,7 +159,7 @@ func checkHintInvalidation(t *verify.T, am func() *accessmap.Map, stamp func() u
 	for _, addr := range addrs {
 		for _, kind := range kinds {
 			t.Enumerate(1)
-			got := h.Update(addr, 1, kind, false, after, am())
+			got := h.Update(addr, 1, kind, false, after)
 			if want := check(addr, kind, false); got != want {
 				t.Failf("rewarmed hint matches hardware", "%s: addr=0x%08x kind=%v hint=%v check=%v", mut.name, addr, kind, got, want)
 				return
@@ -358,16 +358,16 @@ func BuildBlockCache(sc Scale) *verify.Registry {
 					return
 				}
 				h := v7m()
-				checkHintInvalidation(t, h.AccessMap, h.FastStamp, func(a uint32, k mpu.AccessKind, p bool) bool {
+				checkHintInvalidation(t, h.AccessMap, func(a uint32, k mpu.AccessKind, p bool) bool {
 					return h.Check(a, k, p) == nil
 				}, v7mAddrs, bcMutation{mut.name, func() { mut.run(h) }})
 			}
 		},
 	})
 	// The v8-M port has no machine wired to the fast core yet, but its
-	// MPU exports the same AccessMap/FastStamp surface the hints consume,
-	// so the invalidation obligation is pinned for it too (no FlipBits on
-	// this model — SEU injection targets the v7-M and PMP ports).
+	// MPU embeds the same access-map cache the hints consume, so the
+	// invalidation obligation is pinned for it too (no FlipBits on this
+	// model — SEU injection targets the v7-M and PMP ports).
 	v8m := func() *armv8m.MPUHardware {
 		h := armv8m.NewMPUHardware()
 		h.CtrlEnable = true
@@ -396,7 +396,7 @@ func BuildBlockCache(sc Scale) *verify.Registry {
 					return
 				}
 				h := v8m()
-				checkHintInvalidation(t, h.AccessMap, h.FastStamp, func(a uint32, k mpu.AccessKind, p bool) bool {
+				checkHintInvalidation(t, h.AccessMap, func(a uint32, k mpu.AccessKind, p bool) bool {
 					return h.Check(a, k, p) == nil
 				}, v8mAddrs, bcMutation{mut.name, func() { mut.run(h) }})
 			}
@@ -424,7 +424,7 @@ func BuildBlockCache(sc Scale) *verify.Registry {
 					return
 				}
 				p := pmp()
-				checkHintInvalidation(t, p.AccessMap, p.FastStamp, func(a uint32, k mpu.AccessKind, pr bool) bool {
+				checkHintInvalidation(t, p.AccessMap, func(a uint32, k mpu.AccessKind, pr bool) bool {
 					return p.Check(a, k, pr) == nil
 				}, rvAddrs, bcMutation{mut.name, func() { mut.run(p) }})
 			}
