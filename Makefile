@@ -73,26 +73,31 @@ faultcamp:
 # under the race detector — kill-and-resume determinism at varying
 # worker counts, terminal quarantine across resume, chaos-seeded
 # timeout/crash classification, supervised receipts, nested-backoff
-# additivity — then runs a chaos campaign whose quarantined scenarios
-# seal as bug-report packs (CI archives ./quarantine) and verifies the
-# sealed evidence including receipt re-derivation.
+# additivity, the per-campaign baseline table (one run per key, results
+# equal to RunScenario's, nothing stored by a panic, no lookup waiting
+# on another) and violation recordings made on demand — then runs a
+# chaos campaign whose quarantined scenarios seal as bug-report packs
+# (CI archives ./quarantine) and verifies the sealed evidence including
+# receipt re-derivation.
 campaigncheck:
 	$(GO) test -race -count=1 ./internal/campaign/
-	$(GO) test -race -count=1 -run 'Supervised|KillAndResume|Chaos|Quarantine|RecordRunsBothOrNeither|EmptyCampaign|NestedBackoff|CampaignObligations' \
+	$(GO) test -race -count=1 -run 'Supervised|KillAndResume|Chaos|Quarantine|RecordRunsBothOrNeither|EmptyCampaign|NestedBackoff|CampaignObligations|Baseline|LazyRecording' \
 		./internal/faultinject/ ./internal/difftest/ ./internal/specs/ ./cmd/faultcamp/
 	rm -rf quarantine && mkdir -p quarantine
 	$(GO) run ./cmd/faultcamp -seed 7 -n 12 -chaos "wedge:2,panic:9" -timeout 2s -retries 1 -quarantine quarantine
 	$(GO) run ./cmd/runpack verify -rerun quarantine/*
 
 # telemetrycheck proves the live telemetry plane end to end under the
-# race detector: plane/server/progress unit suites, the streaming
-# aggregation invariants (live aggregate == post-hoc merge at any worker
-# count), traced == untraced results, the exposition round-trip, and the
-# mid-run HTTP scrape — a supervised campaign run with -serve must
-# answer /metrics, /progress, /healthz and /timeline while running, with
-# validated payloads — then the zero-sim-cycle ablation guard.
+# race detector: plane/progress and scrape-server unit suites, the
+# net/http-free dependency closure of the campaign packages, the
+# streaming aggregation invariants (live aggregate == post-hoc merge at
+# any worker count), traced == untraced results, the exposition
+# round-trip, and the mid-run HTTP scrape — a supervised campaign run
+# with -serve must answer /metrics, /progress, /healthz and /timeline
+# while running, with validated payloads — then the zero-sim-cycle
+# ablation guard.
 telemetrycheck:
-	$(GO) test -race -count=1 ./internal/telemetry/
+	$(GO) test -race -count=1 ./internal/telemetry/...
 	$(GO) test -race -count=1 -run 'Telemetry|ServeAnswersMidRun|Delta|Exposition|RoundTrip|Help|ContentType|Fleet|Traced|LiveAggregate|LiveEquals|Blockcache|SnapshotUnderConcurrent|HistogramQuantile' \
 		./internal/metrics/ ./internal/trace/ ./internal/difftest/ ./internal/faultinject/ ./cmd/faultcamp/
 	$(GO) test -bench 'Ablation_TelemetryOverhead' -benchtime 1x -run '^$$' .

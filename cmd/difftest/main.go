@@ -5,8 +5,16 @@
 // any case failed to run.
 //
 // Unexpected mismatches come with a side-by-side kernel event trace of
-// the two flavours (suppress with -notrace). The published baseline bugs
-// can be re-enabled with -bug to watch the campaign catch them.
+// the two flavours (suppress with -notrace). -bug re-enables one of the
+// published baseline bugs, but the release suite catches only one of
+// them: missed-mode-switch (tock#4246) changes the output of
+// stack_growth and makes mpu_walk_region an unexpected verdict, so the
+// run exits 1 with a trace dump. grant-overlap (tock#4366) and
+// brk-underflow (§2.2) leave every row of the suite as the clean run
+// prints it; no release test reaches them. Their own tests re-find
+// them: kernel.TestGrantOverlapBugEndToEnd,
+// monolithic.TestGrantOverlapBugRediscovered and
+// monolithic.TestBrkUnderflowBug.
 //
 // Usage:
 //
@@ -50,6 +58,7 @@ import (
 	"ticktock/internal/monolithic"
 	"ticktock/internal/runpack"
 	"ticktock/internal/telemetry"
+	"ticktock/internal/telemetry/scrape"
 )
 
 func main() {
@@ -109,7 +118,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		plane = telemetry.New()
 	}
 	if *serve != "" {
-		srv, err := telemetry.Serve(*serve, plane)
+		srv, err := scrape.Serve(*serve, plane)
 		if err != nil {
 			fmt.Fprintf(stderr, "difftest: telemetry server: %v\n", err)
 			return 1

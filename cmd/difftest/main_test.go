@@ -2,9 +2,13 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"strings"
 	"testing"
+
+	"ticktock/internal/difftest"
+	"ticktock/internal/monolithic"
 )
 
 // runCLI invokes the difftest entry point against buffers.
@@ -63,5 +67,38 @@ func TestCoresTableIsWorkerInvariant(t *testing.T) {
 	code, parallel, stderr := runCLI(t, "-cores", "-j", "2")
 	if code != 0 || parallel != serial {
 		t.Fatalf("-cores -j 2: exit %d, table differs from -j 1:\n%s\nstderr:\n%s", code, parallel, stderr)
+	}
+}
+
+// TestBugRowsAgainstCleanRun pins which rows of the release suite each
+// published bug changes relative to the clean run, which the package
+// comment states: only missed-mode-switch shows in the suite, while the
+// other two are found by their own tests.
+func TestBugRowsAgainstCleanRun(t *testing.T) {
+	clean := difftest.RunAllConfig(difftest.Config{NoTraceDump: true})
+	for bug, want := range map[string][]string{
+		"grant-overlap":      nil,
+		"brk-underflow":      nil,
+		"missed-mode-switch": {"stack_growth", "mpu_walk_region"},
+	} {
+		bugs, ok := monolithic.ParseBug(bug)
+		if !ok {
+			t.Fatalf("unknown bug %q", bug)
+		}
+		var got []string
+		for i, row := range difftest.RunAllConfig(difftest.Config{Bugs: bugs, NoTraceDump: true}) {
+			c := clean[i]
+			if row.Name != c.Name {
+				t.Fatalf("%s: row %d is %s, clean row %s", bug, i, row.Name, c.Name)
+			}
+			if row.Equal != c.Equal || row.TickTock != c.TickTock || row.Tock != c.Tock ||
+				row.TickTockStates != c.TickTockStates || row.TockStates != c.TockStates ||
+				fmt.Sprint(row.Err) != fmt.Sprint(c.Err) {
+				got = append(got, row.Name)
+			}
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("-bug %s changes rows %v of the clean run, want %v", bug, got, want)
+		}
 	}
 }

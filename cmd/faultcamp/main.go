@@ -64,6 +64,7 @@ import (
 	"ticktock/internal/metrics"
 	"ticktock/internal/runpack"
 	"ticktock/internal/telemetry"
+	"ticktock/internal/telemetry/scrape"
 )
 
 func main() {
@@ -119,7 +120,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		plane = telemetry.New()
 	}
 	if *serve != "" {
-		srv, err := telemetry.Serve(*serve, plane)
+		srv, err := scrape.Serve(*serve, plane)
 		if err != nil {
 			fmt.Fprintf(stderr, "faultcamp: telemetry server: %v\n", err)
 			return 1

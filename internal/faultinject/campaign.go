@@ -57,29 +57,45 @@ func rvApps() map[string]rvkernel.App {
 // report's supervision section instead of crashing the process.
 func Run(cfg Config) *Report {
 	cfg = cfg.withDefaults()
-	run, _ := campaign.Supervise(campaign.Config{Workers: cfg.Workers}, units(cfg, nil, nil)) // no journal: cannot fail
+	run, _ := campaign.Supervise(campaign.Config{Workers: cfg.Workers}, campaignRunner(cfg).units(nil, nil)) // no journal: cannot fail
 	return ReportFromRun(cfg, run)
 }
 
 // RunScenario executes one scenario on both ports: an uninjected
 // baseline and an injected run each, classifying the injected run
-// against its baseline.
+// against its baseline. It shares no baseline with any other call; only
+// the units of one campaign do (see campaignRunner).
 func RunScenario(sc Scenario, cfg Config) Result {
-	return runScenario(sc, cfg, nil)
+	return (&runner{cfg: cfg.withDefaults()}).scenario(sc, nil)
 }
 
-// runScenario is RunScenario with a kernel tracer attached to the
-// *injected* runs on both ports — the hook the live telemetry plane
-// uses to nest a scenario's kernel events under its attempt span in the
-// fleet timeline. The tracer observes the cycle meter without charging
-// it, so a traced Result is identical to an untraced one. A nil tracer
-// is exactly RunScenario.
-func runScenario(sc Scenario, cfg Config, tr *trace.Tracer) Result {
-	cfg = cfg.withDefaults()
+// runner runs the scenarios of one campaign under one Config. Its
+// baseline tables live and die with it; with nil tables every baseline
+// runs afresh on its whole scenario.
+type runner struct {
+	cfg     Config
+	arm, rv *baselineTable
+}
+
+// campaignRunner returns a runner with its own, empty baseline tables,
+// for the units of one campaign Source. Stealing workers share them;
+// a resumed run builds a new Source and so new tables, and no table
+// outlives its campaign, so nothing a scenario reports depends on what
+// ran before it in the process.
+func campaignRunner(cfg Config) *runner {
+	return &runner{cfg: cfg, arm: &baselineTable{}, rv: &baselineTable{}}
+}
+
+// scenario runs sc on both ports with a kernel tracer attached to the
+// *injected* runs — the hook the live telemetry plane uses to nest a
+// scenario's kernel events under its attempt span in the fleet
+// timeline. The tracer observes the cycle meter without charging it, so
+// a traced Result is identical to an untraced one.
+func (r *runner) scenario(sc Scenario, tr *trace.Tracer) Result {
 	return Result{
 		Scenario: sc,
-		ARM:      runARMScenario(sc, cfg, tr),
-		RV:       runRVScenario(sc, cfg, tr),
+		ARM:      armPort.result(sc, r.cfg, r.arm, tr),
+		RV:       rvPort.result(sc, r.cfg, r.rv, tr),
 	}
 }
 
@@ -98,34 +114,71 @@ func runScenario(sc Scenario, cfg Config, tr *trace.Tracer) Result {
 // drivers always run; their failures are joined.
 func RecordRuns(sc Scenario, cfg Config, inject bool) (arm, rv *flightrec.Recording, err error) {
 	cfg = cfg.withDefaults()
-	armPort := "arm-ticktock"
-	if sc.Monolithic {
-		armPort = "arm-tock"
-	}
-	armRec := flightrec.NewRecorder(armPort)
-	var armErr, rvErr error
-	if _, _, _, e := armRun(sc, cfg, inject, kcore.Observe{FlightRec: armRec}); e != nil {
-		armErr = fmt.Errorf("faultinject: recording %s: %w", armPort, e)
-	}
-	chip := riscv.Chips[sc.Chip%len(riscv.Chips)]
-	rvRec := flightrec.NewRecorder("rv32-" + chip.Name)
-	if _, _, _, e := rvRun(sc, cfg, chip, inject, kcore.Observe{FlightRec: rvRec}); e != nil {
-		rvErr = fmt.Errorf("faultinject: recording rv32-%s: %w", chip.Name, e)
-	}
+	arm, armErr := armPort.record(sc, cfg, inject)
+	rv, rvErr := rvPort.record(sc, cfg, inject)
 	if armErr != nil || rvErr != nil {
 		return nil, nil, errors.Join(armErr, rvErr)
 	}
-	return armRec.Finish(), rvRec.Finish(), nil
+	return arm, rv, nil
 }
 
-// classifyPort folds the baseline/injected pair into a PortResult.
-func classifyPort(port string, base, inj runSignature, applied bool, violations []string) PortResult {
-	pr := PortResult{Port: port, Applied: applied, Violations: violations}
+// port is one kernel port's side of a scenario: its label, its driver
+// (armRun or rvRun) and the projection of a scenario onto what its
+// clean baseline reads.
+type port struct {
+	name    func(Scenario) string
+	run     func(sc Scenario, cfg Config, inject bool, obs kcore.Observe) (runSignature, []string, bool, error)
+	baseKey func(Scenario) Scenario
+}
+
+var (
+	armPort = port{name: armPortName, run: armRun, baseKey: armBaseKey}
+	rvPort  = port{name: rvPortName, run: rvRun, baseKey: rvBaseKey}
+)
+
+// result classifies sc's injected run on the port, which carries tr,
+// against the clean baseline that bases holds for sc's key (run on sc
+// itself when bases is nil). When cfg.Record is set and the isolation
+// sweep finds violations, the injected run is repeated under a fresh
+// flight recorder and no tracer, and the recording is attached as
+// Replay: it is the recording RecordRuns(sc, cfg, true) returns for the
+// port, whatever tracer the campaign attached.
+func (p port) result(sc Scenario, cfg Config, bases *baselineTable, tr *trace.Tracer) PortResult {
+	name := p.name(sc)
+	base, err := bases.get(sc, p.baseKey, func(sc Scenario) (runSignature, error) {
+		sig, _, _, err := p.run(sc, cfg, false, kcore.Observe{})
+		return sig, err
+	})
+	if err != nil {
+		return PortResult{Port: name, Err: err.Error()}
+	}
+	inj, violations, applied, err := p.run(sc, cfg, true, kcore.Observe{Trace: tr})
+	if err != nil {
+		return PortResult{Port: name, Err: err.Error()}
+	}
+	pr := PortResult{Port: name, Applied: applied, Violations: violations}
 	pr.Outcome, pr.Detail = classify(applied, base, inj)
 	if inj.Quarantines > base.Quarantines {
 		pr.QuarantineDelta = inj.Quarantines - base.Quarantines
 	}
+	if cfg.Record && len(violations) > 0 {
+		// The run just completed and is deterministic, so the re-run
+		// fails only if the kernel is not; report that, never hide it.
+		if pr.Replay, err = p.record(sc, cfg, true); err != nil {
+			pr.Err = err.Error()
+		}
+	}
 	return pr
+}
+
+// record runs sc once on the port under a fresh flight recorder, with
+// or without the injection armed, and returns the recording.
+func (p port) record(sc Scenario, cfg Config, inject bool) (*flightrec.Recording, error) {
+	rec := flightrec.NewRecorder(p.name(sc))
+	if _, _, _, err := p.run(sc, cfg, inject, kcore.Observe{FlightRec: rec}); err != nil {
+		return nil, fmt.Errorf("faultinject: recording %s: %w", p.name(sc), err)
+	}
+	return rec.Finish(), nil
 }
 
 // portKernel is what a scenario run needs of either port's kernel; both
@@ -232,28 +285,12 @@ func signature(k portKernel) runSignature {
 
 // --- ARM port driver ---
 
-func runARMScenario(sc Scenario, cfg Config, tr *trace.Tracer) PortResult {
-	port := "arm-ticktock"
+// armPortName labels the ARM port by the scenario's flavour.
+func armPortName(sc Scenario) string {
 	if sc.Monolithic {
-		port = "arm-tock"
+		return "arm-tock"
 	}
-	base, _, _, err := armRun(sc, cfg, false, kcore.Observe{})
-	if err != nil {
-		return PortResult{Port: port, Err: err.Error()}
-	}
-	var rec *flightrec.Recorder
-	if cfg.Record {
-		rec = flightrec.NewRecorder(port)
-	}
-	inj, violations, applied, err := armRun(sc, cfg, true, kcore.Observe{Trace: tr, FlightRec: rec})
-	if err != nil {
-		return PortResult{Port: port, Err: err.Error()}
-	}
-	pr := classifyPort(port, base, inj, applied, violations)
-	if rec != nil && len(violations) > 0 {
-		pr.Replay = rec.Finish()
-	}
-	return pr
+	return "arm-ticktock"
 }
 
 // armRun executes the scenario's test case once on the ARM port with
@@ -402,34 +439,19 @@ func armIsolation(k *kernel.Kernel, granular bool) []string {
 
 // --- RISC-V port driver ---
 
-func runRVScenario(sc Scenario, cfg Config, tr *trace.Tracer) PortResult {
-	chip := riscv.Chips[sc.Chip%len(riscv.Chips)]
-	port := "rv32-" + chip.Name
-	base, _, _, err := rvRun(sc, cfg, chip, false, kcore.Observe{})
-	if err != nil {
-		return PortResult{Port: port, Err: err.Error()}
-	}
-	var rec *flightrec.Recorder
-	if cfg.Record {
-		rec = flightrec.NewRecorder(port)
-	}
-	inj, violations, applied, err := rvRun(sc, cfg, chip, true, kcore.Observe{Trace: tr, FlightRec: rec})
-	if err != nil {
-		return PortResult{Port: port, Err: err.Error()}
-	}
-	pr := classifyPort(port, base, inj, applied, violations)
-	if rec != nil && len(violations) > 0 {
-		pr.Replay = rec.Finish()
-	}
-	return pr
-}
+// rvChip is the chip a scenario runs on.
+func rvChip(sc Scenario) riscv.ChipConfig { return riscv.Chips[sc.Chip%len(riscv.Chips)] }
+
+// rvPortName labels the RISC-V port by the scenario's chip.
+func rvPortName(sc Scenario) string { return "rv32-" + rvChip(sc).Name }
 
 // rvRun is the RISC-V twin of armRun.
-func rvRun(sc Scenario, cfg Config, chip riscv.ChipConfig, inject bool, obs kcore.Observe) (runSignature, []string, bool, error) {
+func rvRun(sc Scenario, cfg Config, inject bool, obs kcore.Observe) (runSignature, []string, bool, error) {
 	app, ok := rvApps()[sc.App]
 	if !ok {
 		return runSignature{}, nil, false, fmt.Errorf("faultinject: no RISC-V app %q", sc.App)
 	}
+	chip := rvChip(sc)
 	k, err := rvkernel.New(chip)
 	if err != nil {
 		return runSignature{}, nil, false, err

@@ -125,17 +125,21 @@ type Config struct {
 	// Workers sizes the supervisor's shard pool (0 means one worker per
 	// CPU, campaign.Config's default).
 	Workers int
-	// Record runs each injected run under the flight recorder and
-	// attaches the recording to any PortResult whose isolation sweep
-	// found violations, so the pre-violation machine state can be
-	// replayed (cmd/faultcamp -replay). Recording observes the cycle
-	// meter but never charges it, so classifications are unchanged.
+	// Record attaches a flight recording to every PortResult whose
+	// isolation sweep found violations, so the pre-violation machine
+	// state can be replayed (cmd/faultcamp -replay). Injected runs
+	// carry no recorder: the violating port's injected run is re-run
+	// under a fresh recorder and no tracer, which gives the recording
+	// RecordRuns(sc, cfg, true) returns for that port. A clean campaign
+	// records nothing, and classifications are the same either way.
 	Record bool
-	// FastCore runs every injected and baseline kernel on the
-	// block-cache fast core instead of the byte-scan oracle core. The
-	// campaign's mid-run register corruption (MPU/PMP FlipBits at
-	// quantum boundaries) is exactly the invalidation stressor for the
-	// cache, and classifications must be byte-identical either way.
+	// FastCore runs every kernel on the block-cache fast core instead
+	// of the byte-scan oracle core: baselines, injected runs and the
+	// re-runs Record makes. The campaign's mid-run register corruption
+	// (MPU/PMP FlipBits at quantum boundaries) is exactly the
+	// invalidation stressor for the cache, and classifications must be
+	// byte-identical either way. Baselines are shared within a
+	// campaign, whose Config is fixed, so a table never mixes cores.
 	FastCore bool
 	// Chaos injects failures into the *campaign machinery itself* under
 	// RunSupervised: a spec like "wedge:3,panic:5,flaky:7" wedges

@@ -122,7 +122,7 @@ func RunSupervised(cfg Config, sup campaign.Config, plane *telemetry.Plane) (*Re
 	if sup.Observer == nil && plane != nil {
 		sup.Observer = plane
 	}
-	run, err := campaign.Supervise(sup, units(cfg, chaos, plane))
+	run, err := campaign.Supervise(sup, campaignRunner(cfg).units(chaos, plane))
 	if err != nil {
 		return nil, run, err
 	}

@@ -271,7 +271,7 @@ func TestChaosWedgeNeedsTimeout(t *testing.T) {
 // plain faultcamp run fail on.
 func TestRunQuarantinesCrashedScenario(t *testing.T) {
 	cfg := Config{Seed: 42, N: 4}.withDefaults()
-	run, err := campaign.Supervise(campaign.Config{}, units(cfg, map[int]string{2: ChaosPanic}, nil))
+	run, err := campaign.Supervise(campaign.Config{}, campaignRunner(cfg).units(map[int]string{2: ChaosPanic}, nil))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,19 +70,21 @@ func UnitsTelemetry(cfg Config, plane *telemetry.Plane) (campaign.Source[Result]
 	if err != nil {
 		return campaign.Source[Result]{}, err
 	}
-	return units(cfg, chaos, plane), nil
+	return campaignRunner(cfg).units(chaos, plane), nil
 }
 
-// units builds the unit source for a defaulted cfg and a parsed chaos
-// spec (nil for none); a nil plane is the untelemetered source.
-func units(cfg Config, chaos map[int]string, plane *telemetry.Plane) campaign.Source[Result] {
-	scenarios := GenScenarios(cfg)
+// units builds the unit source for the runner's defaulted Config and a
+// parsed chaos spec (nil for none); a nil plane is the untelemetered
+// source. Every unit looks its clean baselines up in the runner's
+// tables, so a campaign runs each distinct baseline about once.
+func (r *runner) units(chaos map[int]string, plane *telemetry.Plane) campaign.Source[Result] {
+	scenarios := GenScenarios(r.cfg)
 	var mu sync.Mutex
 	flakyFired := map[int]bool{}
 	return campaign.Source[Result]{
 		N:           len(scenarios),
 		Kind:        SupervisedKind,
-		Fingerprint: cfg.Fingerprint(),
+		Fingerprint: r.cfg.Fingerprint(),
 		Key:         func(i int) string { return scenarios[i].Label() },
 		Run: func(ctx context.Context, i int) (Result, error) {
 			switch chaos[i] {
@@ -102,7 +104,7 @@ func units(cfg Config, chaos map[int]string, plane *telemetry.Plane) campaign.So
 					return Result{}, fmt.Errorf("chaos: scenario %d transient failure", i)
 				}
 			}
-			res := runScenario(scenarios[i], cfg, plane.UnitTracer(i))
+			res := r.scenario(scenarios[i], plane.UnitTracer(i))
 			plane.UnitObservation(i, res.publishUnit)
 			return res, nil
 		},

@@ -12,8 +12,8 @@ import (
 )
 
 // TestRunScenarioTracedMatchesUntraced pins the zero-steering contract:
-// attaching a kernel tracer to the injected runs (runScenario, the unit
-// body of a telemetered campaign) changes nothing about
+// attaching a kernel tracer to the injected runs (runner.scenario, the
+// unit body of a telemetered campaign) changes nothing about
 // the Result — classification, signatures, violations and quarantine
 // deltas are identical, and the tracer actually saw kernel events.
 func TestRunScenarioTracedMatchesUntraced(t *testing.T) {
@@ -21,7 +21,7 @@ func TestRunScenarioTracedMatchesUntraced(t *testing.T) {
 	for _, sc := range GenScenarios(cfg) {
 		plain := RunScenario(sc, cfg)
 		tr := trace.New(4096)
-		traced := runScenario(sc, cfg, tr)
+		traced := campaignRunner(cfg.withDefaults()).scenario(sc, tr)
 		if !reflect.DeepEqual(plain, traced) {
 			t.Fatalf("%s: traced result differs from untraced:\nplain:  %+v\ntraced: %+v",
 				sc.Label(), plain, traced)

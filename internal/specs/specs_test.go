@@ -31,13 +31,24 @@ func TestInterruptObligationsHold(t *testing.T) {
 
 func TestGranularSuiteIsFasterThanMonolithic(t *testing.T) {
 	// The Figure 12 shape: the entangled monolithic obligation space
-	// costs far more checker time than the decoupled granular one.
-	g := BuildGranular(QuickScale).Run().Stats()
-	m := BuildMonolithic(QuickScale).Run().Stats()
-	if m.Total <= g.Total {
-		t.Fatalf("monolithic (%v) not slower than granular (%v)", m.Total, g.Total)
+	// costs far more checker time than the decoupled granular one. Each
+	// suite takes a few milliseconds, so one run of each compares host
+	// noise as much as checker work: take the fastest of five runs,
+	// interleaved so a busy spell slows both suites alike. Contention
+	// only ever adds time, so the minimum is each suite's own cost.
+	var g, m time.Duration
+	for i := 0; i < 5; i++ {
+		if d := BuildGranular(QuickScale).Run().Stats().Total; i == 0 || d < g {
+			g = d
+		}
+		if d := BuildMonolithic(QuickScale).Run().Stats().Total; i == 0 || d < m {
+			m = d
+		}
 	}
-	t.Logf("granular=%v monolithic=%v ratio=%.1f", g.Total, m.Total, float64(m.Total)/float64(g.Total))
+	if m <= g {
+		t.Fatalf("monolithic (%v) not slower than granular (%v)", m, g)
+	}
+	t.Logf("granular=%v monolithic=%v ratio=%.1f", g, m, float64(m)/float64(g))
 }
 
 func TestMonolithicDominatedByAllocate(t *testing.T) {
