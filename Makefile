@@ -98,7 +98,7 @@ campaigncheck:
 # ablation guard.
 telemetrycheck:
 	$(GO) test -race -count=1 ./internal/telemetry/...
-	$(GO) test -race -count=1 -run 'Telemetry|ServeAnswersMidRun|Delta|Exposition|RoundTrip|Help|ContentType|Fleet|Traced|LiveAggregate|LiveEquals|Blockcache|SnapshotUnderConcurrent|HistogramQuantile' \
+	$(GO) test -race -count=1 -run 'Telemetry|ServeAnswersMidRun|Exposition|RoundTrip|Help|ContentType|Fleet|Traced|LiveAggregate|LiveEquals|Blockcache|SnapshotUnderConcurrent|HistogramQuantile' \
 		./internal/metrics/ ./internal/trace/ ./internal/difftest/ ./internal/faultinject/ ./cmd/faultcamp/
 	$(GO) test -bench 'Ablation_TelemetryOverhead' -benchtime 1x -run '^$$' .
 

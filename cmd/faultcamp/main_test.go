@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"ticktock/internal/campaign"
 	"ticktock/internal/faultinject"
 	"ticktock/internal/metrics"
 	"ticktock/internal/runpack"
@@ -149,6 +150,54 @@ func TestChaosQuarantinePacks(t *testing.T) {
 		if err != nil || !strings.Contains(string(raw), "failure") {
 			t.Fatalf("attempts evidence in %s: %v", dir, err)
 		}
+	}
+}
+
+// TestChaosQuarantinePacksReproducible runs the same crashing campaign
+// twice in one process: both runs must seal the crash under the same
+// pack name, and the sealed stack must hold nothing that depends on the
+// run or the host — no goroutine id, no address or PC offset, no
+// absolute path.
+func TestChaosQuarantinePacksReproducible(t *testing.T) {
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := filepath.Dir(filepath.Dir(wd))
+	var names []string
+	for run := 0; run < 2; run++ {
+		qdir := t.TempDir()
+		code, _, stderr := runCLI(t, "-seed", "42", "-n", "6",
+			"-chaos", "panic:4", "-retries", "1", "-quarantine", qdir)
+		if code != 0 {
+			t.Fatalf("run %d: exit %d, stderr:\n%s", run, code, stderr)
+		}
+		packs, err := runpack.List(qdir)
+		if err != nil || len(packs) != 1 {
+			t.Fatalf("run %d: quarantine packs: %v %v", run, packs, err)
+		}
+		names = append(names, filepath.Base(packs[0]))
+		raw, err := os.ReadFile(filepath.Join(packs[0], "attempts.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var attempts []campaign.Attempt
+		if err := json.Unmarshal(raw, &attempts); err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range attempts {
+			if a.Failure != campaign.FailCrashed || !strings.Contains(a.Stack, "faultinject") {
+				t.Fatalf("run %d: crash sealed without its stack: %+v", run, a)
+			}
+			for _, bad := range []string{"goroutine", "0x", root, "\t/"} {
+				if strings.Contains(a.Stack, bad) {
+					t.Fatalf("run %d: stack holds %q:\n%s", run, bad, a.Stack)
+				}
+			}
+		}
+	}
+	if names[0] != names[1] {
+		t.Fatalf("one crash sealed as two packs: %s and %s", names[0], names[1])
 	}
 }
 

@@ -1,91 +1,21 @@
 package armv7m
 
-// The fast core: Run dispatches through a translation cache of
-// predecoded basic blocks instead of per-instruction Step calls. The
-// MPU execute check runs once per block entry over the block's cover
-// (via the accessmap, keyed on the map it was read from), cycle
-// accounting is charged in per-batch prefix sums, and the slow path is
-// re-entered only on control flow leaving the block, a pending tick, a
-// trap, a privilege change, or a new access map.
+// The fast core's ARM half: Run dispatches through a translation cache
+// of predecoded basic blocks instead of per-instruction Step calls. The
+// program set, the block table and the cold half of block entry live in
+// the embedded blockcache.Core; this file keeps what is ARM's own: the
+// pure-instruction classifier, the quickened dispatch, the SysTick
+// batch limit and the dispatch loop with its hit path. The MPU execute
+// check runs once per block entry over the block's cover (via the
+// accessmap, keyed on the map it was read from), cycle accounting is
+// charged in per-batch prefix sums, and the slow path is re-entered only
+// on control flow leaving the block, a pending tick, a trap, a
+// privilege change, or a new access map.
 // Step stays the trusted byte-scan oracle; docs/SPEED.md describes the
 // equivalence argument, and the difftest core-oracle suite plus the
 // internal/specs block-cache obligations check it differentially.
 
-import (
-	"ticktock/internal/blockcache"
-	"ticktock/internal/mpu"
-)
-
-// fastBlockMax bounds the instructions predecoded per block. Blocks end
-// dynamically at control flow, traps and tick expiries, so the bound
-// only caps wasted decode work past a branch.
-const fastBlockMax = 64
-
-// fastTableBits sizes the direct-mapped block table (1<<bits slots).
-const fastTableBits = 10
-
-type fastState struct {
-	table *blockcache.Table[Instr]
-	hints blockcache.Hints
-}
-
-// SetFastCore enables or disables the block-cache fast core. Enabling
-// it changes only speed: Run and the data-access checks take cached
-// paths whose decisions are keyed on the MPU's current access map, and
-// every divergence-prone case (denial, trap, control flow, unmapped
-// fetch) falls back to the oracle machinery.
-func (m *Machine) SetFastCore(on bool) {
-	if !on {
-		m.fast = nil
-		return
-	}
-	if m.fast == nil {
-		m.fast = &fastState{table: blockcache.NewTable[Instr](fastTableBits)}
-	}
-}
-
-// FastCore reports whether the block-cache fast core is enabled.
-func (m *Machine) FastCore() bool { return m.fast != nil }
-
-// FastStats returns the block-cache counters, or nil when the fast core
-// is disabled.
-func (m *Machine) FastStats() *blockcache.Stats {
-	if m.fast == nil {
-		return nil
-	}
-	return &m.fast.table.Stats
-}
-
-// buildBlock predecodes a straight-line block starting at pc, or
-// returns nil when no loaded program covers pc (the caller slow-steps
-// so the oracle raises the exact fetch fault). Permission state is
-// deliberately not consulted here: blocks cache only decode results,
-// which are immutable once a program is loaded; the per-entry cover
-// check owns all permission decisions.
-func (m *Machine) buildBlock(pc uint32) *blockcache.Block[Instr] {
-	p := m.progAt(pc)
-	if p == nil || (pc-p.Base)%4 != 0 {
-		return nil
-	}
-	i := int((pc - p.Base) / 4)
-	n := len(p.Instrs) - i
-	if n > fastBlockMax {
-		n = fastBlockMax
-	}
-	b := &blockcache.Block[Instr]{
-		Base:   pc,
-		Instrs: p.Instrs[i : i+n],
-		Prefix: make([]uint64, n+1),
-	}
-	for k, in := range b.Instrs {
-		b.Prefix[k+1] = b.Prefix[k] + in.Cost()
-		if pureInstr(in) {
-			b.Pure |= 1 << uint(k)
-		}
-	}
-	m.fast.table.Insert(b)
-	return b
-}
+import "ticktock/internal/blockcache"
 
 // pureInstr reports whether in's Exec always returns nil and never
 // reads or writes the PC, mode, CONTROL or memory — i.e. the dispatch
@@ -163,7 +93,7 @@ func execQuick(m *Machine, in Instr) error {
 // trace and exception hook invocations — is byte-identical with the
 // oracle Run; only the number of MPU checks and program lookups differs.
 func (m *Machine) runFast(budget uint64) (*Stop, error) {
-	f := m.fast
+	f := m.Fast()
 	start := m.Meter.Cycles()
 	for {
 		// The oracle polls the pending tick before every instruction;
@@ -178,39 +108,23 @@ func (m *Machine) runFast(budget uint64) (*Stop, error) {
 			return &Stop{Reason: StopPreempted}, nil
 		}
 		pc := m.CPU.PC
-		b := f.table.Lookup(pc)
-		if b == nil {
-			b = m.buildBlock(pc)
-		}
-		if b == nil {
-			// No decoded program at pc (or misaligned): slow-step so
-			// the oracle fetch raises the identical fault.
-			f.table.Stats.SlowSteps++
-			stop, err := m.Step()
-			if stop != nil || err != nil {
-				return stop, err
-			}
-			if budget != 0 && m.Meter.Cycles()-start >= budget {
-				return &Stop{Reason: StopBudget}, nil
-			}
-			continue
-		}
 		priv := m.CPU.Privileged()
-		am := m.MPU.Current(m.MPU.Ctrl())
-		if am == nil || b.Map != am || b.Priv != priv {
-			am = m.MPU.AccessMap()
-			b.Cover = 0
-			if iv, ok := am.Lookup(pc, mpu.AccessExecute, priv); ok {
-				b.Cover = blockcache.CoverFromInterval(b.Base, len(b.Instrs), 4, iv)
-			}
-			b.Map, b.Priv = am, priv
-			f.table.Stats.CoverRechecks++
+		b := f.Table.Lookup(pc)
+		if b == nil {
+			b = m.BuildBlock(pc, pureInstr)
 		}
-		n := b.Cover
+		n := 0
+		if b != nil {
+			if am := m.MPU.Current(m.MPU.Ctrl()); am == nil || b.Map != am || b.Priv != priv {
+				m.Recheck(b, m.MPU.AccessMap(), priv)
+			}
+			n = b.Cover
+		}
 		if n == 0 {
-			// Execute denied at pc: slow-step so the oracle raises the
-			// exact IACCVIOL MemManage fault.
-			f.table.Stats.SlowSteps++
+			// No decoded program at pc, pc misaligned, or execute
+			// denied at pc: slow-step so the oracle fetch raises the
+			// identical fault (bus fault or IACCVIOL MemManage).
+			m.Fallback(b)
 			stop, err := m.Step()
 			if stop != nil || err != nil {
 				return stop, err

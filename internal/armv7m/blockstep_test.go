@@ -201,18 +201,56 @@ func TestFastCoreFaultEquivalence(t *testing.T) {
 }
 
 func TestFastCoreExecDenialEquivalence(t *testing.T) {
-	// Jump past the executable window: the fetch must raise IACCVIOL
-	// identically. The workload's code sits in a 4K execute region;
-	// branch to 0x2000 (mapped flash, not executable for user).
+	// Jump past the executable window into a loaded program: the block
+	// builds, its cover is empty, and the oracle fetch must raise
+	// IACCVIOL identically. The workload's code sits in a 4K execute
+	// region; 0x2000 is mapped flash, not executable for user.
 	a := NewAssembler(0x100)
 	a.Emit(MovImm{R0, 0x2000}).
 		Emit(BX{R0}).
 		Emit(WFI{})
 	prog := a.MustAssemble()
-	tw := newTwins(t, func(m *Machine) { setupUser(m, prog) })
+	target := NewAssembler(0x2000)
+	target.Emit(WFI{})
+	tw := newTwins(t, func(m *Machine) {
+		setupUser(m, prog)
+		if err := m.LoadProgram(target.MustAssemble()); err != nil {
+			t.Fatal(err)
+		}
+	})
 	stop := tw.run(t, 0)
-	if stop.Reason != StopFault {
-		t.Fatalf("stop=%v, want fault", stop.Reason)
+	if stop.Reason != StopFault || !tw.fast.Fault.IACCVIOL {
+		t.Fatalf("stop=%v fault=%+v, want IACCVIOL", stop.Reason, tw.fast.Fault)
+	}
+	if st := tw.fast.FastStats(); st.SlowDenied == 0 || st.SlowNoBlock != 0 {
+		t.Fatalf("fallbacks: %+v, want exec-denied only", st)
+	}
+}
+
+func TestFastCoreNoBlockEquivalence(t *testing.T) {
+	// Jump where no block can be built: past every program (execute
+	// denied there too, so IACCVIOL), into executable flash holding no
+	// program (bus fault), and mid-instruction (bus fault). The fast
+	// core must slow-step and fault exactly like the oracle.
+	for _, tc := range []struct {
+		name   string
+		target uint32
+	}{{"unmapped-denied", 0x2000}, {"unmapped", 0x800}, {"misaligned", 0x102}} {
+		t.Run(tc.name, func(t *testing.T) {
+			a := NewAssembler(0x100)
+			a.Emit(MovImm{R0, tc.target}).
+				Emit(BX{R0}).
+				Emit(WFI{})
+			prog := a.MustAssemble()
+			tw := newTwins(t, func(m *Machine) { setupUser(m, prog) })
+			stop := tw.run(t, 0)
+			if stop.Reason != StopFault {
+				t.Fatalf("stop=%v, want fault", stop.Reason)
+			}
+			if st := tw.fast.FastStats(); st.SlowNoBlock == 0 || st.SlowDenied != 0 {
+				t.Fatalf("fallbacks: %+v, want no-block only", st)
+			}
+		})
 	}
 }
 
@@ -428,12 +466,5 @@ func TestProgAtManyPrograms(t *testing.T) {
 	}
 	if stop.Reason != StopIdle || m.CPU.R[R0] != 42 {
 		t.Fatalf("stop=%v r0=%d", stop.Reason, m.CPU.R[R0])
-	}
-	// Unmapped and misaligned addresses still miss.
-	if m.progAt(0x3fff) != nil || m.progAt(0x4000+512*16) != nil {
-		t.Fatal("progAt returned a program outside every range")
-	}
-	if p := m.progAt(0x101); p == nil || p.At(0x101) != nil {
-		t.Fatal("misaligned address must resolve to no instruction")
 	}
 }

@@ -3,8 +3,8 @@ package armv7m
 import (
 	"errors"
 	"fmt"
-	"sort"
 
+	"ticktock/internal/blockcache"
 	"ticktock/internal/metrics"
 	"ticktock/internal/mpu"
 )
@@ -34,22 +34,7 @@ func (t *wfiTrap) Error() string { return "wfi" }
 
 // Program is a sequence of instructions mapped at a flash base address;
 // instruction k occupies [Base+4k, Base+4k+4).
-type Program struct {
-	Base   uint32
-	Instrs []Instr
-}
-
-// End returns the first address past the program.
-func (p *Program) End() uint32 { return p.Base + uint32(4*len(p.Instrs)) }
-
-// At returns the instruction at addr, or nil if addr is outside the
-// program or misaligned.
-func (p *Program) At(addr uint32) Instr {
-	if addr < p.Base || addr >= p.End() || (addr-p.Base)%4 != 0 {
-		return nil
-	}
-	return p.Instrs[(addr-p.Base)/4]
-}
+type Program = blockcache.Program[Instr]
 
 // StopReason explains why Machine.Run returned control to native (kernel)
 // code. It corresponds to the ContextSwitchReason the Tock kernel's
@@ -109,12 +94,11 @@ type Machine struct {
 	Tick  *SysTick
 	Meter *Meter
 
-	progs []*Program // sorted by base
-
-	// fast, when non-nil, enables the block-cache fast core: Run
-	// dispatches through predecoded basic blocks and checkAccess uses
-	// interval hints. Step stays the byte-scan oracle either way.
-	fast *fastState
+	// Core holds the loaded programs and, while SetFastCore is on, the
+	// block-cache fast core: Run dispatches through predecoded basic
+	// blocks and checkAccess uses interval hints. Step stays the
+	// byte-scan oracle either way.
+	blockcache.Core[Instr]
 
 	pcWritten bool
 
@@ -158,33 +142,6 @@ func NewMachine(mem *Memory) *Machine {
 	}
 }
 
-// LoadProgram maps a program into the instruction space. The backing flash
-// bytes are not written; programs live in a parallel decoded store.
-func (m *Machine) LoadProgram(p *Program) error {
-	for _, q := range m.progs {
-		if p.Base < q.End() && q.Base < p.End() {
-			return fmt.Errorf("armv7m: program at 0x%08x overlaps program at 0x%08x", p.Base, q.Base)
-		}
-	}
-	m.progs = append(m.progs, p)
-	sort.Slice(m.progs, func(i, j int) bool { return m.progs[i].Base < m.progs[j].Base })
-	if m.fast != nil {
-		m.fast.table.Flush()
-	}
-	return nil
-}
-
-// progAt returns the loaded program containing addr, or nil. Programs are
-// base-sorted and non-overlapping, so their End values are sorted too and
-// a single binary search finds the only candidate.
-func (m *Machine) progAt(addr uint32) *Program {
-	i := sort.Search(len(m.progs), func(i int) bool { return m.progs[i].End() > addr })
-	if i < len(m.progs) && addr >= m.progs[i].Base {
-		return m.progs[i]
-	}
-	return nil
-}
-
 // fetch returns the instruction at addr after an MPU execute check. The
 // check covers the instruction's first byte, like a real fetch of the
 // first halfword.
@@ -192,7 +149,7 @@ func (m *Machine) fetch(addr uint32) (Instr, error) {
 	if err := m.MPU.Check(addr, mpu.AccessExecute, m.CPU.Privileged()); err != nil {
 		return nil, err
 	}
-	if p := m.progAt(addr); p != nil {
+	if p := m.ProgramAt(addr); p != nil {
 		if in := p.At(addr); in != nil {
 			return in, nil
 		}
@@ -214,14 +171,14 @@ func (m *Machine) writePC(v uint32) {
 // byte-identical ProtectionError values. Like the oracle path, the check
 // covers the access's first byte.
 func (m *Machine) checkAccess(addr uint32, kind mpu.AccessKind) error {
-	if f := m.fast; f != nil {
+	if f := m.Fast(); f != nil {
 		priv := m.CPU.Privileged()
-		if f.hints.Allows(addr, 1, kind, priv, m.MPU.Current(m.MPU.Ctrl())) {
-			f.table.Stats.HintHits++
+		if f.Hints.Allows(addr, 1, kind, priv, m.MPU.Current(m.MPU.Ctrl())) {
+			f.Table.Stats.HintHits++
 			return nil
 		}
-		f.table.Stats.HintMisses++
-		if f.hints.Update(addr, 1, kind, priv, m.MPU.AccessMap()) {
+		f.Table.Stats.HintMisses++
+		if f.Hints.Update(addr, 1, kind, priv, m.MPU.AccessMap()) {
 			return nil
 		}
 	}
@@ -475,7 +432,7 @@ func (m *Machine) faultStop(cause error) (*Stop, error) {
 // exhausted. A budget of 0 means unlimited (bounded only by exceptions),
 // which callers should use with care.
 func (m *Machine) Run(budget uint64) (*Stop, error) {
-	if m.fast != nil {
+	if m.FastCore() {
 		return m.runFast(budget)
 	}
 	start := m.Meter.Cycles()

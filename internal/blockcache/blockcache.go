@@ -1,6 +1,11 @@
-// Package blockcache implements the shared machinery behind the fast
-// emulator cores: a translation cache of predecoded basic blocks and a
-// last-hit interval hint cache for load/store protection checks.
+// Package blockcache implements the machine substrate both emulated
+// ISAs share: the loaded program images and the fast cores' machinery,
+// a translation cache of predecoded basic blocks and a last-hit interval
+// hint cache for load/store protection checks. armv7m.Machine and
+// rv32.Machine embed Core, which holds the programs, the fast-core state
+// and the cold half of block entry (building a block, rechecking its
+// cover); each port keeps its dispatch loop, its hit path and its
+// load/store hint check.
 //
 // The cache itself is deliberately dumb — it never decides whether an
 // access is allowed. Permission decisions come from the port's accessmap
@@ -32,7 +37,9 @@ type Stats struct {
 	Builds        uint64 // blocks decoded and inserted
 	Flushes       uint64 // whole-table invalidations (program load)
 	CoverRechecks uint64 // block cover recomputed under a new map or privilege
-	SlowSteps     uint64 // instructions retired via the oracle Step path
+	SlowSteps     uint64 // instructions retired via the oracle Step path (SlowNoBlock + SlowDenied)
+	SlowNoBlock   uint64 // oracle steps where no decoded program covers pc, or pc is misaligned
+	SlowDenied    uint64 // oracle steps where execute is denied at pc
 	HintHits      uint64 // load/store checks answered by the interval hint
 	HintMisses    uint64 // load/store checks that fell back to the full map
 }
@@ -64,8 +71,8 @@ type Block[I any] struct {
 	// skip the per-instruction PC store and the error/PC-written breaks
 	// for them — with a stale PC unobservable during a pure run, the
 	// shortcut is invisible. Ports must classify conservatively: an unset
-	// bit is always safe. Bits past index 63 are never set (fastBlockMax
-	// in both ports is ≤ 64).
+	// bit is always safe. Bits past index 63 are never set (blockMax is
+	// ≤ 64).
 	Pure uint64
 }
 

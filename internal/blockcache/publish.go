@@ -10,7 +10,10 @@ import "ticktock/internal/metrics"
 //	blockcache_invalidations_total    — whole-table flushes plus per-block
 //	                                    cover rechecks under a new map
 //	blockcache_oracle_fallbacks_total — instructions retired via the
-//	                                    trusted oracle Step path
+//	                                    trusted oracle Step path, by
+//	                                    reason: no-block (no decoded
+//	                                    program at pc, or pc misaligned)
+//	                                    or exec-denied
 //	blockcache_hint_hits_total        — load/store checks answered by the
 //	                                    interval hint
 //	blockcache_hint_misses_total      — hint misses that walked the full map
@@ -26,7 +29,11 @@ func (s *Stats) Publish(reg *metrics.Registry, labels ...metrics.Label) {
 	reg.Counter("blockcache_hits_total", labels...).Add(s.Hits)
 	reg.Counter("blockcache_misses_total", labels...).Add(s.Misses)
 	reg.Counter("blockcache_invalidations_total", labels...).Add(s.Flushes + s.CoverRechecks)
-	reg.Counter("blockcache_oracle_fallbacks_total", labels...).Add(s.SlowSteps)
+	// The capped slice makes each append copy instead of writing into
+	// the caller's array.
+	fixed := labels[:len(labels):len(labels)]
+	reg.Counter("blockcache_oracle_fallbacks_total", append(fixed, metrics.L("reason", "no-block"))...).Add(s.SlowNoBlock)
+	reg.Counter("blockcache_oracle_fallbacks_total", append(fixed, metrics.L("reason", "exec-denied"))...).Add(s.SlowDenied)
 	reg.Counter("blockcache_hint_hits_total", labels...).Add(s.HintHits)
 	reg.Counter("blockcache_hint_misses_total", labels...).Add(s.HintMisses)
 }

@@ -86,7 +86,9 @@ type Attempt struct {
 	Failure string `json:"failure"`
 	// Err is the panic value, returned error or timeout description.
 	Err string `json:"err"`
-	// Stack is the recovered goroutine stack (FailCrashed only).
+	// Stack is the panicking goroutine's stack (FailCrashed only): this
+	// module's frames only, as function names and module-relative
+	// file:line, so it does not depend on the host or the build.
 	Stack string `json:"stack,omitempty"`
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -314,7 +313,7 @@ func runAttempt[R any](cfg Config, src Source[R], i int) (R, *Attempt) {
 				done <- attemptResult[R]{att: &Attempt{
 					Failure: FailCrashed,
 					Err:     fmt.Sprint(p),
-					Stack:   string(debug.Stack()),
+					Stack:   crashStack(),
 				}}
 			}
 		}()

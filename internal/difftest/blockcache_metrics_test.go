@@ -42,19 +42,30 @@ func TestBlockcacheCountersThreeWayAccounting(t *testing.T) {
 		}
 
 		flavour := metrics.L("flavour", fl.String())
-		want := map[string]uint64{
-			"blockcache_hits_total":             st.Hits,
-			"blockcache_misses_total":           st.Misses,
-			"blockcache_invalidations_total":    st.Flushes + st.CoverRechecks,
-			"blockcache_oracle_fallbacks_total": st.SlowSteps,
-			"blockcache_hint_hits_total":        st.HintHits,
-			"blockcache_hint_misses_total":      st.HintMisses,
+		type series struct {
+			name, reason string
+		}
+		want := map[series]uint64{
+			{"blockcache_hits_total", ""}:                        st.Hits,
+			{"blockcache_misses_total", ""}:                      st.Misses,
+			{"blockcache_invalidations_total", ""}:               st.Flushes + st.CoverRechecks,
+			{"blockcache_oracle_fallbacks_total", "no-block"}:    st.SlowNoBlock,
+			{"blockcache_oracle_fallbacks_total", "exec-denied"}: st.SlowDenied,
+			{"blockcache_hint_hits_total", ""}:                   st.HintHits,
+			{"blockcache_hint_misses_total", ""}:                 st.HintMisses,
+		}
+		if st.SlowSteps != st.SlowNoBlock+st.SlowDenied {
+			t.Errorf("%s on %s: SlowSteps %d is not the sum of its reasons %d + %d", tc.Name, fl, st.SlowSteps, st.SlowNoBlock, st.SlowDenied)
 		}
 
 		// Registry view.
-		for name, v := range want {
-			if got := reg.Counter(name, flavour).Value(); got != v {
-				t.Errorf("%s on %s: registry %s = %d, want %d", tc.Name, fl, name, got, v)
+		for s, v := range want {
+			labels := []metrics.Label{flavour}
+			if s.reason != "" {
+				labels = append(labels, metrics.L("reason", s.reason))
+			}
+			if got := reg.Counter(s.name, labels...).Value(); got != v {
+				t.Errorf("%s on %s: registry %s%v = %d, want %d", tc.Name, fl, s.name, labels, got, v)
 			}
 		}
 
@@ -67,10 +78,14 @@ func TestBlockcacheCountersThreeWayAccounting(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s on %s: export does not re-parse: %v", tc.Name, fl, err)
 		}
-		for name, v := range want {
-			id := fmt.Sprintf(`%s{flavour=%q}`, name, fl.String())
-			if got := parsed[id]; got != float64(v) {
-				t.Errorf("%s on %s: prometheus %s = %v, want %d", tc.Name, fl, id, got, v)
+		for s, v := range want {
+			id := fmt.Sprintf(`%s{flavour=%q}`, s.name, fl.String())
+			if s.reason != "" {
+				id = fmt.Sprintf(`%s{flavour=%q,reason=%q}`, s.name, fl.String(), s.reason)
+			}
+			got, ok := parsed[id]
+			if !ok || got != float64(v) {
+				t.Errorf("%s on %s: prometheus %s = %v (present %v), want %d", tc.Name, fl, id, got, ok, v)
 			}
 		}
 	}

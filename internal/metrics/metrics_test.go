@@ -301,3 +301,75 @@ func TestHotPathDoesNotAllocate(t *testing.T) {
 		t.Fatalf("profile hot path allocates %.1f objects/op", n)
 	}
 }
+
+// Snapshot must be safe to call while other goroutines Add/Observe/
+// Publish into the same registry (run under -race).
+func TestSnapshotUnderConcurrentPublish(t *testing.T) {
+	r := NewRegistry()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			c := r.Counter("spin_total", L("g", string(rune('a'+g))))
+			h := r.Histogram("spin_cycles")
+			gauge := r.Gauge("spin_gauge")
+			for i := uint64(0); ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				c.Add(1)
+				h.Observe(i % 4096)
+				gauge.Add(1)
+				// Exercise get-or-create concurrently with Snapshot too.
+				r.Counter("late_total", L("i", string(rune('a'+int(i%8))))).Inc()
+			}
+		}(g)
+	}
+	prev := map[string]uint64{}
+	for i := 0; i < 50; i++ {
+		// Counters are monotone: each snapshot must dominate the last.
+		for _, cp := range r.Snapshot().Counters {
+			if cp.Value < prev[cp.ID] {
+				t.Errorf("counter %s went backwards: %d after %d", cp.ID, cp.Value, prev[cp.ID])
+			}
+			prev[cp.ID] = cp.Value
+		}
+	}
+	close(stop)
+	wg.Wait()
+}
+
+func TestHistogramQuantileEdgeCases(t *testing.T) {
+	// Empty histogram: every quantile is 0.
+	h := NewHistogram()
+	for _, q := range []float64{0, 0.5, 1} {
+		if v := h.Quantile(q); v != 0 {
+			t.Fatalf("empty histogram Quantile(%v) = %d, want 0", q, v)
+		}
+	}
+
+	// Single sample: all quantiles land in its bucket.
+	h = NewHistogram()
+	h.Observe(100)
+	want := BucketUpperBound(BucketOf(100))
+	for _, q := range []float64{0, 0.25, 0.5, 0.99, 1} {
+		if v := h.Quantile(q); v != want {
+			t.Fatalf("single-sample Quantile(%v) = %d, want %d", q, v, want)
+		}
+	}
+
+	// Two buckets: q=0 hits the low bucket, q=1 the high one.
+	h = NewHistogram()
+	h.Observe(1)
+	h.Observe(1 << 30)
+	if lo, hi := h.Quantile(0), h.Quantile(1); lo >= hi {
+		t.Fatalf("Quantile(0)=%d should be below Quantile(1)=%d", lo, hi)
+	}
+	if v := h.Quantile(1); v != BucketUpperBound(BucketOf(1<<30)) {
+		t.Fatalf("Quantile(1) = %d, want top sample bucket bound %d", v, BucketUpperBound(BucketOf(1<<30)))
+	}
+}

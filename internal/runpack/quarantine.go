@@ -18,10 +18,10 @@ import (
 // The result member is derived purely from the receipt command's flags
 // (seed, scenario index, failure class, attempt count), so `runpack
 // verify -rerun` re-derives it without re-running the poison scenario —
-// which, being poison, might wedge or crash the verifier. The
-// nondeterministic evidence (per-attempt errors and panic stacks) lives
-// in the separate attempts.json member, content-addressed by the
-// manifest like any other member but outside the re-derivation chain.
+// which, being poison, might wedge or crash the verifier. The evidence
+// (per-attempt errors and normalized panic stacks) lives in the
+// separate attempts.json member, content-addressed by the manifest like
+// any other member but outside the re-derivation chain.
 const KindQuarantine = "quarantine"
 
 // QuarantineCommand renders the receipt command for one quarantined

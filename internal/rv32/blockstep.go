@@ -1,87 +1,21 @@
 package rv32
 
-// The fast core: Run dispatches through a translation cache of
-// predecoded basic blocks instead of per-instruction Step calls, with
-// the PMP execute check performed once per block entry over the block's
-// cover via the accessmap. See internal/armv7m/blockstep.go for the
-// ARM twin and docs/SPEED.md for the equivalence argument. The one
-// port-specific wrinkle is the CLINT: unlike SysTick, its Advance does
-// not reload — after an expiry the count sits at zero and every later
-// Advance re-evaluates expiry (this is how DropNext's swallowed tick is
-// followed by a normally-latched one) — so a batched Advance is only
-// equivalent to per-instruction calls when the batch ends at the first
-// tick-crossing instruction, and a zero count with no latched interrupt
-// forces single-instruction batches.
+// The fast core's RISC-V half: Run dispatches through a translation
+// cache of predecoded basic blocks instead of per-instruction Step
+// calls, with the PMP execute check performed once per block entry over
+// the block's cover via the accessmap. The program set, the block table
+// and the cold half of block entry live in the embedded blockcache.Core,
+// shared with internal/armv7m/blockstep.go; docs/SPEED.md has the
+// equivalence argument. The one port-specific wrinkle is the CLINT:
+// unlike SysTick, its Advance does not reload — after an expiry the
+// count sits at zero and every later Advance re-evaluates expiry (this
+// is how DropNext's swallowed tick is followed by a normally-latched
+// one) — so a batched Advance is only equivalent to per-instruction
+// calls when the batch ends at the first tick-crossing instruction, and
+// a zero count with no latched interrupt forces single-instruction
+// batches.
 
-import (
-	"ticktock/internal/blockcache"
-	"ticktock/internal/mpu"
-)
-
-// fastBlockMax bounds the instructions predecoded per block.
-const fastBlockMax = 64
-
-// fastTableBits sizes the direct-mapped block table (1<<bits slots).
-const fastTableBits = 10
-
-type fastState struct {
-	table *blockcache.Table[Instr]
-	hints blockcache.Hints
-}
-
-// SetFastCore enables or disables the block-cache fast core. Enabling
-// it changes only speed; Step stays the byte-scan oracle, and every
-// divergence-prone case falls back to it.
-func (m *Machine) SetFastCore(on bool) {
-	if !on {
-		m.fast = nil
-		return
-	}
-	if m.fast == nil {
-		m.fast = &fastState{table: blockcache.NewTable[Instr](fastTableBits)}
-	}
-}
-
-// FastCore reports whether the block-cache fast core is enabled.
-func (m *Machine) FastCore() bool { return m.fast != nil }
-
-// FastStats returns the block-cache counters, or nil when the fast core
-// is disabled.
-func (m *Machine) FastStats() *blockcache.Stats {
-	if m.fast == nil {
-		return nil
-	}
-	return &m.fast.table.Stats
-}
-
-// buildBlock predecodes a straight-line block starting at pc, or
-// returns nil when no loaded program covers pc. Permission state is not
-// consulted here; the per-entry cover check owns all permission
-// decisions.
-func (m *Machine) buildBlock(pc uint32) *blockcache.Block[Instr] {
-	p := m.progAt(pc)
-	if p == nil || (pc-p.Base)%4 != 0 {
-		return nil
-	}
-	i := int((pc - p.Base) / 4)
-	n := len(p.Instrs) - i
-	if n > fastBlockMax {
-		n = fastBlockMax
-	}
-	b := &blockcache.Block[Instr]{
-		Base:   pc,
-		Instrs: p.Instrs[i : i+n],
-		Prefix: make([]uint64, n+1),
-	}
-	for k, in := range b.Instrs {
-		b.Prefix[k+1] = b.Prefix[k] + in.Cost()
-		if pureInstr(in) {
-			b.Pure |= 1 << uint(k)
-		}
-	}
-	m.fast.table.Insert(b)
-	return b
-}
+import "ticktock/internal/blockcache"
 
 // pureInstr reports whether in's Exec always returns nil and never
 // reads or writes the PC, memory, CSRs or the timer — i.e. the dispatch
@@ -148,7 +82,7 @@ func execQuick(m *Machine, in Instr) error {
 // in every observable effect. The user-mode-only pending poll mirrors
 // Step exactly; see the Step comment for why machine mode defers ticks.
 func (m *Machine) runFast(budget uint64) (*Stop, error) {
-	f := m.fast
+	f := m.Fast()
 	start := m.Meter.Cycles()
 	for {
 		if m.Priv == PrivUser && m.Timer.TakePending() {
@@ -156,39 +90,23 @@ func (m *Machine) runFast(budget uint64) (*Stop, error) {
 			return &Stop{Reason: StopTimer, Cause: CauseMachineTimer}, nil
 		}
 		pc := m.PC
-		b := f.table.Lookup(pc)
+		b := f.Table.Lookup(pc)
 		if b == nil {
-			b = m.buildBlock(pc)
+			b = m.BuildBlock(pc, pureInstr)
 		}
-		if b == nil {
-			// No decoded program at pc (or misaligned): slow-step so
-			// the oracle fetch raises the identical fault.
-			f.table.Stats.SlowSteps++
-			stop, err := m.Step()
-			if stop != nil || err != nil {
-				return stop, err
+		n := 0
+		if b != nil {
+			priv := m.machineMode()
+			if am := m.PMP.Current(m.PMP.Ctrl()); am == nil || b.Map != am || b.Priv != priv {
+				m.Recheck(b, m.PMP.AccessMap(), priv)
 			}
-			if budget != 0 && m.Meter.Cycles()-start >= budget {
-				return &Stop{Reason: StopBudget}, nil
-			}
-			continue
+			n = b.Cover
 		}
-		priv := m.machineMode()
-		am := m.PMP.Current(m.PMP.Ctrl())
-		if am == nil || b.Map != am || b.Priv != priv {
-			am = m.PMP.AccessMap()
-			b.Cover = 0
-			if iv, ok := am.Lookup(pc, mpu.AccessExecute, priv); ok {
-				b.Cover = blockcache.CoverFromInterval(b.Base, len(b.Instrs), 4, iv)
-			}
-			b.Map, b.Priv = am, priv
-			f.table.Stats.CoverRechecks++
-		}
-		n := b.Cover
 		if n == 0 {
-			// Execute denied at pc: slow-step so the oracle raises the
-			// exact instruction access fault.
-			f.table.Stats.SlowSteps++
+			// No decoded program at pc, pc misaligned, or execute
+			// denied at pc: slow-step so the oracle fetch raises the
+			// identical instruction access fault.
+			m.Fallback(b)
 			stop, err := m.Step()
 			if stop != nil || err != nil {
 				return stop, err

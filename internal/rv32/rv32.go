@@ -11,8 +11,8 @@ package rv32
 
 import (
 	"fmt"
-	"sort"
 
+	"ticktock/internal/blockcache"
 	"ticktock/internal/cycles"
 	"ticktock/internal/mpu"
 	"ticktock/internal/physmem"
@@ -183,21 +183,7 @@ func (c *CLINT) TakePending() bool {
 
 // Program is a sequence of decoded instructions at a flash base; each
 // occupies 4 bytes.
-type Program struct {
-	Base   uint32
-	Instrs []Instr
-}
-
-// End returns the first address past the program.
-func (p *Program) End() uint32 { return p.Base + uint32(4*len(p.Instrs)) }
-
-// At returns the instruction at addr, or nil.
-func (p *Program) At(addr uint32) Instr {
-	if addr < p.Base || addr >= p.End() || (addr-p.Base)%4 != 0 {
-		return nil
-	}
-	return p.Instrs[(addr-p.Base)/4]
-}
+type Program = blockcache.Program[Instr]
 
 // StopReason explains why Run returned to native (kernel) code.
 type StopReason uint8
@@ -254,12 +240,11 @@ type Machine struct {
 	// and a nil hook costs one pointer check and zero simulated cycles.
 	LoadFault func(addr uint32) error
 
-	progs []*Program
-
-	// fast, when non-nil, enables the block-cache fast core: Run
-	// dispatches through predecoded basic blocks and check uses
-	// interval hints. Step stays the byte-scan oracle either way.
-	fast *fastState
+	// Core holds the loaded programs and, while SetFastCore is on, the
+	// block-cache fast core: Run dispatches through predecoded basic
+	// blocks and check uses interval hints. Step stays the byte-scan
+	// oracle either way.
+	blockcache.Core[Instr]
 
 	pcWritten bool
 }
@@ -272,32 +257,6 @@ func NewMachine(mem *physmem.Memory, chip riscv.ChipConfig) *Machine {
 		Meter: &cycles.Meter{},
 		Priv:  PrivMachine,
 	}
-}
-
-// LoadProgram maps a program into the instruction space.
-func (m *Machine) LoadProgram(p *Program) error {
-	for _, q := range m.progs {
-		if p.Base < q.End() && q.Base < p.End() {
-			return fmt.Errorf("rv32: program at 0x%08x overlaps 0x%08x", p.Base, q.Base)
-		}
-	}
-	m.progs = append(m.progs, p)
-	sort.Slice(m.progs, func(i, j int) bool { return m.progs[i].Base < m.progs[j].Base })
-	if m.fast != nil {
-		m.fast.table.Flush()
-	}
-	return nil
-}
-
-// progAt returns the loaded program containing addr, or nil. Programs
-// are base-sorted and non-overlapping, so their End values are sorted
-// too and a single binary search finds the only candidate.
-func (m *Machine) progAt(addr uint32) *Program {
-	i := sort.Search(len(m.progs), func(i int) bool { return m.progs[i].End() > addr })
-	if i < len(m.progs) && addr >= m.progs[i].Base {
-		return m.progs[i]
-	}
-	return nil
 }
 
 // reg reads a register. X[0] is kept zero by setReg, so no branch is
@@ -330,14 +289,14 @@ func (m *Machine) machineMode() bool { return m.Priv == PrivMachine }
 // hardware Check and produce byte-identical fault values. Like the
 // oracle path, the check covers the access's first byte.
 func (m *Machine) check(addr uint32, kind mpu.AccessKind) error {
-	if f := m.fast; f != nil {
+	if f := m.Fast(); f != nil {
 		priv := m.machineMode()
-		if f.hints.Allows(addr, 1, kind, priv, m.PMP.Current(m.PMP.Ctrl())) {
-			f.table.Stats.HintHits++
+		if f.Hints.Allows(addr, 1, kind, priv, m.PMP.Current(m.PMP.Ctrl())) {
+			f.Table.Stats.HintHits++
 			return nil
 		}
-		f.table.Stats.HintMisses++
-		if f.hints.Update(addr, 1, kind, priv, m.PMP.AccessMap()) {
+		f.Table.Stats.HintMisses++
+		if f.Hints.Update(addr, 1, kind, priv, m.PMP.AccessMap()) {
 			return nil
 		}
 	}
@@ -350,7 +309,7 @@ func (m *Machine) fetch(addr uint32) (Instr, error) {
 	if err := m.check(addr, mpu.AccessExecute); err != nil {
 		return nil, err
 	}
-	if p := m.progAt(addr); p != nil {
+	if p := m.ProgramAt(addr); p != nil {
 		if in := p.At(addr); in != nil {
 			return in, nil
 		}
@@ -444,7 +403,7 @@ func (m *Machine) execStop(execErr error) (*Stop, error) {
 
 // Run steps until a trap or the cycle budget is exhausted (0 = unlimited).
 func (m *Machine) Run(budget uint64) (*Stop, error) {
-	if m.fast != nil {
+	if m.FastCore() {
 		return m.runFast(budget)
 	}
 	start := m.Meter.Cycles()

@@ -10,11 +10,11 @@
 //     annotations) exportable as one merged Chrome trace in which a
 //     scenario's simulated-cycle kernel events nest under its attempt
 //     span (trace.ExportFleetChromeJSON).
-//   - Streaming aggregation: per-worker metrics registries folded into
-//     a single live registry at checkpoint cadence using snapshot
-//     deltas (metrics.Snapshot.Delta), so memory stays constant at any
-//     worker count and the final aggregate is byte-identical to a
-//     post-hoc merge.
+//   - Streaming aggregation: each completed unit's metrics observation
+//     runs directly against one live registry, which is goroutine-safe
+//     (get-or-create under its lock, sharded atomic values). Memory
+//     stays constant at any worker count, the aggregate advances per
+//     completed unit, and it is byte-identical to a post-hoc merge.
 //   - Progress: a JSON-ready fleet summary (units done/retried/
 //     quarantined, steals, per-worker state, ETA) behind Progress().
 //
@@ -118,10 +118,8 @@ type Plane struct {
 	nestLeft int
 
 	// streaming aggregation
-	live  *metrics.Registry
-	sinks map[int]*metrics.Registry
-	bases map[int]metrics.Snapshot
-	obs   map[int]func(*metrics.Registry)
+	live *metrics.Registry
+	obs  map[int]func(*metrics.Registry)
 }
 
 // New returns an enabled plane.
@@ -133,8 +131,6 @@ func New() *Plane {
 		nestLeft:   DefaultNestCapacity,
 		open:       make(map[int]*openUnit),
 		live:       metrics.NewRegistry(),
-		sinks:      make(map[int]*metrics.Registry),
-		bases:      make(map[int]metrics.Snapshot),
 		obs:        make(map[int]func(*metrics.Registry)),
 	}
 }
@@ -322,8 +318,8 @@ func (p *Plane) UnitBackoff(unit, worker, attempt int, delay time.Duration) {
 
 // UnitDone implements campaign.Observer: finalizes the unit — attaches
 // its kernel trace (if any) to the last attempt span, executes its
-// deferred metrics observation into the worker's sink, and updates the
-// tallies.
+// deferred metrics observation against the live registry, and updates
+// the tallies.
 func (p *Plane) UnitDone(unit, worker int, status campaign.Status, attempts []campaign.Attempt) {
 	if p == nil {
 		return
@@ -363,27 +359,18 @@ func (p *Plane) UnitDone(unit, worker int, status campaign.Status, attempts []ca
 		p.workerStates[worker] = workerState{state: "idle", unit: -1, since: now}
 	}
 
-	var sink *metrics.Registry
-	if obs != nil && status == campaign.StatusOK {
-		sink = p.sinks[worker]
-		if sink == nil {
-			sink = metrics.NewRegistry()
-			p.sinks[worker] = sink
-		}
-	}
+	publish := obs != nil && status == campaign.StatusOK
 	p.mu.Unlock()
 
-	// The observation runs outside the plane lock: registries are
+	// The observation runs outside the plane lock: the registry is
 	// goroutine-safe and closures may be arbitrarily heavy.
-	if sink != nil {
-		obs(sink)
+	if publish {
+		obs(p.live)
 	}
 }
 
-// Checkpoint implements campaign.Observer: folds every worker sink's
-// delta since the last checkpoint into the live registry — the
-// streaming aggregation step. Constant memory: one base snapshot per
-// worker, regardless of campaign size.
+// Checkpoint implements campaign.Observer: marks the checkpoint on the
+// timeline.
 func (p *Plane) Checkpoint(completed uint64) {
 	if p == nil {
 		return
@@ -391,26 +378,13 @@ func (p *Plane) Checkpoint(completed uint64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.checkpoints++
-	p.flushLocked()
 	p.pushInstant(trace.FleetInstant{
 		Name: "checkpoint", Cat: "campaign", TID: 0, TS: p.us(p.now()),
 		Args: map[string]string{"completed": utoa(completed)},
 	})
 }
 
-// flushLocked delta-merges every worker sink into the live registry.
-// Caller holds p.mu.
-func (p *Plane) flushLocked() {
-	for w, sink := range p.sinks {
-		cur := sink.Snapshot()
-		p.live.AddSnapshot(cur.Delta(p.bases[w]))
-		p.bases[w] = cur
-	}
-}
-
-// CampaignEnd implements campaign.Observer: closes the campaign span
-// and flushes the final deltas, making Live() equal to a post-hoc merge
-// of every worker sink.
+// CampaignEnd implements campaign.Observer: closes the campaign span.
 func (p *Plane) CampaignEnd(stats campaign.Stats, interrupted bool) {
 	if p == nil {
 		return
@@ -420,7 +394,6 @@ func (p *Plane) CampaignEnd(stats campaign.Stats, interrupted bool) {
 	now := p.now()
 	p.ended = true
 	p.interrupted = interrupted
-	p.flushLocked()
 	for w := range p.workerStates {
 		p.workerStates[w] = workerState{state: "idle", unit: -1, since: now}
 	}
@@ -468,8 +441,8 @@ func (p *Plane) UnitTracer(unit int) *trace.Tracer {
 }
 
 // UnitObservation defers a metrics observation for unit i: fn runs
-// against the owning worker's sink registry when — and only when — the
-// unit completes StatusOK. Attempts abandoned by timeout can therefore
+// against the live registry when — and only when — the unit completes
+// StatusOK. Attempts abandoned by timeout can therefore
 // never double-publish: their goroutines may still be running, but
 // only the terminal attempt's observation is executed, exactly once.
 // The last registration per unit wins (a retry replaces the abandoned
