@@ -247,8 +247,14 @@ func TestFastCoreNoBlockEquivalence(t *testing.T) {
 			if stop.Reason != StopFault {
 				t.Fatalf("stop=%v, want fault", stop.Reason)
 			}
-			if st := tw.fast.FastStats(); st.SlowNoBlock == 0 || st.SlowDenied != 0 {
+			st := tw.fast.FastStats()
+			if st.SlowNoBlock == 0 || st.SlowDenied != 0 {
 				t.Fatalf("fallbacks: %+v, want no-block only", st)
+			}
+			// The program makes no load or store, so no hint is
+			// consulted: the oracle fetch checks the MPU directly.
+			if st.HintHits+st.HintMisses != 0 {
+				t.Fatalf("hints: %+v, want none for a program without loads or stores", st)
 			}
 		})
 	}

@@ -2,15 +2,17 @@
 // the one copy of everything that does not depend on the instruction
 // set: the process lifecycle, the fault policy (stop, restart with
 // exponential backoff, quarantine), the software watchdog, the
-// scheduler, the RunOnce/Run skeleton, console output, and the trace,
-// metrics, profile and flight-recorder plumbing.
+// scheduler, the RunOnce/Run skeleton, console output, the trace,
+// metrics, profile and flight-recorder plumbing, and the syscall ABI:
+// the dispatcher, allow, memop, and the console, alarm-read,
+// temperature, LED and grant drivers (abi.go).
 //
 // A port embeds a Kernel and supplies the ISA glue through Port:
 // internal/kernel for ARMv7-M (both flavours) and internal/rvkernel for
 // RV32. This is the paper's reuse argument (Fig 4b) one level up:
 // internal/core makes the allocator generic over the protection unit,
 // and kcore makes the kernel generic over the ISA. The package imports
-// no ISA package.
+// no ISA package, no allocator and no port (TestImportsNoPort).
 package kcore
 
 import (
@@ -131,6 +133,10 @@ type Process struct {
 	// Grants tracks allocated grant bases, oldest first.
 	Grants []uint32
 
+	// AllowedRO/AllowedRW are the per-driver shared buffers.
+	AllowedRO map[uint32]Buffer
+	AllowedRW map[uint32]Buffer
+
 	// Restarts counts kernel-initiated restarts (fault policy).
 	Restarts int
 
@@ -140,6 +146,16 @@ type Process struct {
 
 	// output accumulates the process's console output.
 	output []byte
+}
+
+// NewProcess returns the record of a freshly loaded process, ready to
+// run from entry.
+func NewProcess(id int, name string, entry uint32) Process {
+	return Process{
+		ID: id, Name: name, State: StateReady, Entry: entry,
+		AllowedRO: make(map[uint32]Buffer),
+		AllowedRW: make(map[uint32]Buffer),
+	}
 }
 
 // Runnable reports whether the scheduler may pick the process.
@@ -247,7 +263,10 @@ type Trap[C Class] struct {
 	Reason string
 }
 
-// Port is the ISA glue a kernel port supplies to the core.
+// Port is the ISA glue a kernel port supplies to the core. The core
+// serves the syscall ABI; the port supplies the argument and return
+// registers, the process's memory manager, its accounting around a
+// service, and the classes and driver commands only it has.
 type Port[P Proc, C Class] interface {
 	// Protect programs the protection unit for p (the instrumented
 	// setup_mpu path).
@@ -260,9 +279,22 @@ type Port[P Proc, C Class] interface {
 	// Save captures p's context after a trap of the given kind and
 	// disarms the quantum timer.
 	Save(p P, kind TrapKind)
-	// Syscall serves a syscall with the port's ABI, drivers and cycle
-	// charges.
-	Syscall(p P, class C) error
+	// Args returns the four argument registers of p's syscall, as the
+	// SyscallArgs hook, if one is set, rewrote them.
+	Args(p P, class C) ([4]uint32, error)
+	// SetReturn delivers a syscall's return value to p.
+	SetReturn(p P, ret uint32) error
+	// Memory returns p's memory manager.
+	Memory(p P) Memory
+	// Service runs f, a kernel method the ABI serves (allow, brk, a
+	// grant allocation), inside the port's accounting for method.
+	Service(method string, f func())
+	// Syscall serves what only this port has: a class above SVCExit,
+	// or a command to a driver or command the core does not host. It
+	// returns the value to deliver; deliver is false when the port has
+	// already resumed p itself, and then the core neither counts an
+	// error, nor runs the SyscallRet hook, nor delivers ret.
+	Syscall(p P, class C, args [4]uint32) (ret uint32, deliver bool, err error)
 	// Wake runs when the scheduler wakes p from a timed sleep at cycle
 	// now, before p resumes.
 	Wake(p P, now uint64) error
@@ -307,6 +339,8 @@ type Config[P Proc, C Class] struct {
 	// events.
 	MPULabel, TickLabel string
 	Scheduler           Scheduler
+	// LEDCycles is what an LED command charges the meter.
+	LEDCycles uint64
 }
 
 // Observe names the observers a kernel reports to. Each is optional,

@@ -125,7 +125,7 @@ func (k *Kernel[P, C]) RunOnce() (bool, error) {
 	case TrapSyscall:
 		k.c.Port.Save(p, trap.Kind)
 		r.consecPreempts = 0
-		err := k.c.Port.Syscall(p, trap.Class)
+		err := k.syscall(p, trap.Class)
 		if n := uint64(trap.Class); n < uint64(len(k.mSyscalls)) {
 			k.mSyscalls[n].Inc()
 			k.mSyscallCyc[n].Observe(k.c.Meter.Cycles() - t0)
@@ -223,13 +223,15 @@ func (k *Kernel[P, C]) fault(p P, cause error) {
 }
 
 // restart resets a faulted process for another run from its entry
-// point. Grant allocations persist, as they hold kernel state that
-// outlives the process instance.
+// point and drops its shared buffers. Grant allocations persist, as they
+// hold kernel state that outlives the process instance.
 func (k *Kernel[P, C]) restart(p P) error {
 	if err := k.c.Port.Reset(p); err != nil {
 		return err
 	}
 	r := p.record()
+	clear(r.AllowedRO)
+	clear(r.AllowedRW)
 	r.WakeAt = 0
 	r.consecPreempts = 0
 	r.State = StateReady

@@ -81,8 +81,6 @@ type Options struct {
 	Bugs monolithic.BugSet
 	// Timeslice is the SysTick reload per scheduling quantum.
 	Timeslice uint32
-	// Padding forwards to the granular allocator (§6.2 padded config).
-	Padding uint32
 	// Observe names the observers New attaches (kcore.Observe documents
 	// each). On this port metrics also carry Figure 11's per-method
 	// cycle histograms and the machine's instruction and exception
@@ -180,6 +178,7 @@ func New(opts Options) (*Kernel, error) {
 		Memory:      b.Machine.Mem,
 		Classes:     SVCUpcallDone + 1,
 		Scheduler:   opts.Scheduler,
+		LEDCycles:   cycles.MMIO,
 	})
 	k.Attach(opts.Observe)
 	return k, nil
@@ -222,7 +221,7 @@ func (k *Kernel) newMM() MemoryManager {
 	if k.Opts.Flavour == FlavourTock {
 		return NewMonolithicMM(k.Board.Machine.MPU, k.Meter(), k.Opts.Bugs)
 	}
-	return NewGranularMM(k.Board.Machine.MPU, k.Meter(), k.Opts.Padding)
+	return NewGranularMM(k.Board.Machine.MPU, k.Meter(), 0)
 }
 
 // LoadProcess loads an application: writes its TBF image into a flash
@@ -319,10 +318,8 @@ func (k *Kernel) LoadProcess(app App) (*Process, error) {
 		k.Meter().Add(uint64(zeroed) / 4 * cycles.Store)
 
 		proc = &Process{
-			coreProcess:  coreProcess{ID: len(k.Procs), Name: parsed.Name, State: StateReady, Entry: codeBase},
+			coreProcess:  kcore.NewProcess(len(k.Procs), parsed.Name, codeBase),
 			MM:           mm,
-			AllowedRO:    make(map[uint32]Buffer),
-			AllowedRW:    make(map[uint32]Buffer),
 			Upcalls:      make(map[uint32]Upcall),
 			initialBreak: layout.AppBreak,
 			stackSize:    parsed.StackSize,
@@ -390,13 +387,12 @@ func (k *Kernel) ProcessTable() []ProcessInfo {
 	return out
 }
 
-// ScheduleUpcallForBench schedules and immediately delivers an alarm
-// upcall; exported for the benchmark harness.
+// ScheduleUpcallForBench delivers an alarm upcall; exported for the
+// benchmark harness. It reports whether p subscribed and the frame was
+// pushed.
 func (k *Kernel) ScheduleUpcallForBench(p *Process) bool {
-	if !k.scheduleUpcall(p, DriverAlarm, 0, 0) {
-		return false
-	}
-	return k.deliverUpcall(p) == nil
+	ok, err := k.deliverUpcall(p, DriverAlarm, 0, 0)
+	return ok && err == nil
 }
 
 // IPCCopyForBench runs the kernel-mediated IPC copy; exported for the

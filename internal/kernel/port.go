@@ -14,7 +14,9 @@ import (
 
 // armPort is the ARMv7-M glue the port-neutral core drives: the MPU
 // behind the flavour's MemoryManager, SysTick, hardware exception
-// frames and the SVC ABI.
+// frames, Figure 11's instrumented service windows, and the syscalls
+// only this port has (subscribe and upcalls, the grant-backed alarm,
+// buffer fill and IPC).
 type armPort struct{ k *Kernel }
 
 // Protect programs the MPU through the instrumented setup_mpu path.
@@ -88,21 +90,78 @@ func (g armPort) Save(p *Process, kind kcore.TrapKind) {
 	g.k.Meter().Add(8 * cycles.Store)
 }
 
-// Syscall serves an SVC through the stacked exception frame.
-func (g armPort) Syscall(p *Process, svcNum uint8) error { return g.k.handleSyscall(p, svcNum) }
+// Args reads the syscall arguments from the stacked exception frame.
+// A rewritten argument reaches the dispatcher only: the frame keeps what
+// the process stacked.
+func (g armPort) Args(p *Process, svcNum uint8) ([4]uint32, error) {
+	f, err := g.k.Board.Machine.ReadFrame(p.PSP)
+	if err != nil {
+		return [4]uint32{}, fmt.Errorf("kernel: reading syscall frame of %s: %w", p.Name, err)
+	}
+	args := [4]uint32{f.R0, f.R1, f.R2, f.R3}
+	if h := g.k.sup.Hooks.SyscallArgs; h != nil {
+		args = h(p, svcNum, args)
+	}
+	return args, nil
+}
+
+// SetReturn writes the return value into the stacked r0, so the process
+// sees it when it resumes.
+func (g armPort) SetReturn(p *Process, ret uint32) error {
+	if err := g.k.Board.Machine.WriteFrameR0(p.PSP, ret); err != nil {
+		return fmt.Errorf("kernel: writing syscall return for %s: %w", p.Name, err)
+	}
+	return nil
+}
+
+// Memory returns the flavour's memory manager.
+func (g armPort) Memory(p *Process) kcore.Memory { return p.MM }
+
+// Service runs f inside method's Figure 11 instrument window and charges
+// syscallServiceCycles there.
+func (g armPort) Service(method string, f func()) {
+	_ = g.k.instrument(method, func() error {
+		g.k.Meter().Add(syscallServiceCycles)
+		f()
+		return nil
+	})
+}
+
+// Syscall serves subscribe, upcall-done, the grant-backed alarm set,
+// buffer fill and IPC.
+func (g armPort) Syscall(p *Process, svcNum uint8, a [4]uint32) (uint32, bool, error) {
+	k := g.k
+	switch svcNum {
+	case SVCSubscribe:
+		return k.subscribe(p, a[0], a[1], a[2]), true, nil
+	case SVCUpcallDone:
+		// finishUpcall writes r0 itself, so the upcall's return is
+		// neither counted nor seen by the SyscallRet hook; the trace
+		// reports it as 0.
+		return RetSuccess, false, k.finishUpcall(p)
+	case SVCCommand:
+		switch a[0] {
+		case DriverAlarm:
+			return k.alarmCmd(p, a[1], a[2]), true, nil
+		case DriverBufferFill:
+			return k.bufferFillCmd(p, a[1], a[2]), true, nil
+		case DriverIPC:
+			return k.ipcCmd(p, a[1], a[2]), true, nil
+		}
+	}
+	return RetInvalid, true, nil
+}
 
 // Wake delivers an expiring alarm's upcall, if the process subscribed,
 // before it resumes from its yield.
 func (g armPort) Wake(p *Process, now uint64) error {
-	if !g.k.scheduleUpcall(p, DriverAlarm, uint32(now>>6), 0) {
-		return nil
-	}
-	return g.k.deliverUpcall(p)
+	_, err := g.k.deliverUpcall(p, DriverAlarm, uint32(now>>6), 0)
+	return err
 }
 
 // Reset zeroes the process's accessible RAM, resets the break to the
-// initial value, drops its shared buffers and upcalls, and rebuilds the
-// initial stack frame.
+// initial value, drops its upcalls, and rebuilds the initial stack
+// frame.
 func (g armPort) Reset(p *Process) error {
 	layout := p.MM.Layout()
 	if p.initialBreak != 0 && p.initialBreak != layout.AppBreak {
@@ -116,10 +175,7 @@ func (g armPort) Reset(p *Process) error {
 			return err
 		}
 	}
-	clear(p.AllowedRO)
-	clear(p.AllowedRW)
 	clear(p.Upcalls)
-	p.pendingUpcalls = nil
 	p.inUpcall = false
 	return p.buildInitialFrame(g.k.Board.Machine)
 }

@@ -20,14 +20,11 @@ const (
 )
 
 // Buffer is a user-shared buffer registered via an allow syscall.
-type Buffer struct {
-	Addr uint32
-	Len  uint32
-}
+type Buffer = kcore.Buffer
 
 // Process is the kernel's per-process record: the port-neutral record
-// (identity, state, wake deadline, restarts, console output) plus the
-// ARMv7-M saved context, memory manager, shared buffers and upcalls.
+// (identity, state, wake deadline, restarts, shared buffers, console
+// output) plus the ARMv7-M saved context, memory manager and upcalls.
 type Process struct {
 	coreProcess
 
@@ -38,10 +35,6 @@ type Process struct {
 	// frame does not capture, plus the process stack pointer.
 	SavedRegs [8]uint32 // r4..r11
 	PSP       uint32
-
-	// AllowedRO/AllowedRW are the per-driver shared buffers.
-	AllowedRO map[uint32]Buffer
-	AllowedRW map[uint32]Buffer
 
 	// initialBreak and stackSize are remembered from load time so the
 	// restart policy can reset the process.
@@ -54,8 +47,6 @@ type Process struct {
 
 	// Upcalls maps driver number to the subscribed callback.
 	Upcalls map[uint32]Upcall
-	// pendingUpcalls queues scheduled callbacks awaiting a yield.
-	pendingUpcalls []ScheduledUpcall
 	// inUpcall marks that a callback frame is live on the process
 	// stack; yieldPSP is the frame to restore when it returns.
 	inUpcall bool
@@ -69,12 +60,6 @@ type Process struct {
 type Upcall struct {
 	Fn       uint32
 	Userdata uint32
-}
-
-// ScheduledUpcall is a queued callback delivery with its three arguments.
-type ScheduledUpcall struct {
-	Driver     uint32
-	A0, A1, A2 uint32
 }
 
 // buildInitialFrame lays a synthetic exception frame on the process stack

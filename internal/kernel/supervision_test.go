@@ -130,16 +130,16 @@ func rvApp(name string, build func(a *rv32.Assembler)) rvkernel.App {
 // rvPuts emits one console putchar ecall per byte of s.
 func rvPuts(a *rv32.Assembler, s string) {
 	for _, ch := range s {
-		a.Emit(rv32.Li{Rd: rv32.A0, Imm: rvkernel.DriverConsole}).
+		a.Emit(rv32.Li{Rd: rv32.A0, Imm: DriverConsole}).
 			Emit(rv32.Li{Rd: rv32.A1, Imm: 0}).
 			Emit(rv32.Li{Rd: rv32.A2, Imm: uint32(ch)}).
-			Emit(rv32.Li{Rd: rv32.A7, Imm: rvkernel.SVCCommand}).
+			Emit(rv32.Li{Rd: rv32.A7, Imm: SVCCommand}).
 			Emit(rv32.Ecall{})
 	}
 }
 
 func rvExit(a *rv32.Assembler) {
-	a.Emit(rv32.Li{Rd: rv32.A0, Imm: 0}).Emit(rv32.Li{Rd: rv32.A7, Imm: rvkernel.SVCExit}).Emit(rv32.Ecall{})
+	a.Emit(rv32.Li{Rd: rv32.A0, Imm: 0}).Emit(rv32.Li{Rd: rv32.A7, Imm: SVCExit}).Emit(rv32.Ecall{})
 }
 
 // runSupervised runs k until every process is dead (or a generous quanta

@@ -173,12 +173,9 @@ func TestUpcallFrameSitsOnProcessStack(t *testing.T) {
 	p := load(t, k, helloApp("x", "y"))
 	// Manually subscribe and deliver to inspect the mechanics.
 	p.Upcalls[DriverAlarm] = Upcall{Fn: p.Entry, Userdata: 0xAB}
-	if !k.scheduleUpcall(p, DriverAlarm, 1, 2) {
-		t.Fatal("scheduleUpcall refused with subscription present")
-	}
 	before := p.PSP
-	if err := k.deliverUpcall(p); err != nil {
-		t.Fatal(err)
+	if ok, err := k.deliverUpcall(p, DriverAlarm, 1, 2); err != nil || !ok {
+		t.Fatalf("deliverUpcall with subscription present: ok=%v err=%v", ok, err)
 	}
 	if p.PSP >= before {
 		t.Fatal("upcall frame not pushed")
@@ -202,8 +199,9 @@ func TestUpcallFrameSitsOnProcessStack(t *testing.T) {
 func TestScheduleUpcallWithoutSubscription(t *testing.T) {
 	k := newTestKernel(t, Options{Flavour: FlavourTickTock})
 	p := load(t, k, helloApp("x", "y"))
-	if k.scheduleUpcall(p, DriverAlarm, 0, 0) {
-		t.Fatal("scheduleUpcall queued without subscription")
+	before := p.PSP
+	if ok, err := k.deliverUpcall(p, DriverAlarm, 0, 0); ok || err != nil || p.PSP != before {
+		t.Fatalf("deliverUpcall without subscription: ok=%v err=%v psp 0x%x -> 0x%x", ok, err, before, p.PSP)
 	}
 	if strings.Contains(k.Output(p), "panic") {
 		t.Fatal("unexpected fault")

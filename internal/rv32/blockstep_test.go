@@ -236,8 +236,14 @@ func TestRvFastCoreNoBlockEquivalence(t *testing.T) {
 			if stop.Reason != StopFault || stop.Cause != CauseInstrAccessFault {
 				t.Fatalf("stop=%+v, want instruction access fault", stop)
 			}
-			if st := tw.fast.FastStats(); st.SlowNoBlock == 0 || st.SlowDenied != 0 {
+			st := tw.fast.FastStats()
+			if st.SlowNoBlock == 0 || st.SlowDenied != 0 {
 				t.Fatalf("fallbacks: %+v, want no-block only", st)
+			}
+			// The program makes no load or store, so no hint is
+			// consulted: the oracle fetch checks the PMP directly.
+			if st.HintHits+st.HintMisses != 0 {
+				t.Fatalf("hints: %+v, want none for a program without loads or stores", st)
 			}
 		})
 	}

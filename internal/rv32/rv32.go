@@ -304,9 +304,10 @@ func (m *Machine) check(addr uint32, kind mpu.AccessKind) error {
 }
 
 // fetch returns the instruction at addr after a PMP execute check. The
-// check covers the instruction's first byte.
+// check covers the instruction's first byte and goes to the PMP
+// directly: the fast core's hints cache load/store checks only.
 func (m *Machine) fetch(addr uint32) (Instr, error) {
-	if err := m.check(addr, mpu.AccessExecute); err != nil {
+	if err := m.PMP.Check(addr, mpu.AccessExecute, m.machineMode()); err != nil {
 		return nil, err
 	}
 	if p := m.ProgramAt(addr); p != nil {

@@ -26,13 +26,13 @@ func syscall(a *rv32.Assembler, class, a0, a1, a2, a3 uint32) {
 // puts emits console putchar calls.
 func puts(a *rv32.Assembler, s string) {
 	for _, ch := range s {
-		syscall(a, SVCCommand, DriverConsole, 0, uint32(ch), 0)
+		syscall(a, kcore.SVCCommand, kcore.DriverConsole, 0, uint32(ch), 0)
 	}
 }
 
 // exit emits the exit syscall.
 func exit(a *rv32.Assembler, code uint32) {
-	a.Emit(rv32.Li{Rd: rv32.A0, Imm: code}).Emit(rv32.Li{Rd: rv32.A7, Imm: SVCExit}).Emit(rv32.Ecall{})
+	a.Emit(rv32.Li{Rd: rv32.A0, Imm: code}).Emit(rv32.Li{Rd: rv32.A7, Imm: kcore.SVCExit}).Emit(rv32.Ecall{})
 }
 
 // stdApp wraps a builder with default geometry.
@@ -56,16 +56,16 @@ func ReleaseSubset() []App {
 		}),
 		stdApp("blink", func(a *rv32.Assembler) {
 			for i := 0; i < 3; i++ {
-				syscall(a, SVCCommand, DriverLED, 0, uint32(i%2), 0)
+				syscall(a, kcore.SVCCommand, kcore.DriverLED, 0, uint32(i%2), 0)
 			}
 			puts(a, "blinked\r\n")
 			exit(a, 0)
 		}),
 		stdApp("malloc_test01", func(a *rv32.Assembler) {
 			// s2 = old break; sbrk(+256); store/load at old break.
-			syscall(a, SVCMemop, MemopAppBreak, 0, 0, 0)
+			syscall(a, kcore.SVCMemop, kcore.MemopAppBreak, 0, 0, 0)
 			a.Emit(rv32.Add{Rd: rv32.S2, Rs1: rv32.A0, Rs2: rv32.Zero})
-			syscall(a, SVCMemop, MemopSbrk, 256, 0, 0)
+			syscall(a, kcore.SVCMemop, kcore.MemopSbrk, 256, 0, 0)
 			a.Emit(rv32.Li{Rd: rv32.T0, Imm: 0xAB}).
 				Emit(rv32.Sb{Rs2: rv32.T0, Rs1: rv32.S2, Off: 0}).
 				Emit(rv32.Lbu{Rd: rv32.T1, Rs1: rv32.S2, Off: 0})
@@ -77,13 +77,13 @@ func ReleaseSubset() []App {
 			exit(a, 1)
 		}),
 		stdApp("timer_test", func(a *rv32.Assembler) {
-			syscall(a, SVCCommand, DriverAlarm, 1, 3000, 0)
-			a.Emit(rv32.Li{Rd: rv32.A7, Imm: SVCYield}).Emit(rv32.Ecall{})
+			syscall(a, kcore.SVCCommand, kcore.DriverAlarm, 1, 3000, 0)
+			a.Emit(rv32.Li{Rd: rv32.A7, Imm: kcore.SVCYield}).Emit(rv32.Ecall{})
 			puts(a, "timer fired\r\n")
 			exit(a, 0)
 		}),
 		stdApp("grant_test", func(a *rv32.Assembler) {
-			syscall(a, SVCCommand, DriverGrant, 0, 64, 0)
+			syscall(a, kcore.SVCCommand, kcore.DriverGrant, 0, 64, 0)
 			a.BTo(rv32.BNE, rv32.A0, rv32.Zero, "fail")
 			puts(a, "grants ok\r\n")
 			exit(a, 0)

@@ -7,9 +7,12 @@
 //
 // The port underlines the paper's reuse claim: the process allocator,
 // break accounting and isolation invariants are the *same generic code*
-// as the ARM kernel's, and so are the scheduler, fault supervision and
-// instrumentation (internal/kcore). This package supplies only the trap
-// glue, the ecall ABI and its drivers, and the machine model.
+// as the ARM kernel's, and so are the scheduler, fault supervision,
+// instrumentation and the syscall ABI with its shared drivers
+// (internal/kcore). This package supplies only the trap glue, the
+// register-file side of the ecall ABI (arguments in a0..a3, class in
+// a7, return value in a0), the wake-only alarm set, and the machine
+// model.
 package rvkernel
 
 import (
@@ -17,16 +20,13 @@ import (
 	"fmt"
 
 	"ticktock/internal/core"
-	"ticktock/internal/cycles"
 	"ticktock/internal/flightrec"
 	"ticktock/internal/kcore"
 	"ticktock/internal/metrics"
-	"ticktock/internal/mpu"
 	"ticktock/internal/physmem"
 	"ticktock/internal/riscv"
 	"ticktock/internal/rv32"
 	"ticktock/internal/tbf"
-	"ticktock/internal/trace"
 )
 
 // Memory map of the simulated RISC-V board (HiFive1-like).
@@ -48,35 +48,6 @@ const (
 	// KernelDataBase is a kernel-owned victim address for isolation
 	// tests.
 	KernelDataBase = RAMBase + RAMSize - KernelRAMSize
-)
-
-// Syscall classes, carried in a7 (our RISC-V dialect of the Tock ABI;
-// args in a0..a3, return value in a0).
-const (
-	SVCYield   = 0
-	SVCCommand = 1
-	SVCAllowRW = 2
-	SVCAllowRO = 3
-	SVCMemop   = 4
-	SVCExit    = 5
-)
-
-// Driver and memop numbers shared with the ARM kernel's dialect.
-const (
-	DriverConsole = 0
-	DriverAlarm   = 1
-	DriverTemp    = 2
-	DriverLED     = 3
-	DriverGrant   = 4
-
-	MemopBrk         = 0
-	MemopSbrk        = 1
-	MemopMemoryStart = 2
-	MemopAppBreak    = 3
-
-	RetSuccess = 0
-	RetInvalid = 0xFFFF_FFFE
-	RetNoMem   = 0xFFFF_FFFD
 )
 
 // Process states and fault policies (kcore.State, kcore.FaultPolicy).
@@ -112,8 +83,7 @@ type (
 )
 
 // Process is the kernel's per-process record: the port-neutral record
-// plus the RV32 saved context, the granular allocator over the PMP and
-// the shared buffers.
+// plus the RV32 saved context and the granular allocator over the PMP.
 type Process struct {
 	coreProcess
 	Alloc *core.AppMemoryAllocator[core.PMPRegion]
@@ -126,10 +96,6 @@ type Process struct {
 	// restart policy can reset the process.
 	initialBreak uint32
 	stackSize    uint32
-
-	// AllowedRO/AllowedRW are the per-driver shared buffers.
-	AllowedRO map[uint32][2]uint32 // driver -> {addr, len}
-	AllowedRW map[uint32][2]uint32
 }
 
 // Kernel is the RISC-V kernel instance: the port-neutral core over the
@@ -174,9 +140,11 @@ func New(chip riscv.ChipConfig) (*Kernel, error) {
 		Machine:     m,
 		Meter:       m.Meter,
 		Memory:      mem,
-		Classes:     SVCExit + 1,
+		Classes:     kcore.SVCExit + 1,
 		MPULabel:    "pmp",
 		TickLabel:   "mtimer",
+		// LEDCycles stays 0: this port's LED model has never charged
+		// an MMIO access, and its blink results are recorded that way.
 	})
 	return k, nil
 }
@@ -261,10 +229,8 @@ func (k *Kernel) LoadProcess(app App) (*Process, error) {
 	k.poolCursor = (b.MemoryEnd() + 7) &^ 7
 
 	p := &Process{
-		coreProcess:  coreProcess{ID: len(k.Procs), Name: parsed.Name, State: StateReady, Entry: codeBase},
+		coreProcess:  kcore.NewProcess(len(k.Procs), parsed.Name, codeBase),
 		Alloc:        alloc,
-		AllowedRO:    make(map[uint32][2]uint32),
-		AllowedRW:    make(map[uint32][2]uint32),
 		initialBreak: b.AppBreak(),
 		stackSize:    parsed.StackSize,
 	}
@@ -293,7 +259,7 @@ func (p *Process) initialContext() {
 
 // rvPort is the RV32 glue the port-neutral core drives: the PMP behind
 // the granular allocator, the machine timer, a kernel-saved register
-// file and the ecall ABI.
+// file and the wake-only alarm set.
 type rvPort struct{ k *Kernel }
 
 // Protect programs the PMP.
@@ -346,17 +312,48 @@ func (g rvPort) Save(p *Process, kind kcore.TrapKind) {
 	m.Timer.Disarm()
 }
 
-// Syscall serves an ecall.
-func (g rvPort) Syscall(p *Process, class uint32) error {
-	g.k.handleSyscall(p, class)
+// Args reads a0..a3 from the saved register file. A rewritten a3
+// persists there, so the process sees it when it resumes; the rewritten
+// a0..a2 reach the dispatcher only.
+func (g rvPort) Args(p *Process, class uint32) ([4]uint32, error) {
+	args := [4]uint32{p.Regs[rv32.A0], p.Regs[rv32.A1], p.Regs[rv32.A2], p.Regs[rv32.A3]}
+	if h := g.k.Hooks.SyscallArgs; h != nil {
+		args = h(p, class, args)
+		p.Regs[rv32.A3] = args[3]
+	}
+	return args, nil
+}
+
+// SetReturn writes the return value into the saved a0.
+func (g rvPort) SetReturn(p *Process, ret uint32) error {
+	p.Regs[rv32.A0] = ret
 	return nil
+}
+
+// Memory returns the process's allocator.
+func (g rvPort) Memory(p *Process) kcore.Memory { return allocMemory{p.Alloc} }
+
+// Service runs f with no accounting of its own: its services charge
+// only what the allocator charges, and the port records no per-method
+// statistics, which would add ticktock_method_cycles series to its
+// metric expositions.
+func (g rvPort) Service(_ string, f func()) { f() }
+
+// Syscall serves the alarm set: it only records the wake time, with no
+// grant and no upcall.
+func (g rvPort) Syscall(p *Process, class uint32, a [4]uint32) (uint32, bool, error) {
+	if class == kcore.SVCCommand && a[0] == kcore.DriverAlarm && a[1] == 1 {
+		p.WakeAt = g.k.Machine.Meter.Cycles() + uint64(a[2])
+		return kcore.RetSuccess, true, nil
+	}
+	return kcore.RetInvalid, true, nil
 }
 
 // Wake has nothing to deliver: the port has no upcalls.
 func (g rvPort) Wake(*Process, uint64) error { return nil }
 
-// Reset restores the initial break, zeroes the accessible RAM, drops the
-// shared buffers and rebuilds the initial register file.
+// Reset restores the initial break, zeroes the accessible RAM and
+// rebuilds the initial register file.
 func (g rvPort) Reset(p *Process) error {
 	if p.initialBreak != 0 && p.initialBreak != p.Alloc.Breaks().AppBreak() {
 		if err := p.Alloc.Brk(p.initialBreak); err != nil {
@@ -369,8 +366,6 @@ func (g rvPort) Reset(p *Process) error {
 			return err
 		}
 	}
-	clear(p.AllowedRO)
-	clear(p.AllowedRW)
 	p.initialContext()
 	return nil
 }
@@ -396,155 +391,20 @@ func (g rvPort) Flavour() string { return "rv32-" + g.k.Chip.Name }
 // pick up their write counters at LoadProcess.
 func (g rvPort) Observe(kcore.Observe) {}
 
-// handleSyscall dispatches an ecall: class in a7, args a0..a3, return a0.
-func (k *Kernel) handleSyscall(p *Process, class uint32) {
-	a0, a1, a2 := p.Regs[rv32.A0], p.Regs[rv32.A1], p.Regs[rv32.A2]
-	if h := k.Hooks.SyscallArgs; h != nil {
-		a := h(p, class, [4]uint32{a0, a1, a2, p.Regs[rv32.A3]})
-		a0, a1, a2 = a[0], a[1], a[2]
-		p.Regs[rv32.A3] = a[3]
-	}
-	var ret uint32 = RetSuccess
-	if k.Tracer() != nil {
-		k.Emit(trace.KindSyscallEnter, p, uint64(class), uint64(a0), k.ClassName(class))
-		defer func() { k.Emit(trace.KindSyscallExit, p, uint64(class), uint64(ret), k.ClassName(class)) }()
-	}
-
-	switch class {
-	case SVCYield:
-		if p.WakeAt != 0 && p.WakeAt > k.Machine.Meter.Cycles() {
-			p.State = StateYielded
-		}
-	case SVCCommand:
-		ret = k.command(p, a0, a1, a2)
-	case SVCAllowRO, SVCAllowRW:
-		kind := mpu.AccessRead
-		table := p.AllowedRO
-		if class == SVCAllowRW {
-			kind = mpu.AccessWrite
-			table = p.AllowedRW
-		}
-		switch {
-		case a2 == 0:
-			delete(table, a0)
-		case !p.Alloc.UserCanAccess(a1, a2, kind):
-			ret = RetInvalid
-		default:
-			table[a0] = [2]uint32{a1, a2}
-		}
-	case SVCMemop:
-		ret = k.memop(p, a0, a1)
-	case SVCExit:
-		p.State = StateExited
-		p.ExitCode = a0
-		return
-	default:
-		ret = RetInvalid
-	}
-	switch ret {
-	case RetInvalid, RetNoMem:
-		k.SyscallErrors++
-	}
-	if h := k.Hooks.SyscallRet; h != nil {
-		ret = h(p, class, ret)
-	}
-	p.Regs[rv32.A0] = ret
+// allocMemory is the process allocator seen through kcore.Memory.
+type allocMemory struct {
+	*core.AppMemoryAllocator[core.PMPRegion]
 }
 
-// memop mirrors the ARM kernel's memop dialect.
-func (k *Kernel) memop(p *Process, op, arg uint32) uint32 {
-	b := p.Alloc.Breaks()
-	switch op {
-	case MemopBrk:
-		if err := p.Alloc.Brk(arg); err != nil {
-			k.Emit(trace.KindBrk, p, uint64(arg), 0, "brk")
-			return RetInvalid
-		}
-		k.Emit(trace.KindBrk, p, uint64(arg), uint64(p.Alloc.Breaks().AppBreak()), "brk")
-		return RetSuccess
-	case MemopSbrk:
-		nb, err := p.Alloc.Sbrk(int32(arg))
-		if err != nil {
-			k.Emit(trace.KindBrk, p, uint64(arg), 0, "sbrk")
-			return RetInvalid
-		}
-		k.Emit(trace.KindBrk, p, uint64(arg), uint64(nb), "sbrk")
-		return nb
-	case MemopMemoryStart:
-		return b.MemoryStart()
-	case MemopAppBreak:
-		return b.AppBreak()
-	default:
-		return RetInvalid
-	}
-}
-
-// command hosts the same driver set as the ARM kernel.
-func (k *Kernel) command(p *Process, driver, cmd, arg2 uint32) uint32 {
-	switch driver {
-	case DriverConsole:
-		switch cmd {
-		case 0:
-			k.AppendOutput(p, string(rune(arg2&0x7F)))
-			k.Machine.Meter.Add(cycles.MMIO)
-			return RetSuccess
-		case 1:
-			buf, ok := p.AllowedRO[DriverConsole]
-			if !ok {
-				return RetInvalid
-			}
-			n := min(arg2, buf[1])
-			data, err := k.Machine.Mem.ReadBytes(buf[0], n)
-			if err != nil {
-				return RetInvalid
-			}
-			k.Machine.Meter.Add(uint64(n) * cycles.Load)
-			k.AppendOutput(p, string(data))
-			return n
-		}
-		return RetInvalid
-	case DriverAlarm:
-		switch cmd {
-		case 0:
-			return uint32(k.Machine.Meter.Cycles() >> 6)
-		case 1:
-			p.WakeAt = k.Machine.Meter.Cycles() + uint64(arg2)
-			return RetSuccess
-		}
-		return RetInvalid
-	case DriverTemp:
-		if cmd == 0 {
-			return 2200 + uint32(k.Machine.Meter.Cycles()%997)
-		}
-		return RetInvalid
-	case DriverLED:
-		if int(arg2) >= len(k.LEDs) {
-			return RetInvalid
-		}
-		switch cmd {
-		case 0:
-			k.LEDs[arg2] = !k.LEDs[arg2]
-		case 1:
-			k.LEDs[arg2] = true
-		case 2:
-			k.LEDs[arg2] = false
-		default:
-			return RetInvalid
-		}
-		return RetSuccess
-	case DriverGrant:
-		if cmd != 0 {
-			return RetInvalid
-		}
-		addr, err := p.Alloc.AllocateGrant(arg2)
-		if err != nil {
-			k.Emit(trace.KindGrantAlloc, p, uint64(arg2), 0, "grant")
-			return RetNoMem
-		}
-		p.Grants = append(p.Grants, addr)
-		k.Emit(trace.KindGrantAlloc, p, uint64(arg2), uint64(addr), "grant")
-		return RetSuccess
-	default:
-		return RetInvalid
+// Layout reads the layout out of the allocator's breaks.
+func (m allocMemory) Layout() kcore.Layout {
+	b := m.Breaks()
+	return kcore.Layout{
+		MemoryStart: b.MemoryStart(),
+		MemorySize:  b.MemorySize(),
+		AppBreak:    b.AppBreak(),
+		KernelBreak: b.KernelBreak(),
+		FlashStart:  b.FlashStart(),
+		FlashSize:   b.FlashSize(),
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"ticktock/internal/kcore"
 	"ticktock/internal/riscv"
 	"ticktock/internal/rv32"
 )
@@ -146,9 +147,9 @@ func TestRVProcessCannotReadAnotherProcess(t *testing.T) {
 
 func TestRVBrkGrowsUsableMemory(t *testing.T) {
 	app := stdApp("brk", func(a *rv32.Assembler) {
-		syscall(a, SVCMemop, MemopAppBreak, 0, 0, 0)
+		syscall(a, kcore.SVCMemop, kcore.MemopAppBreak, 0, 0, 0)
 		a.Emit(rv32.Add{Rd: rv32.S2, Rs1: rv32.A0, Rs2: rv32.Zero})
-		syscall(a, SVCMemop, MemopSbrk, 512, 0, 0)
+		syscall(a, kcore.SVCMemop, kcore.MemopSbrk, 512, 0, 0)
 		a.Emit(rv32.Li{Rd: rv32.T0, Imm: 0x5A}).
 			Emit(rv32.Sw{Rs2: rv32.T0, Rs1: rv32.S2, Off: 0}).
 			Emit(rv32.Lw{Rd: rv32.T1, Rs1: rv32.S2, Off: 0})
@@ -242,13 +243,13 @@ func TestRVAllowAndConsoleBuffer(t *testing.T) {
 				Emit(rv32.Sb{Rs2: rv32.T0, Rs1: rv32.S2, Off: int32(i)})
 		}
 		// allow_ro(console, buf, 3)
-		a.Emit(rv32.Li{Rd: rv32.A0, Imm: DriverConsole}).
+		a.Emit(rv32.Li{Rd: rv32.A0, Imm: kcore.DriverConsole}).
 			Emit(rv32.Add{Rd: rv32.A1, Rs1: rv32.S2, Rs2: rv32.Zero}).
 			Emit(rv32.Li{Rd: rv32.A2, Imm: 3}).
-			Emit(rv32.Li{Rd: rv32.A7, Imm: SVCAllowRO}).
+			Emit(rv32.Li{Rd: rv32.A7, Imm: kcore.SVCAllowRO}).
 			Emit(rv32.Ecall{})
 		// command(console, 1, 3) -> print buffer
-		syscall(a, SVCCommand, DriverConsole, 1, 3, 0)
+		syscall(a, kcore.SVCCommand, kcore.DriverConsole, 1, 3, 0)
 		exit(a, 0)
 	})
 	for _, chip := range riscv.Chips {
@@ -273,12 +274,12 @@ func TestRVAllowAndConsoleBuffer(t *testing.T) {
 
 func TestRVAllowRejectsKernelMemory(t *testing.T) {
 	app := stdApp("rvbadallow", func(a *rv32.Assembler) {
-		a.Emit(rv32.Li{Rd: rv32.A0, Imm: DriverConsole}).
+		a.Emit(rv32.Li{Rd: rv32.A0, Imm: kcore.DriverConsole}).
 			Emit(rv32.Li{Rd: rv32.A1, Imm: KernelDataBase}).
 			Emit(rv32.Li{Rd: rv32.A2, Imm: 64}).
-			Emit(rv32.Li{Rd: rv32.A7, Imm: SVCAllowRO}).
+			Emit(rv32.Li{Rd: rv32.A7, Imm: kcore.SVCAllowRO}).
 			Emit(rv32.Ecall{})
-		a.Emit(rv32.Li{Rd: rv32.T0, Imm: RetInvalid})
+		a.Emit(rv32.Li{Rd: rv32.T0, Imm: kcore.RetInvalid})
 		a.BTo(rv32.BNE, rv32.A0, rv32.T0, "fail")
 		puts(a, "denied")
 		exit(a, 0)
