@@ -75,7 +75,8 @@ faultcamp:
 # timeout/crash classification, supervised receipts, nested-backoff
 # additivity, the per-campaign baseline table (one run per key, results
 # equal to RunScenario's, nothing stored by a panic, no lookup waiting
-# on another) and violation recordings made on demand — then runs a
+# on another, its counts predicting exactly which injections fire) and
+# violation recordings made on demand — then runs a
 # chaos campaign whose quarantined scenarios seal as bug-report packs
 # (CI archives ./quarantine) and verifies the sealed evidence including
 # receipt re-derivation.

@@ -12,6 +12,8 @@ package ticktock
 //	§6.2 table -> BenchmarkMemoryFootprint_*           (total/accessible/grant/unused bytes)
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"ticktock/internal/apps"
@@ -25,6 +27,8 @@ import (
 	"ticktock/internal/kernel"
 	"ticktock/internal/membench"
 	"ticktock/internal/metrics"
+	"ticktock/internal/riscv"
+	"ticktock/internal/rvkernel"
 	"ticktock/internal/specs"
 	"ticktock/internal/telemetry"
 	"ticktock/internal/trace"
@@ -570,65 +574,113 @@ func BenchmarkAblation_IPCShareVsCopy(b *testing.B) {
 }
 
 // BenchmarkAblation_FaultInjectOverhead guards the fault-injection
-// hooks' zero-simulated-cost contract: a kernel with every FaultHook
-// installed (plus the machine-level LoadFault probe) but injecting
-// nothing must execute the exact same simulated-cycle count as a kernel
-// with no hooks at all. The hooks are one nil-check on the host; they
-// never touch the cycle meter.
+// hooks' zero-simulated-cost contract, which the fault campaign's skip
+// prediction rests on: a kernel with every FaultHook installed (plus
+// the machine-level LoadFault probe) but injecting nothing must run the
+// exact same simulated cycles, context switches and run signature as a
+// kernel with no hooks at all. The workload is malloc_test01 on the ARM
+// and the RISC-V port: of the campaign's shared release apps, it is the
+// one that reaches all four points, syscalls and a checked load.
 func BenchmarkAblation_FaultInjectOverhead(b *testing.B) {
-	run := func(hooked bool) (uint64, uint64, uint64) {
-		var fired uint64
-		opts := kernel.Options{Flavour: kernel.FlavourTickTock, Timeslice: 200}
-		if hooked {
-			opts.Hooks = kernel.FaultHooks{
-				SyscallArgs: func(p *kernel.Process, svc uint8, args [4]uint32) [4]uint32 {
-					fired++
-					return args
-				},
-				SyscallRet: func(p *kernel.Process, svc uint8, ret uint32) uint32 {
-					fired++
-					return ret
-				},
-				QuantumStart: func(p *kernel.Process) { fired++ },
+	// calls counts QuantumStart, SyscallArgs, SyscallRet and LoadFault
+	// calls; a nil calls runs without hooks.
+	armRun := func(calls *[4]uint64) hookProbe {
+		var tc apps.TestCase
+		for _, c := range apps.All() {
+			if c.Name == "malloc_test01" {
+				tc = c
 			}
+		}
+		opts := kernel.Options{Flavour: kernel.FlavourTickTock}
+		if calls != nil {
+			opts.Hooks = countingHooks[*kernel.Process, uint8](calls)
 		}
 		k, err := kernel.New(opts)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if hooked {
-			k.Board.Machine.LoadFault = func(addr uint32) error {
-				fired++
-				return nil
+		if calls != nil {
+			k.Board.Machine.LoadFault = func(uint32) error { calls[3]++; return nil }
+		}
+		for _, app := range tc.Apps {
+			if _, err := k.LoadProcess(app); err != nil {
+				b.Fatal(err)
 			}
 		}
-		if _, err := k.LoadProcess(spinner()); err != nil {
+		if _, err := k.Run(difftest.DefaultQuanta); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := k.Run(50); err != nil {
+		return newHookProbe(k.Meter().Cycles(), k.Counters(), k.Records())
+	}
+	rvRun := func(calls *[4]uint64) hookProbe {
+		var app rvkernel.App
+		for _, a := range rvkernel.ReleaseSubset() {
+			if a.Name == "malloc_test01" {
+				app = a
+			}
+		}
+		k, err := rvkernel.New(riscv.Chips[0])
+		if err != nil {
 			b.Fatal(err)
 		}
-		return k.Meter().Cycles(), k.Switches, fired
+		if calls != nil {
+			k.Hooks = countingHooks[*rvkernel.Process, uint32](calls)
+			k.Machine.LoadFault = func(uint32) error { calls[3]++; return nil }
+		}
+		if _, err := k.LoadProcess(app); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := k.Run(2000); err != nil {
+			b.Fatal(err)
+		}
+		return newHookProbe(k.Meter().Cycles(), k.Counters(), k.Records())
 	}
-	var delta uint64
-	for i := 0; i < b.N; i++ {
-		plainCycles, plainSwitches, _ := run(false)
-		hookedCycles, hookedSwitches, fired := run(true)
-		if fired == 0 {
-			b.Fatal("hooks installed but never fired; the probe measured nothing")
-		}
-		if plainSwitches != hookedSwitches {
-			b.Fatalf("hooks changed the workload: switches %d->%d", plainSwitches, hookedSwitches)
-		}
-		if hookedCycles > plainCycles {
-			delta = hookedCycles - plainCycles
-		} else {
-			delta = plainCycles - hookedCycles
-		}
-		if delta != 0 {
-			b.Fatalf("idle fault hooks cost %d simulated cycles (hooked=%d plain=%d)",
-				delta, hookedCycles, plainCycles)
-		}
+	for _, port := range []struct {
+		name string
+		run  func(calls *[4]uint64) hookProbe
+	}{{"armv7m", armRun}, {"rv32", rvRun}} {
+		b.Run(port.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				var calls [4]uint64
+				plain, hooked := port.run(nil), port.run(&calls)
+				for j, name := range []string{"QuantumStart", "SyscallArgs", "SyscallRet", "LoadFault"} {
+					if calls[j] == 0 {
+						b.Fatalf("%s hook installed but never called; the probe measured nothing", name)
+					}
+				}
+				if hooked != plain {
+					b.Fatalf("idle fault hooks changed the run:\nhooked %+v\nplain  %+v", hooked, plain)
+				}
+			}
+			b.ReportMetric(0, "sim-cycle-delta")
+		})
 	}
-	b.ReportMetric(float64(delta), "sim-cycle-delta")
+}
+
+// hookProbe is what the fault-hook ablation compares: simulated cycles,
+// and the run signature a fault campaign classifies by (the kernel's
+// counters, context switches among them, and each process's output,
+// state and restarts).
+type hookProbe struct {
+	cycles   uint64
+	counters kcore.Counters
+	procs    string
+}
+
+func newHookProbe(cycles uint64, c kcore.Counters, procs []*kcore.Process) hookProbe {
+	var s strings.Builder
+	for _, p := range procs {
+		fmt.Fprintf(&s, "[%s] %q %v restarts=%d; ", p.Name, p.Output(), p.State, p.Restarts)
+	}
+	return hookProbe{cycles, c, s.String()}
+}
+
+// countingHooks returns fault hooks that change nothing and count their
+// calls into calls[0:3].
+func countingHooks[P any, C kcore.Class](calls *[4]uint64) kcore.FaultHooks[P, C] {
+	return kcore.FaultHooks[P, C]{
+		QuantumStart: func(P) { calls[0]++ },
+		SyscallArgs:  func(_ P, _ C, args [4]uint32) [4]uint32 { calls[1]++; return args },
+		SyscallRet:   func(_ P, _ C, ret uint32) uint32 { calls[2]++; return ret },
+	}
 }

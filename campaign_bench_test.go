@@ -21,6 +21,7 @@ import (
 //	record   + Config.Record
 //	all      all three with a 30 s timeout and one retry, the setup of
 //	         perfbench's faultcamp-observed workload
+//	fast     the plain row on the block-cache fast core (Config.FastCore)
 //
 // ns/op is one campaign. Every row must render the plain row's report,
 // so a layer that changed a result fails here instead of reading as a
@@ -30,20 +31,21 @@ func BenchmarkCampaignLayers(b *testing.B) {
 	cfg := faultinject.Config{Seed: 1 << 16, N: 100, Workers: 1}
 	want := faultinject.Run(cfg).Text()
 	for _, row := range []struct {
-		name                          string
-		journal, plane, record, retry bool
+		name                                string
+		journal, plane, record, retry, fast bool
 	}{
 		{name: "plain"},
 		{name: "journal", journal: true},
 		{name: "plane", plane: true},
 		{name: "record", record: true},
 		{name: "all", journal: true, plane: true, record: true, retry: true},
+		{name: "fast", fast: true},
 	} {
 		b.Run(row.name, func(b *testing.B) {
 			dir := b.TempDir()
 			for i := 0; i < b.N; i++ {
 				c := cfg
-				c.Record = row.record
+				c.Record, c.FastCore = row.record, row.fast
 				sup := campaign.Config{Workers: 1}
 				if row.journal {
 					sup.Journal = filepath.Join(dir, fmt.Sprintf("campaign-%d.journal", i))

@@ -93,6 +93,97 @@ func TestBaselineSharingMatchesRunScenario(t *testing.T) {
 	}
 }
 
+// TestBaselinePredictsFiring pins the prediction that answers a port
+// from its baseline: for every port run of seeds 0 and 1<<16 at N 500,
+// on both cores, the baseline's counts predict whether the injection
+// fires exactly as the injected run reports it, and every run predicted
+// not to fire has the baseline's signature and isolation sweep. On top
+// of the generated scenarios it runs boundary ones, built from each
+// baseline key's own counts, with every kind's threshold at count−1,
+// count and count+1: the generated Quantum and Nth alone do not land on
+// every threshold.
+func TestBaselinePredictsFiring(t *testing.T) {
+	for _, fast := range []bool{false, true} {
+		for _, seed := range []int64{0, 1 << 16} {
+			cfg := Config{Seed: seed, N: 500, FastCore: fast}.withDefaults()
+			for _, c := range []struct {
+				name string
+				p    port
+			}{{"arm", armPort}, {"rv32", rvPort}} {
+				p := c.p
+				bases := map[Scenario]baseline{}
+				var scenarios []Scenario
+				for _, sc := range GenScenarios(cfg) {
+					k := p.baseKey(sc)
+					if _, ok := bases[k]; !ok {
+						r, err := p.run(k, cfg, false, kcore.Observe{})
+						if err != nil {
+							t.Fatal(err)
+						}
+						bases[k] = baseline{sig: r.sig, seen: r.seen, violations: r.sweep()}
+						scenarios = append(scenarios, boundaryScenarios(sc, r.seen)...)
+					}
+					scenarios = append(scenarios, sc)
+				}
+				var wrong []string
+				skipped := 0
+				for _, sc := range scenarios {
+					base := bases[p.baseKey(sc)]
+					inj, err := p.run(sc, cfg, true, kcore.Observe{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					violations := inj.sweep()
+					name := fmt.Sprintf("%s %s Quantum=%d Nth=%d", sc.Label(), p.name(sc), sc.Quantum, sc.Nth)
+					switch fires := base.seen.fires(sc); {
+					case fires != inj.applied:
+						wrong = append(wrong, fmt.Sprintf("%s: predicted fires=%v, applied=%v (%+v)", name, fires, inj.applied, base.seen))
+					case !fires && (inj.sig != base.sig || fmt.Sprint(violations) != fmt.Sprint(base.violations)):
+						wrong = append(wrong, name+": skipped run differs from its baseline")
+					case !fires:
+						skipped++
+					}
+				}
+				if len(wrong) > 0 {
+					t.Errorf("fast=%v seed=%d %s: %d of %d runs mispredicted, first: %s",
+						fast, seed, c.name, len(wrong), len(scenarios), wrong[0])
+				}
+				if skipped == 0 || skipped == len(scenarios) {
+					t.Errorf("fast=%v seed=%d %s: %d of %d runs predicted skipped; both sides must be reached",
+						fast, seed, c.name, skipped, len(scenarios))
+				}
+			}
+		}
+	}
+}
+
+// boundaryScenarios rebuilds sc as every kind with the kind's threshold
+// at seen's count −1, +0 and +1, from 1 up as GenScenarios draws them.
+// A bus fault fires on the first checked load whatever its Nth, so its
+// boundary is the keys with and without loads.
+func boundaryScenarios(sc Scenario, seen reach) []Scenario {
+	var out []Scenario
+	for k := Kind(0); int(k) < numKinds; k++ {
+		n := seen.quanta
+		switch k {
+		case KindMPUFlip:
+			n = seen.quantumStarts
+		case KindSyscallArg:
+			n = seen.syscallArgs
+		case KindSyscallRet:
+			n = seen.syscallRets
+		case KindBusFault:
+			n = seen.loads
+		}
+		for v := max(n-1, 1); v <= n+1; v++ {
+			b := sc
+			b.Kind, b.Quantum, b.Nth = k, v, v
+			out = append(out, b)
+		}
+	}
+	return out
+}
+
 // TestBaselinePanicStoresNothing: a baseline run that panics leaves no
 // entry behind, so the next lookup of its key runs it again instead of
 // reading a zero signature.
@@ -105,15 +196,15 @@ func TestBaselinePanicStoresNothing(t *testing.T) {
 				t.Fatal("panicking baseline did not panic through get")
 			}
 		}()
-		tbl.get(sc, armBaseKey, func(Scenario) (runSignature, error) { panic("baseline crashed") })
+		tbl.get(sc, armBaseKey, func(Scenario, bool) baseline { panic("baseline crashed") })
 	}()
 	if len(tbl.done) != 0 || tbl.runs != 0 {
 		t.Fatalf("panicked baseline left %d entries and %d runs", len(tbl.done), tbl.runs)
 	}
 	want := runSignature{Output: "clean"}
-	got, err := tbl.get(sc, armBaseKey, func(Scenario) (runSignature, error) { return want, nil })
-	if err != nil || got != want || tbl.runs != 1 || len(tbl.done) != 1 {
-		t.Fatalf("lookup after the panic: %+v, %v, %d runs, %d entries", got, err, tbl.runs, len(tbl.done))
+	got := tbl.get(sc, armBaseKey, func(Scenario, bool) baseline { return baseline{sig: want} })
+	if got.err != nil || got.sig != want || tbl.runs != 1 || len(tbl.done) != 1 {
+		t.Fatalf("lookup after the panic: %+v, %d runs, %d entries", got, tbl.runs, len(tbl.done))
 	}
 }
 
@@ -127,18 +218,18 @@ func TestBaselineLookupNeverWaits(t *testing.T) {
 	entered, release := make(chan struct{}), make(chan struct{})
 	late := make(chan runSignature)
 	go func() {
-		sig, _ := tbl.get(sc, rvBaseKey, func(Scenario) (runSignature, error) {
+		b := tbl.get(sc, rvBaseKey, func(Scenario, bool) baseline {
 			close(entered)
 			<-release
-			return runSignature{Output: "second"}, nil
+			return baseline{sig: runSignature{Output: "second"}}
 		})
-		late <- sig
+		late <- b.sig
 	}()
 	<-entered
 	first := make(chan runSignature)
 	go func() {
-		sig, _ := tbl.get(sc, rvBaseKey, func(Scenario) (runSignature, error) { return runSignature{Output: "first"}, nil })
-		first <- sig
+		b := tbl.get(sc, rvBaseKey, func(Scenario, bool) baseline { return baseline{sig: runSignature{Output: "first"}} })
+		first <- b.sig
 	}()
 	select {
 	case sig := <-first:
@@ -158,13 +249,13 @@ func TestBaselineLookupNeverWaits(t *testing.T) {
 }
 
 // instrumented wraps p to tally its runs by what they carry and, with
-// violate, to make every injected run report an isolation violation:
-// real campaigns have none, so this is how a test reaches the
-// recording path.
+// violate, to make every isolation sweep report a violation: real
+// campaigns have none, so this is how a test reaches the recording
+// path.
 func instrumented(p port, violate bool, runs map[string]int) port {
 	run := p.run
-	p.run = func(sc Scenario, cfg Config, inject bool, obs kcore.Observe) (runSignature, []string, bool, error) {
-		sig, violations, applied, err := run(sc, cfg, inject, obs)
+	p.run = func(sc Scenario, cfg Config, inject bool, obs kcore.Observe) (portRun, error) {
+		r, err := run(sc, cfg, inject, obs)
 		switch {
 		case !inject:
 			runs["baseline"]++
@@ -175,10 +266,10 @@ func instrumented(p port, violate bool, runs map[string]int) port {
 		default:
 			runs["injected"]++
 		}
-		if inject && violate {
-			violations = append(violations, "forced")
+		if sweep := r.sweep; violate && sweep != nil {
+			r.sweep = func() []string { return append(sweep(), "forced") }
 		}
-		return sig, violations, applied, err
+		return r, err
 	}
 	return p
 }
@@ -197,10 +288,13 @@ func encodeRecording(t *testing.T, rec *flightrec.Recording) []byte {
 // violations is re-run once under a fresh recorder and no tracer, and
 // the recording equals, codec byte for codec byte, the injected
 // recording RecordRuns returns for that port, although the campaign's
-// tracer was attached to both ports' injected runs. A port without
-// violations records nothing.
+// tracer was attached to both ports' injected runs. A port whose
+// injection cannot fire makes no injected run: its sweep is the
+// baseline's, and a violation found there is recorded the same way. A
+// port without violations records nothing.
 func TestLazyRecordingMatchesRecordRuns(t *testing.T) {
 	cfg := Config{Seed: 0, Record: true}.withDefaults()
+	skipped := 0
 	for _, sc := range GenScenarios(cfg)[:40] {
 		wantARM, wantRV, err := RecordRuns(sc, cfg, true)
 		if err != nil {
@@ -218,7 +312,12 @@ func TestLazyRecordingMatchesRecordRuns(t *testing.T) {
 				if pr.Err != "" {
 					t.Fatalf("%s: %s", name, pr.Err)
 				}
-				want := map[string]int{"baseline": 1, "injected": 1}
+				want := map[string]int{"baseline": 1}
+				if pr.Applied {
+					want["injected"] = 1
+				} else {
+					skipped++
+				}
 				if violate {
 					want["recorded"] = 1
 				}
@@ -239,5 +338,8 @@ func TestLazyRecordingMatchesRecordRuns(t *testing.T) {
 				}
 			}
 		}
+	}
+	if skipped == 0 {
+		t.Fatal("no port was answered from its baseline; the skipped path went untested")
 	}
 }

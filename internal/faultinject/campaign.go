@@ -63,8 +63,10 @@ func Run(cfg Config) *Report {
 
 // RunScenario executes one scenario on both ports: an uninjected
 // baseline and an injected run each, classifying the injected run
-// against its baseline. It shares no baseline with any other call; only
-// the units of one campaign do (see campaignRunner).
+// against its baseline, or answering it from the baseline when the
+// baseline's counts show the injection cannot fire. It shares no
+// baseline with any other call; only the units of one campaign do (see
+// campaignRunner).
 func RunScenario(sc Scenario, cfg Config) Result {
 	return (&runner{cfg: cfg.withDefaults()}).scenario(sc, nil)
 }
@@ -127,8 +129,19 @@ func RecordRuns(sc Scenario, cfg Config, inject bool) (arm, rv *flightrec.Record
 // clean baseline reads.
 type port struct {
 	name    func(Scenario) string
-	run     func(sc Scenario, cfg Config, inject bool, obs kcore.Observe) (runSignature, []string, bool, error)
+	run     func(sc Scenario, cfg Config, inject bool, obs kcore.Observe) (portRun, error)
 	baseKey func(Scenario) Scenario
+}
+
+// portRun is one completed run of a scenario on one port.
+type portRun struct {
+	sig     runSignature
+	applied bool  // the injection fired (injected runs only)
+	seen    reach // how often the run passed each injection point
+	// sweep re-checks the isolation contracts on the run's final
+	// kernel state. It is left to the caller, so that only the runs
+	// whose findings a result reports pay for it.
+	sweep func() []string
 }
 
 var (
@@ -138,32 +151,49 @@ var (
 
 // result classifies sc's injected run on the port, which carries tr,
 // against the clean baseline that bases holds for sc's key (run on sc
-// itself when bases is nil). When cfg.Record is set and the isolation
-// sweep finds violations, the injected run is repeated under a fresh
-// flight recorder and no tracer, and the recording is attached as
-// Replay: it is the recording RecordRuns(sc, cfg, true) returns for the
-// port, whatever tracer the campaign attached.
+// itself when bases is nil). An injected run whose injection the
+// baseline's counts show cannot fire is bit for bit its baseline, so it
+// is not run: the port is skipped, with the baseline's isolation sweep
+// as its violations. When cfg.Record is set and the sweep finds
+// violations, the injected run is repeated under a fresh flight
+// recorder and no tracer, and the recording is attached as Replay: it
+// is the recording RecordRuns(sc, cfg, true) returns for the port,
+// whatever tracer the campaign attached.
 func (p port) result(sc Scenario, cfg Config, bases *baselineTable, tr *trace.Tracer) PortResult {
 	name := p.name(sc)
-	base, err := bases.get(sc, p.baseKey, func(sc Scenario) (runSignature, error) {
-		sig, _, _, err := p.run(sc, cfg, false, kcore.Observe{})
-		return sig, err
+	base := bases.get(sc, p.baseKey, func(k Scenario, shared bool) baseline {
+		r, err := p.run(k, cfg, false, kcore.Observe{})
+		if err != nil {
+			return baseline{err: err}
+		}
+		b := baseline{sig: r.sig, seen: r.seen}
+		// A shared baseline answers every scenario of its key, so it
+		// always sweeps; an unshared one sweeps only to answer its own.
+		if shared || !r.seen.fires(sc) {
+			b.violations = r.sweep()
+		}
+		return b
 	})
-	if err != nil {
-		return PortResult{Port: name, Err: err.Error()}
+	if base.err != nil {
+		return PortResult{Port: name, Err: base.err.Error()}
 	}
-	inj, violations, applied, err := p.run(sc, cfg, true, kcore.Observe{Trace: tr})
-	if err != nil {
-		return PortResult{Port: name, Err: err.Error()}
+	pr := PortResult{Port: name, Violations: base.violations}
+	if base.seen.fires(sc) {
+		inj, err := p.run(sc, cfg, true, kcore.Observe{Trace: tr})
+		if err != nil {
+			return PortResult{Port: name, Err: err.Error()}
+		}
+		pr.Applied, pr.Violations = inj.applied, inj.sweep()
+		pr.Outcome, pr.Detail = classify(inj.applied, base.sig, inj.sig)
+		if inj.sig.Quarantines > base.sig.Quarantines {
+			pr.QuarantineDelta = inj.sig.Quarantines - base.sig.Quarantines
+		}
 	}
-	pr := PortResult{Port: name, Applied: applied, Violations: violations}
-	pr.Outcome, pr.Detail = classify(applied, base, inj)
-	if inj.Quarantines > base.Quarantines {
-		pr.QuarantineDelta = inj.Quarantines - base.Quarantines
-	}
-	if cfg.Record && len(violations) > 0 {
-		// The run just completed and is deterministic, so the re-run
-		// fails only if the kernel is not; report that, never hide it.
+	if cfg.Record && len(pr.Violations) > 0 {
+		// The injected run, or the baseline it equals, just completed
+		// and is deterministic, so the re-run fails only if the kernel
+		// is not; report that, never hide it.
+		var err error
 		if pr.Replay, err = p.record(sc, cfg, true); err != nil {
 			pr.Err = err.Error()
 		}
@@ -175,7 +205,7 @@ func (p port) result(sc Scenario, cfg Config, bases *baselineTable, tr *trace.Tr
 // or without the injection armed, and returns the recording.
 func (p port) record(sc Scenario, cfg Config, inject bool) (*flightrec.Recording, error) {
 	rec := flightrec.NewRecorder(p.name(sc))
-	if _, _, _, err := p.run(sc, cfg, inject, kcore.Observe{FlightRec: rec}); err != nil {
+	if _, err := p.run(sc, cfg, inject, kcore.Observe{FlightRec: rec}); err != nil {
 		return nil, fmt.Errorf("faultinject: recording %s: %w", p.name(sc), err)
 	}
 	return rec.Finish(), nil
@@ -191,70 +221,71 @@ type portKernel interface {
 }
 
 // drive runs k for up to quanta scheduling quanta while any process is
-// alive, firing the boundary injection at the scenario's quantum when
-// inject is set, and returns the run signature and whether the boundary
-// injection fired.
-func drive(k portKernel, sc Scenario, inject bool, quanta int, boundary func() bool) (runSignature, bool, error) {
-	fired := false
+// alive, counting the iterations it enters into r.seen and firing the
+// boundary injection at the scenario's quantum when inject is set, and
+// records the run signature in r.
+func drive(k portKernel, sc Scenario, inject bool, quanta int, boundary func() bool, r *portRun) error {
 	for q := 0; q < quanta && k.Alive(); q++ {
-		if inject && q == sc.Quantum {
-			fired = boundary()
+		r.seen.quanta++
+		if inject && q == sc.Quantum && boundary() {
+			r.applied = true
 		}
 		ran, err := k.RunOnce()
 		if err != nil {
-			return runSignature{}, fired, err
+			return err
 		}
 		if !ran {
 			break
 		}
 	}
-	return signature(k), fired, nil
+	r.sig = signature(k)
+	return nil
 }
 
-// installHooks arms the scenario's hook injection on either port: an
-// upset (flip) at the start of the sc.Quantum-th user quantum — after
-// the kernel programmed the protection unit, while user code owns the
-// pipeline, so the kernel's per-switch reconfiguration bounds the
-// exposure to one quantum — or corruption of the sc.Nth syscall's
-// arguments or return value. It sets *applied when the injection fires.
-func installHooks[P any, C kcore.Class](sc Scenario, h *kcore.FaultHooks[P, C], applied *bool, flip func()) {
-	n := 0
-	switch sc.Kind {
-	case KindMPUFlip:
-		h.QuantumStart = func(P) {
-			if n++; n == sc.Quantum {
-				*applied = true
-				flip()
-			}
+// installHooks installs the kernel's three injection points on either
+// port. Every hook counts its calls into r.seen; with inject set, the
+// scenario's own hook fires on the call its count names and sets
+// r.applied: an upset (flip) at the start of the sc.Quantum-th user
+// quantum — after the kernel programmed the protection unit, while user
+// code owns the pipeline, so the kernel's per-switch reconfiguration
+// bounds the exposure to one quantum — or corruption of the sc.Nth
+// syscall's arguments or return value.
+func installHooks[P any, C kcore.Class](sc Scenario, inject bool, h *kcore.FaultHooks[P, C], r *portRun, flip func()) {
+	fire := func(k Kind, n, target int) bool {
+		if inject && sc.Kind == k && n == target {
+			r.applied = true
+			return true
 		}
-	case KindSyscallArg:
-		h.SyscallArgs = func(_ P, _ C, args [4]uint32) [4]uint32 {
-			if n++; n == sc.Nth {
-				*applied = true
-				args[sc.ArgIdx] ^= sc.XorVal
-			}
-			return args
+		return false
+	}
+	h.QuantumStart = func(P) {
+		if r.seen.quantumStarts++; fire(KindMPUFlip, r.seen.quantumStarts, sc.Quantum) {
+			flip()
 		}
-	case KindSyscallRet:
-		h.SyscallRet = func(_ P, _ C, ret uint32) uint32 {
-			if n++; n == sc.Nth {
-				*applied = true
-				ret ^= sc.XorVal
-			}
-			return ret
+	}
+	h.SyscallArgs = func(_ P, _ C, args [4]uint32) [4]uint32 {
+		if r.seen.syscallArgs++; fire(KindSyscallArg, r.seen.syscallArgs, sc.Nth) {
+			args[sc.ArgIdx] ^= sc.XorVal
 		}
+		return args
+	}
+	h.SyscallRet = func(_ P, _ C, ret uint32) uint32 {
+		if r.seen.syscallRets++; fire(KindSyscallRet, r.seen.syscallRets, sc.Nth) {
+			ret ^= sc.XorVal
+		}
+		return ret
 	}
 }
 
-// failFirstLoad is a machine LoadFault hook that fails the first
-// protection-checked load with fail(addr): the release apps perform few
-// data loads, so "nth load" would usually never be reached; load-free
-// programs still classify as skipped. It sets *applied when it fires.
-func failFirstLoad(applied *bool, fail func(addr uint32) error) func(uint32) error {
-	n := 0
+// loadHook is the machine's LoadFault hook: it counts protection-checked
+// loads into r.seen and, for an injected bus fault, fails the first
+// with fail(addr). The release apps perform few data loads, so "nth
+// load" would usually never be reached; load-free programs still
+// classify as skipped.
+func loadHook(sc Scenario, inject bool, r *portRun, fail func(addr uint32) error) func(uint32) error {
 	return func(addr uint32) error {
-		if n++; n == 1 {
-			*applied = true
+		if r.seen.loads++; inject && sc.Kind == KindBusFault && r.seen.loads == 1 {
+			r.applied = true
 			return fail(addr)
 		}
 		return nil
@@ -297,12 +328,11 @@ func armPortName(sc Scenario) string {
 // obs attached, optionally with the scenario's injection armed. Hook
 // injections (syscall corruption, bus faults) arm before boot and fire
 // on their nth event; boundary injections fire at the scenario's
-// scheduling quantum. It returns the run signature, the isolation sweep's findings
-// (injected runs only) and whether the injection actually fired.
-func armRun(sc Scenario, cfg Config, inject bool, obs kcore.Observe) (runSignature, []string, bool, error) {
+// scheduling quantum.
+func armRun(sc Scenario, cfg Config, inject bool, obs kcore.Observe) (portRun, error) {
 	tc, ok := armCases()[sc.App]
 	if !ok {
-		return runSignature{}, nil, false, fmt.Errorf("faultinject: no ARM case %q", sc.App)
+		return portRun{}, fmt.Errorf("faultinject: no ARM case %q", sc.App)
 	}
 	policy := kernel.PolicyRestart
 	if sc.Quarantine {
@@ -321,48 +351,39 @@ func armRun(sc Scenario, cfg Config, inject bool, obs kcore.Observe) (runSignatu
 		FastCore:    cfg.FastCore,
 		Observe:     obs,
 	}
-	applied := false
+	var r portRun
 	var machine *armv7m.Machine
-	if inject {
-		installHooks(sc, &opts.Hooks, &applied, func() {
-			var rbarXor, rasrXor uint32
-			if sc.AttrReg {
-				rasrXor = 1 << rasrBits[sc.BitAttr%uint(len(rasrBits))]
-			} else {
-				// RBAR address bits [31:5]; the low bits are
-				// region/valid fields the model stores separately.
-				rbarXor = 1 << (5 + sc.BitAddr%27)
-			}
-			machine.MPU.FlipBits(sc.Entry%armv7m.NumRegions, rbarXor, rasrXor)
-		})
-	}
+	installHooks(sc, inject, &opts.Hooks, &r, func() {
+		var rbarXor, rasrXor uint32
+		if sc.AttrReg {
+			rasrXor = 1 << rasrBits[sc.BitAttr%uint(len(rasrBits))]
+		} else {
+			// RBAR address bits [31:5]; the low bits are
+			// region/valid fields the model stores separately.
+			rbarXor = 1 << (5 + sc.BitAddr%27)
+		}
+		machine.MPU.FlipBits(sc.Entry%armv7m.NumRegions, rbarXor, rasrXor)
+	})
 	k, err := kernel.New(opts)
 	if err != nil {
-		return runSignature{}, nil, false, err
+		return portRun{}, err
 	}
 	machine = k.Board.Machine
-	if inject && sc.Kind == KindBusFault {
-		machine.LoadFault = failFirstLoad(&applied, func(addr uint32) error { return &physmem.BusError{Addr: addr} })
-	}
+	machine.LoadFault = loadHook(sc, inject, &r, func(addr uint32) error { return &physmem.BusError{Addr: addr} })
 	for _, app := range tc.Apps {
 		if _, err := k.LoadProcess(app); err != nil {
-			return runSignature{}, nil, false, err
+			return portRun{}, err
 		}
 	}
 	quanta := tc.Quanta
 	if quanta == 0 {
 		quanta = difftest.DefaultQuanta
 	}
-	sig, fired, err := drive(k, sc, inject, quanta, func() bool { return armBoundaryInject(sc, k) })
-	applied = applied || fired
-	if err != nil {
-		return runSignature{}, nil, applied, err
+	if err := drive(k, sc, inject, quanta, func() bool { return armBoundaryInject(sc, k) }, &r); err != nil {
+		return portRun{}, err
 	}
-	var violations []string
-	if inject {
-		violations = armIsolation(k, !sc.Monolithic)
-	}
-	return sig, violations, applied, nil
+	r.sweep = func() []string { return armIsolation(k, !sc.Monolithic) }
+	return r, nil
 }
 
 // armBoundaryInject applies a quantum-boundary injection, reporting
@@ -387,8 +408,8 @@ func armBoundaryInject(sc Scenario, k *kernel.Kernel) bool {
 	return false
 }
 
-// armIsolation re-checks the isolation contracts after an injected run:
-// under every process's MPU configuration, kernel data must stay
+// armIsolation re-checks the isolation contracts after a run: under
+// every process's MPU configuration, kernel data must stay
 // user-inaccessible, and — on the granular (TickTock) flavour, whose
 // allocator the paper verifies — so must every process's grant region.
 // The monolithic baseline legitimately rounds its accessible span past
@@ -446,15 +467,15 @@ func rvChip(sc Scenario) riscv.ChipConfig { return riscv.Chips[sc.Chip%len(riscv
 func rvPortName(sc Scenario) string { return "rv32-" + rvChip(sc).Name }
 
 // rvRun is the RISC-V twin of armRun.
-func rvRun(sc Scenario, cfg Config, inject bool, obs kcore.Observe) (runSignature, []string, bool, error) {
+func rvRun(sc Scenario, cfg Config, inject bool, obs kcore.Observe) (portRun, error) {
 	app, ok := rvApps()[sc.App]
 	if !ok {
-		return runSignature{}, nil, false, fmt.Errorf("faultinject: no RISC-V app %q", sc.App)
+		return portRun{}, fmt.Errorf("faultinject: no RISC-V app %q", sc.App)
 	}
 	chip := rvChip(sc)
 	k, err := rvkernel.New(chip)
 	if err != nil {
-		return runSignature{}, nil, false, err
+		return portRun{}, err
 	}
 	k.Attach(obs)
 	k.SetFastCore(cfg.FastCore)
@@ -465,39 +486,30 @@ func rvRun(sc Scenario, cfg Config, inject bool, obs kcore.Observe) (runSignatur
 	k.MaxRestarts = MaxRestarts
 	k.Watchdog = Watchdog
 	k.BackoffBase = BackoffBase
-	applied := false
-	if inject {
-		installHooks(sc, &k.Hooks, &applied, func() {
-			var cfgXor uint8
-			var addrXor uint32
-			if sc.AttrReg {
-				cfgXor = 1 << (sc.BitAttr % 8)
-			} else {
-				addrXor = 1 << (sc.BitAddr % 32)
-			}
-			k.Machine.PMP.FlipBits(sc.Entry%chip.Entries, cfgXor, addrXor)
-		})
-		if sc.Kind == KindBusFault {
-			k.Machine.LoadFault = failFirstLoad(&applied, func(uint32) error { return errInjectedBus })
+	var r portRun
+	installHooks(sc, inject, &k.Hooks, &r, func() {
+		var cfgXor uint8
+		var addrXor uint32
+		if sc.AttrReg {
+			cfgXor = 1 << (sc.BitAttr % 8)
+		} else {
+			addrXor = 1 << (sc.BitAddr % 32)
 		}
-	}
+		k.Machine.PMP.FlipBits(sc.Entry%chip.Entries, cfgXor, addrXor)
+	})
+	k.Machine.LoadFault = loadHook(sc, inject, &r, func(uint32) error { return errInjectedBus })
 	if _, err := k.LoadProcess(app); err != nil {
-		return runSignature{}, nil, false, err
+		return portRun{}, err
 	}
 	quanta := 2000
 	if sc.App == "whileone" {
 		quanta = 30
 	}
-	sig, fired, err := drive(k, sc, inject, quanta, func() bool { return rvBoundaryInject(sc, k) })
-	applied = applied || fired
-	if err != nil {
-		return runSignature{}, nil, applied, err
+	if err := drive(k, sc, inject, quanta, func() bool { return rvBoundaryInject(sc, k) }, &r); err != nil {
+		return portRun{}, err
 	}
-	var violations []string
-	if inject {
-		violations = rvIsolation(k)
-	}
-	return sig, violations, applied, nil
+	r.sweep = func() []string { return rvIsolation(k) }
+	return r, nil
 }
 
 // rvBoundaryInject applies a quantum-boundary injection on the RISC-V
@@ -522,8 +534,7 @@ func rvBoundaryInject(sc Scenario, k *rvkernel.Kernel) bool {
 	return false
 }
 
-// rvIsolation re-checks the RISC-V isolation contracts after an injected
-// run. The RISC-V port has no IPC, so on top of the kernel-data and
+// rvIsolation re-checks the RISC-V isolation contracts after a run. The RISC-V port has no IPC, so on top of the kernel-data and
 // grant clauses it can also require every *other* process's entire
 // memory block to be user-inaccessible. As on ARM, every span is checked
 // in full through the interval access map rather than by sampling.

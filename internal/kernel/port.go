@@ -135,6 +135,12 @@ func (g armPort) Syscall(p *Process, svcNum uint8, a [4]uint32) (uint32, bool, e
 	case SVCSubscribe:
 		return k.subscribe(p, a[0], a[1], a[2]), true, nil
 	case SVCUpcallDone:
+		if !p.inUpcall {
+			// A process invoking the stub directly is misbehaving;
+			// treat it like any invalid syscall rather than
+			// corrupting the stack.
+			return RetInvalid, true, nil
+		}
 		// finishUpcall writes r0 itself, so the upcall's return is
 		// neither counted nor seen by the SyscallRet hook; the trace
 		// reports it as 0.

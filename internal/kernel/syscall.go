@@ -105,14 +105,9 @@ func (k *Kernel) deliverUpcall(p *Process, driver, a0, a1 uint32) (bool, error) 
 	return true, nil
 }
 
-// finishUpcall handles the stub's SVC: pop the callback frame and resume
-// at the yield site.
+// finishUpcall handles the stub's SVC in a live upcall: pop the
+// callback frame and resume at the yield site.
 func (k *Kernel) finishUpcall(p *Process) error {
-	if !p.inUpcall {
-		// A process invoking the stub directly is misbehaving; treat it
-		// like an invalid syscall rather than corrupting the stack.
-		return k.Board.Machine.WriteFrameR0(p.PSP, RetInvalid)
-	}
 	p.inUpcall = false
 	p.PSP = p.yieldPSP
 	// The yield that triggered delivery completes with success.

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"ticktock/internal/armv7m"
+	"ticktock/internal/kcore"
+	"ticktock/internal/trace"
 )
 
 func TestSubscribeAndUpcallDelivery(t *testing.T) {
@@ -111,7 +113,9 @@ func TestSubscribeRejectsNonFlashCallback(t *testing.T) {
 
 func TestUpcallStubMisuseIsHarmless(t *testing.T) {
 	// A process invoking SVC #UpcallDone without a live upcall gets an
-	// error, not a corrupted stack.
+	// error, not a corrupted stack, and the kernel books it as it books
+	// any invalid syscall: the trace's exit event and the error counter
+	// agree with the r0 the process sees.
 	app := App{
 		Name: "stubmisuse", MinRAM: 8192, InitRAM: 2048, Stack: 1024, KernelHint: 512,
 		Build: func(base uint32) *armv7m.Program {
@@ -127,12 +131,25 @@ func TestUpcallStubMisuseIsHarmless(t *testing.T) {
 			return a.MustAssemble()
 		},
 	}
-	k := newTestKernel(t, Options{Flavour: FlavourTickTock})
+	tr := trace.New(0)
+	k := newTestKernel(t, Options{Flavour: FlavourTickTock, Observe: kcore.Observe{Trace: tr}})
 	p := load(t, k, app)
 	run(t, k)
 	if k.Output(p) != "ok" {
 		t.Fatalf("out=%q state=%v", k.Output(p), p.State)
 	}
+	if k.SyscallErrors != 1 {
+		t.Fatalf("SyscallErrors=%d, want 1", k.SyscallErrors)
+	}
+	for _, e := range tr.Events() {
+		if e.Kind == trace.KindSyscallExit && e.A == SVCUpcallDone {
+			if e.B != RetInvalid {
+				t.Fatalf("upcall-done exit event reports ret %#x, want %#x", e.B, RetInvalid)
+			}
+			return
+		}
+	}
+	t.Fatal("no upcall-done exit event")
 }
 
 func TestUnsubscribe(t *testing.T) {
