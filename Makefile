@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci fmt vet build test race benchmod bench profile cover ablation faultcamp accessbench replaycheck runcheck campaigncheck telemetrycheck
+.PHONY: ci fmt vet build test race benchmod bench profile cover ablation faultcamp accessbench fuzzaccessmap replaycheck runcheck campaigncheck telemetrycheck
 
 # ci is the gate the concurrency-touching paths (parallel difftest
 # campaign, goroutine-safe Stats, tracer, metrics registry) must keep
@@ -54,6 +54,16 @@ ablation:
 # TestAccessMapSpeedupGuard, in `make test`.
 accessbench:
 	$(GO) test -bench 'AccessMap' -benchtime 100x -run '^$$' .
+
+# fuzzaccessmap fuzzes each protection unit's interval engine (armv7m,
+# armv8m, riscv) against its per-byte AccessibleUserByteScan, 10 s each.
+# The access-map specs read their oracle answers from a prefix-count
+# table; these targets check the engine without it. A failing input
+# lands in the package's testdata/fuzz/FuzzAccessMapEquivalence/.
+fuzzaccessmap:
+	$(GO) test -run '^$$' -fuzz '^FuzzAccessMapEquivalence$$' -fuzztime 10s ./internal/armv7m
+	$(GO) test -run '^$$' -fuzz '^FuzzAccessMapEquivalence$$' -fuzztime 10s ./internal/armv8m
+	$(GO) test -run '^$$' -fuzz '^FuzzAccessMapEquivalence$$' -fuzztime 10s ./internal/riscv
 
 # replaycheck runs the flight-recorder determinism and bisection suite
 # under the race detector: byte-identical recordings, replay == live

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 
 	"ticktock/internal/apps"
 	"ticktock/internal/armv7m"
@@ -30,23 +31,25 @@ var errInjectedBus = errors.New("faultinject: transient bus read error")
 // strike: ENABLE, the SIZE field, the SRD byte, the AP field and XN.
 var rasrBits = []uint{0, 1, 2, 3, 4, 5, 8, 9, 10, 11, 12, 13, 14, 15, 24, 25, 26, 28}
 
-// armCases indexes the ARM release tests by name.
-func armCases() map[string]apps.TestCase {
-	out := make(map[string]apps.TestCase)
-	for _, tc := range apps.All() {
-		out[tc.Name] = tc
-	}
-	return out
-}
-
-// rvApps indexes the RISC-V release subset by name.
-func rvApps() map[string]rvkernel.App {
-	out := make(map[string]rvkernel.App)
-	for _, app := range rvkernel.ReleaseSubset() {
-		out[app.Name] = app
-	}
-	return out
-}
+// armCases and rvApps index the ARM release tests and the RISC-V release
+// subset by name, built once per process and shared by every run: the
+// values are immutable, since each app's Build makes a fresh assembler.
+var (
+	armCases = sync.OnceValue(func() map[string]apps.TestCase {
+		out := make(map[string]apps.TestCase)
+		for _, tc := range apps.All() {
+			out[tc.Name] = tc
+		}
+		return out
+	})
+	rvApps = sync.OnceValue(func() map[string]rvkernel.App {
+		out := make(map[string]rvkernel.App)
+		for _, app := range rvkernel.ReleaseSubset() {
+			out[app.Name] = app
+		}
+		return out
+	})
+)
 
 // Run executes the campaign under campaign.Supervise with no timeout,
 // retries or journal, on cfg.Workers workers. Scenarios are independent

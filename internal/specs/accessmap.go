@@ -1,8 +1,9 @@
 package specs
 
 import (
-	"fmt"
+	"slices"
 
+	"ticktock/internal/accessmap"
 	"ticktock/internal/armv7m"
 	"ticktock/internal/armv8m"
 	"ticktock/internal/mpu"
@@ -54,16 +55,73 @@ var amEdgeQueries = []struct{ start, length uint32 }{
 	{0, 0},
 }
 
+// oracleTable is the unit's per-byte Check read once per (byte, kind,
+// privilege) over one swept window, kept as prefix counts of the allowed
+// bytes, so no clause asks the oracle twice about one byte. A byte's
+// answer is a one-byte count, a range is
+// all-allowed when its count equals its length and any-allowed when its
+// count is positive. Addresses outside the window go to check itself.
+// Bodies build one per run, and each (kind, privilege) is read on first
+// use; registration never reads any.
+type oracleTable struct {
+	check      accessmap.Checker
+	base, size uint32
+	// counts[slot][i] is the number of allowed bytes in [base, base+i),
+	// one slot per (kind, privilege); nil until first used.
+	counts [6][]uint32
+}
+
+// slot returns the prefix counts of (kind, priv), reading the window on
+// first use.
+func (o *oracleTable) slot(kind mpu.AccessKind, priv bool) []uint32 {
+	i := int(kind) * 2
+	if priv {
+		i++
+	}
+	if o.counts[i] == nil {
+		c := make([]uint32, o.size+1)
+		for off := uint32(0); off < o.size; off++ {
+			c[off+1] = c[off]
+			if o.check(o.base+off, kind, priv) {
+				c[off+1]++
+			}
+		}
+		o.counts[i] = c
+	}
+	return o.counts[i]
+}
+
+// count returns the allowed bytes of [start, start+length), a range
+// inside the table.
+func (o *oracleTable) count(start, length uint32, kind mpu.AccessKind, priv bool) uint32 {
+	c, i := o.slot(kind, priv), start-o.base
+	return c[i+length] - c[i]
+}
+
+// allowed is Check's answer at addr: read from the table inside it, asked
+// of the unit outside it.
+func (o *oracleTable) allowed(addr uint32, kind mpu.AccessKind, priv bool) bool {
+	if addr-o.base >= o.size {
+		return o.check(addr, kind, priv)
+	}
+	return o.count(addr, 1, kind, priv) == 1
+}
+
 // checkOracleEquivalence sweeps [window, window+winSize): every byte must
 // get the same answer from the interval map and the hardware Check, and
 // every (start, length, kind) range query must match the per-byte scan,
-// for both the all-bytes and any-byte forms.
+// for both the all-bytes and any-byte forms. The in-window answers come
+// from one oracle pass over the window plus the longest query; the
+// address-space-edge queries go through the unit's own byte scan.
 func checkOracleEquivalence(t *verify.T, hw rangeQuerier, window, winSize uint32) {
+	oracle := &oracleTable{check: func(a uint32, k mpu.AccessKind, p bool) bool {
+		return hw.Check(a, k, p) == nil
+	}, base: window, size: winSize + slices.Max(amLengths)}
 	for off := uint32(0); off < winSize && !t.Stopped(); off++ {
 		addr := window + off
 		for _, kind := range accessKinds {
 			t.Enumerate(1)
-			if got, want := hw.AccessibleUser(addr, 1, kind), hw.Check(addr, kind, false) == nil; got != want {
+			if got, want := hw.AccessibleUser(addr, 1, kind), oracle.allowed(addr, kind, false); got != want {
 				t.Failf("byte equivalence", "addr=0x%08x kind=%v map=%v check=%v", addr, kind, got, want)
 				return
 			}
@@ -74,16 +132,13 @@ func checkOracleEquivalence(t *verify.T, hw rangeQuerier, window, winSize uint32
 		for _, length := range amLengths {
 			for _, kind := range accessKinds {
 				t.Enumerate(1)
-				if got, want := hw.AccessibleUser(start, length, kind), hw.AccessibleUserByteScan(start, length, kind); got != want {
+				n := oracle.count(start, length, kind, false)
+				if got, want := hw.AccessibleUser(start, length, kind), n == length; got != want {
 					t.Failf("all-range equivalence", "start=0x%08x len=%d kind=%v map=%v scan=%v", start, length, kind, got, want)
 					return
 				}
-				any := false
-				for a := uint64(start); a < uint64(start)+uint64(length) && a < 1<<32 && !any; a++ {
-					any = hw.Check(uint32(a), kind, false) == nil
-				}
-				if got := hw.AnyAccessibleUser(start, length, kind); got != any {
-					t.Failf("any-range equivalence", "start=0x%08x len=%d kind=%v map=%v scan=%v", start, length, kind, got, any)
+				if got, want := hw.AnyAccessibleUser(start, length, kind), n > 0; got != want {
+					t.Failf("any-range equivalence", "start=0x%08x len=%d kind=%v map=%v scan=%v", start, length, kind, got, want)
 					return
 				}
 			}
@@ -100,27 +155,32 @@ func checkOracleEquivalence(t *verify.T, hw rangeQuerier, window, winSize uint32
 	}
 }
 
-// BuildAccessMap registers the oracle-equivalence obligations per port,
-// each over a deliberately adversarial register state: subregion
-// carve-outs, overlapping regions with priority, XN, disabled background
-// maps, locked entries, every PMP address mode, and raw fault-injection
-// corruption that the validated write paths would reject.
-func BuildAccessMap(sc Scale) *verify.Registry {
-	_ = sc // the window is fixed; the domain is already exhaustive per config
-	r := verify.NewRegistry()
-	const winSize = 0x3000
+// amConfig is one oracle-equivalence obligation: a protection unit in
+// an adversarial register state and the window swept over it.
+type amConfig struct {
+	name   string
+	window uint32
+	build  func() rangeQuerier
+}
 
-	v7mConfigs := []struct {
-		name  string
-		build func() *armv7m.MPUHardware
-	}{
-		{"basic_rw", func() *armv7m.MPUHardware {
+// amWinSize is the swept window of every access-map obligation.
+const amWinSize = 0x3000
+
+// accessMapConfigs lists the register states per port, in registration
+// order: subregion carve-outs, overlapping regions with priority, XN,
+// disabled background maps, locked entries, every PMP address mode, and
+// raw fault-injection corruption that the validated write paths would
+// reject.
+func accessMapConfigs() []amConfig {
+	const armWindow, rvWindow = 0x2000_0000 - 0x100, 0x8000_0000 - 0x100
+	cs := []amConfig{
+		{"accessmap/armv7m/basic_rw", armWindow, func() rangeQuerier {
 			h := armv7m.NewMPUHardware()
 			h.CtrlEnable = true
 			must(h.WriteRegion(0, 0x2000_0000, v7mRASR(1024, 0, mpu.ReadWriteOnly)))
 			return h
 		}},
-		{"srd_carveout_overlap", func() *armv7m.MPUHardware {
+		{"accessmap/armv7m/srd_carveout_overlap", armWindow, func() rangeQuerier {
 			h := armv7m.NewMPUHardware()
 			h.CtrlEnable = true
 			// 2 KiB RW region with the top quarter carved out, overlapped
@@ -129,14 +189,14 @@ func BuildAccessMap(sc Scale) *verify.Registry {
 			must(h.WriteRegion(3, 0x2000_0400, v7mRASR(1024, 0, mpu.ReadOnly)))
 			return h
 		}},
-		{"exec_privdef_off", func() *armv7m.MPUHardware {
+		{"accessmap/armv7m/exec_privdef_off", armWindow, func() rangeQuerier {
 			h := armv7m.NewMPUHardware()
 			h.CtrlEnable = true
 			h.PrivDefEna = false
 			must(h.WriteRegion(1, 0x2000_1000, v7mRASR(4096, 0, mpu.ReadExecuteOnly)))
 			return h
 		}},
-		{"flipbits_corrupted", func() *armv7m.MPUHardware {
+		{"accessmap/armv7m/flipbits_corrupted", armWindow, func() rangeQuerier {
 			h := armv7m.NewMPUHardware()
 			h.CtrlEnable = true
 			must(h.WriteRegion(0, 0x2000_0000, v7mRASR(2048, 0, mpu.ReadWriteOnly)))
@@ -145,93 +205,54 @@ func BuildAccessMap(sc Scale) *verify.Registry {
 			h.FlipBits(0, 0x40, 0xA5<<armv7m.RASRSRDShift|1<<armv7m.RASRSizeShift)
 			return h
 		}},
-		{"disabled", func() *armv7m.MPUHardware {
+		{"accessmap/armv7m/disabled", armWindow, func() rangeQuerier {
 			return armv7m.NewMPUHardware()
 		}},
-	}
-	for _, c := range v7mConfigs {
-		c := c
-		r.Add(&verify.Spec{
-			Component:  CompAccessMap,
-			Name:       fmt.Sprintf("accessmap/armv7m/%s", c.name),
-			SpecLines:  2,
-			DomainSize: amDomainSize(winSize),
-			Body: func(t *verify.T) {
-				checkOracleEquivalence(t, c.build(), 0x2000_0000-0x100, winSize)
-			},
-		})
-	}
-
-	v8mConfigs := []struct {
-		name  string
-		build func() *armv8m.MPUHardware
-	}{
-		{"two_regions", func() *armv8m.MPUHardware {
+		{"accessmap/armv8m/two_regions", armWindow, func() rangeQuerier {
 			h := armv8m.NewMPUHardware()
 			h.CtrlEnable = true
 			must(h.WriteRegion(0, 0x2000_0000|armv8m.EncodeRBAR(mpu.ReadWriteOnly), 0x2000_03E0|armv8m.RLAREnable))
 			must(h.WriteRegion(1, 0x2000_0800|armv8m.EncodeRBAR(mpu.ReadExecuteOnly), 0x2000_0BE0|armv8m.RLAREnable))
 			return h
 		}},
-		{"privdef_off", func() *armv8m.MPUHardware {
+		{"accessmap/armv8m/privdef_off", armWindow, func() rangeQuerier {
 			h := armv8m.NewMPUHardware()
 			h.CtrlEnable = true
 			h.PrivDefEna = false
 			must(h.WriteRegion(0, 0x2000_0100|armv8m.EncodeRBAR(mpu.ReadOnly), 0x2000_01E0|armv8m.RLAREnable))
 			return h
 		}},
-		{"disabled", func() *armv8m.MPUHardware {
+		{"accessmap/armv8m/disabled", armWindow, func() rangeQuerier {
 			return armv8m.NewMPUHardware()
 		}},
 	}
-	for _, c := range v8mConfigs {
-		c := c
-		r.Add(&verify.Spec{
-			Component:  CompAccessMap,
-			Name:       fmt.Sprintf("accessmap/armv8m/%s", c.name),
-			SpecLines:  2,
-			DomainSize: amDomainSize(winSize),
-			Body: func(t *verify.T) {
-				checkOracleEquivalence(t, c.build(), 0x2000_0000-0x100, winSize)
-			},
-		})
-	}
-
 	for _, chip := range riscv.Chips {
 		chip := chip
-		pmpConfigs := []struct {
-			name  string
-			build func() *riscv.PMP
-		}{
-			{"napot_mix", func() *riscv.PMP {
-				p := riscv.NewPMP(chip)
-				// Deny window shadowing an RW window (lowest entry wins),
-				// plus an NA4 quad and a locked RO region.
-				deny, _ := riscv.EncodeNAPOT(0x8000_0400, 64)
-				must(p.SetEntry(0, riscv.ANapot<<riscv.CfgAShift, deny))
-				rw, _ := riscv.EncodeNAPOT(0x8000_0000, 4096)
-				must(p.SetEntry(1, riscv.EncodeCfg(mpu.ReadWriteOnly, riscv.ANapot), rw))
-				must(p.SetEntry(2, riscv.EncodeCfg(mpu.ReadWriteOnly, riscv.ANa4), 0x8000_2000>>2))
-				ro, _ := riscv.EncodeNAPOT(0x8000_1000, 256)
-				must(p.SetEntry(3, riscv.CfgL|riscv.EncodeCfg(mpu.ReadOnly, riscv.ANapot), ro))
-				return p
-			}},
-			{"flipbits_corrupted", func() *riscv.PMP {
-				p := riscv.NewPMP(chip)
-				rw, _ := riscv.EncodeNAPOT(0x8000_0000, 4096)
-				must(p.SetEntry(0, riscv.EncodeCfg(mpu.ReadWriteOnly, riscv.ANapot), rw))
-				// The SEU rewrites the address mode and scrambles the
-				// address register: illegal states the engine must track.
-				p.FlipBits(0, riscv.CfgAMask, 0x0000_F0F1)
-				p.FlipBits(1, riscv.EncodeCfg(mpu.ReadOnly, riscv.ANapot), 0x2000_0FFF)
-				return p
-			}},
-		}
+		prefix := "accessmap/riscv/" + chip.Name + "/"
+		cs = append(cs, amConfig{prefix + "napot_mix", rvWindow, func() rangeQuerier {
+			p := riscv.NewPMP(chip)
+			// Deny window shadowing an RW window (lowest entry wins),
+			// plus an NA4 quad and a locked RO region.
+			deny, _ := riscv.EncodeNAPOT(0x8000_0400, 64)
+			must(p.SetEntry(0, riscv.ANapot<<riscv.CfgAShift, deny))
+			rw, _ := riscv.EncodeNAPOT(0x8000_0000, 4096)
+			must(p.SetEntry(1, riscv.EncodeCfg(mpu.ReadWriteOnly, riscv.ANapot), rw))
+			must(p.SetEntry(2, riscv.EncodeCfg(mpu.ReadWriteOnly, riscv.ANa4), 0x8000_2000>>2))
+			ro, _ := riscv.EncodeNAPOT(0x8000_1000, 256)
+			must(p.SetEntry(3, riscv.CfgL|riscv.EncodeCfg(mpu.ReadOnly, riscv.ANapot), ro))
+			return p
+		}}, amConfig{prefix + "flipbits_corrupted", rvWindow, func() rangeQuerier {
+			p := riscv.NewPMP(chip)
+			rw, _ := riscv.EncodeNAPOT(0x8000_0000, 4096)
+			must(p.SetEntry(0, riscv.EncodeCfg(mpu.ReadWriteOnly, riscv.ANapot), rw))
+			// The SEU rewrites the address mode and scrambles the
+			// address register: illegal states the engine must track.
+			p.FlipBits(0, riscv.CfgAMask, 0x0000_F0F1)
+			p.FlipBits(1, riscv.EncodeCfg(mpu.ReadOnly, riscv.ANapot), 0x2000_0FFF)
+			return p
+		}})
 		if chip.TORSupported {
-			pmpConfigs = append(pmpConfigs, struct {
-				name  string
-				build func() *riscv.PMP
-			}{"tor_pair", func() *riscv.PMP {
+			cs = append(cs, amConfig{prefix + "tor_pair", rvWindow, func() rangeQuerier {
 				p := riscv.NewPMP(chip)
 				must(p.SetEntry(0, 0, 0x8000_0400>>2))
 				must(p.SetEntry(1, riscv.EncodeCfg(mpu.ReadExecuteOnly, riscv.ATor), 0x8000_2400>>2))
@@ -240,20 +261,27 @@ func BuildAccessMap(sc Scale) *verify.Registry {
 				return p
 			}})
 		}
-		for _, c := range pmpConfigs {
-			c := c
-			r.Add(&verify.Spec{
-				Component:  CompAccessMap,
-				Name:       fmt.Sprintf("accessmap/riscv/%s/%s", chip.Name, c.name),
-				SpecLines:  2,
-				DomainSize: amDomainSize(winSize),
-				Body: func(t *verify.T) {
-					checkOracleEquivalence(t, c.build(), 0x8000_0000-0x100, winSize)
-				},
-			})
-		}
 	}
+	return cs
+}
 
+// BuildAccessMap registers one oracle-equivalence obligation per entry
+// of accessMapConfigs.
+func BuildAccessMap(sc Scale) *verify.Registry {
+	_ = sc // the window is fixed; the domain is already exhaustive per config
+	r := verify.NewRegistry()
+	for _, c := range accessMapConfigs() {
+		c := c
+		r.Add(&verify.Spec{
+			Component:  CompAccessMap,
+			Name:       c.name,
+			SpecLines:  2,
+			DomainSize: amDomainSize(amWinSize),
+			Body: func(t *verify.T) {
+				checkOracleEquivalence(t, c.build(), c.window, amWinSize)
+			},
+		})
+	}
 	return r
 }
 

@@ -42,15 +42,28 @@ const bcWinSize = 0x1800
 
 var bcPrivs = []bool{false, true}
 
+// bcBlockLen is the candidate block of the cover sweep, in 4-byte
+// instructions; the sweep visits every word-aligned base whose whole
+// block fits in the window.
+const bcBlockLen = 16
+
+// lookuper is the one engine query the block-cache sweeps make.
+type lookuper interface {
+	Lookup(addr uint32, kind mpu.AccessKind, privileged bool) (accessmap.Interval, bool)
+}
+
 // checkLookupMaximal sweeps every (addr, kind, privilege) in the window.
-func checkLookupMaximal(t *verify.T, am *accessmap.Map, check accessmap.Checker, window, winSize uint32) {
+// Check is read once per (byte, kind, privilege) of the window; interval
+// ends outside it are asked of check directly.
+func checkLookupMaximal(t *verify.T, am lookuper, check accessmap.Checker, window, winSize uint32) {
+	oracle := &oracleTable{check: check, base: window, size: winSize}
 	for off := uint32(0); off < winSize && !t.Stopped(); off++ {
 		addr := window + off
 		for _, kind := range accessKinds {
 			for _, priv := range bcPrivs {
 				t.Enumerate(1)
 				iv, ok := am.Lookup(addr, kind, priv)
-				if pass := check(addr, kind, priv); ok != pass {
+				if pass := oracle.allowed(addr, kind, priv); ok != pass {
 					t.Failf("lookup oracle agreement", "addr=0x%08x kind=%v priv=%v lookup=%v check=%v", addr, kind, priv, ok, pass)
 					return
 				}
@@ -61,15 +74,15 @@ func checkLookupMaximal(t *verify.T, am *accessmap.Map, check accessmap.Checker,
 					t.Failf("lookup containment", "addr=0x%08x outside [0x%x,0x%x)", addr, iv.Start, iv.End)
 					return
 				}
-				if !check(uint32(iv.Start), kind, priv) || !check(uint32(iv.End-1), kind, priv) {
+				if !oracle.allowed(uint32(iv.Start), kind, priv) || !oracle.allowed(uint32(iv.End-1), kind, priv) {
 					t.Failf("lookup interval allowed", "interval [0x%x,0x%x) kind=%v priv=%v has denied endpoint", iv.Start, iv.End, kind, priv)
 					return
 				}
-				if iv.Start > 0 && check(uint32(iv.Start-1), kind, priv) {
+				if iv.Start > 0 && oracle.allowed(uint32(iv.Start-1), kind, priv) {
 					t.Failf("lookup maximality", "byte below Start=0x%x still allowed (kind=%v priv=%v)", iv.Start, kind, priv)
 					return
 				}
-				if iv.End < accessmap.AddressSpace && check(uint32(iv.End), kind, priv) {
+				if iv.End < accessmap.AddressSpace && oracle.allowed(uint32(iv.End), kind, priv) {
 					t.Failf("lookup maximality", "byte at End=0x%x still allowed (kind=%v priv=%v)", iv.End, kind, priv)
 					return
 				}
@@ -79,15 +92,16 @@ func checkLookupMaximal(t *verify.T, am *accessmap.Map, check accessmap.Checker,
 }
 
 // checkBlockCover verifies that one Lookup + CoverFromInterval over a
-// candidate block equals the oracle's leading per-first-byte checks.
-func checkBlockCover(t *verify.T, am *accessmap.Map, check accessmap.Checker, window, winSize uint32) {
-	const n = 16
-	for off := uint32(0); off+4*n <= winSize && !t.Stopped(); off += 4 {
+// candidate block equals the oracle's leading per-first-byte checks,
+// read from one oracle pass over the window.
+func checkBlockCover(t *verify.T, am lookuper, check accessmap.Checker, window, winSize uint32) {
+	oracle := &oracleTable{check: check, base: window, size: winSize}
+	for off := uint32(0); off+4*bcBlockLen <= winSize && !t.Stopped(); off += 4 {
 		base := window + off
 		for _, priv := range bcPrivs {
 			t.Enumerate(1)
 			iv, ok := am.Lookup(base, mpu.AccessExecute, priv)
-			cover := blockcache.CoverFromInterval(base, n, 4, iv)
+			cover := blockcache.CoverFromInterval(base, bcBlockLen, 4, iv)
 			if !ok {
 				if cover != 0 {
 					t.Failf("block cover", "base=0x%08x denied but cover=%d", base, cover)
@@ -95,18 +109,18 @@ func checkBlockCover(t *verify.T, am *accessmap.Map, check accessmap.Checker, wi
 				}
 				continue
 			}
-			if cover < 1 || cover > n {
+			if cover < 1 || cover > bcBlockLen {
 				t.Failf("block cover", "base=0x%08x cover=%d out of range", base, cover)
 				return
 			}
-			for i := 0; i < n; i++ {
+			for i := 0; i < bcBlockLen; i++ {
 				first := base + 4*uint32(i)
 				in := uint64(first) >= iv.Start && uint64(first) < iv.End
 				if (i < cover) != in {
 					t.Failf("block cover equivalence", "base=0x%08x instr=%d cover=%d in-interval=%v", base, i, cover, in)
 					return
 				}
-				if i < cover && !check(first, mpu.AccessExecute, priv) {
+				if i < cover && !oracle.allowed(first, mpu.AccessExecute, priv) {
 					t.Failf("block cover soundness", "base=0x%08x instr=%d covered but hardware denies", base, i)
 					return
 				}
@@ -292,7 +306,7 @@ func BuildBlockCache(sc Scale) *verify.Registry {
 	}
 
 	lookupDomain := uint64(bcWinSize) * uint64(len(accessKinds)) * uint64(len(bcPrivs))
-	coverDomain := uint64(bcWinSize/4) * uint64(len(bcPrivs))
+	coverDomain := uint64((bcWinSize-4*bcBlockLen)/4+1) * uint64(len(bcPrivs))
 
 	r.Add(&verify.Spec{
 		Component: CompBlockCache, Name: "blockcache/lookup_maximal/armv7m",

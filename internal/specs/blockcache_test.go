@@ -13,6 +13,7 @@ func TestBlockCacheObligationsHold(t *testing.T) {
 	if len(rep.Results) != 8 {
 		t.Fatalf("%d block-cache obligations registered, want 8", len(rep.Results))
 	}
+	requireExactDomain(t, rep)
 	names := map[string]bool{}
 	for _, r := range rep.Results {
 		names[r.Spec.Name] = true
