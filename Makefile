@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci fmt vet build test race benchmod bench profile cover ablation faultcamp accessbench fuzzaccessmap replaycheck runcheck campaigncheck telemetrycheck
+.PHONY: ci fmt vet build test race benchmod bench profile cover ablation faultcamp accessbench fuzzaccessmap fuzzfastcore replaycheck runcheck campaigncheck telemetrycheck
 
 # ci is the gate the concurrency-touching paths (parallel difftest
 # campaign, goroutine-safe Stats, tracer, metrics registry) must keep
@@ -64,6 +64,14 @@ fuzzaccessmap:
 	$(GO) test -run '^$$' -fuzz '^FuzzAccessMapEquivalence$$' -fuzztime 10s ./internal/armv7m
 	$(GO) test -run '^$$' -fuzz '^FuzzAccessMapEquivalence$$' -fuzztime 10s ./internal/armv8m
 	$(GO) test -run '^$$' -fuzz '^FuzzAccessMapEquivalence$$' -fuzztime 10s ./internal/riscv
+
+# fuzzfastcore fuzzes each ISA's block-cache fast core against its oracle
+# core on twin machines that step, take register upsets, MPU_CTRL
+# writes (armv7m) and timer glitches, 10 s each. A failing input lands
+# in the package's testdata/fuzz/ directory.
+fuzzfastcore:
+	$(GO) test -run '^$$' -fuzz '^FuzzFastCoreEquivalence$$' -fuzztime 10s ./internal/armv7m
+	$(GO) test -run '^$$' -fuzz '^FuzzRvFastCoreEquivalence$$' -fuzztime 10s ./internal/rv32
 
 # replaycheck runs the flight-recorder determinism and bisection suite
 # under the race detector: byte-identical recordings, replay == live

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"ticktock/internal/accessmap"
 	"ticktock/internal/armv7m"
 	"ticktock/internal/armv8m"
 	"ticktock/internal/mpu"
@@ -27,7 +28,7 @@ const (
 // amV7M builds a v7-M MPU with a 64 KiB RW region at amQueryBase.
 func amV7M() *armv7m.MPUHardware {
 	h := armv7m.NewMPUHardware()
-	h.CtrlEnable = true
+	h.WriteCtrl(armv7m.CtrlEnable | armv7m.CtrlPrivDefEna)
 	rasr := uint32(15)<<armv7m.RASRSizeShift | armv7m.EncodeAP(mpu.ReadWriteOnly) | armv7m.RASREnable
 	if err := h.WriteRegion(0, amQueryBase, rasr); err != nil {
 		panic(err)
@@ -38,7 +39,7 @@ func amV7M() *armv7m.MPUHardware {
 // amV8M builds a v8-M MPU with a 64 KiB RW region at amQueryBase.
 func amV8M() *armv8m.MPUHardware {
 	h := armv8m.NewMPUHardware()
-	h.CtrlEnable = true
+	h.WriteCtrl(armv8m.CtrlEnable | armv8m.CtrlPrivDefEna)
 	limit := uint32(amQueryBase + amQueryLen - armv8m.Granule)
 	if err := h.WriteRegion(0, amQueryBase|armv8m.EncodeRBAR(mpu.ReadWriteOnly), limit|armv8m.RLAREnable); err != nil {
 		panic(err)
@@ -178,5 +179,29 @@ func TestAccessMapCacheAblation(t *testing.T) {
 	if v7.MapBuilds != 2 || v8.MapBuilds != 2 || pm.MapBuilds != 2 {
 		t.Fatalf("map builds after one mutation + 1000 queries: v7m=%d v8m=%d pmp=%d, want 2 each",
 			v7.MapBuilds, v8.MapBuilds, pm.MapBuilds)
+	}
+}
+
+// TestDeniedAllowsAllocatesNothing: a unit's decision is a bool, so a
+// denial costs no allocation on any port; the machines build the fault
+// value at their own fault sites. Each probe is a denial: an
+// unprivileged write below the fixture's region (no region matches) and
+// an unprivileged fetch inside it (XN on ARM, no X bit on the PMP).
+func TestDeniedAllowsAllocatesNothing(t *testing.T) {
+	v7, v8, pm := amV7M(), amV8M(), amPMP()
+	for _, u := range []struct {
+		name string
+		unit accessmap.Unit
+		base uint32
+	}{{"armv7m", v7, amQueryBase}, {"armv8m", v8, amQueryBase}, {"riscv", pm, rvQueryBase}} {
+		deny := func() bool {
+			return u.unit.Allows(u.base-4, mpu.AccessWrite, false) || u.unit.Allows(u.base, mpu.AccessExecute, false)
+		}
+		if deny() {
+			t.Fatalf("%s: probe admitted, want two denials", u.name)
+		}
+		if n := testing.AllocsPerRun(1000, func() { deny() }); n != 0 {
+			t.Errorf("%s: denied Allows allocates %.0f objects per call pair, want 0", u.name, n)
+		}
 	}
 }

@@ -1,0 +1,29 @@
+package main
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// TestUnknownFormatRunsNothing: an unknown -format exits 1 before the
+// case runs, so nothing reaches stdout and -o is never created.
+func TestUnknownFormatRunsNothing(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "out")
+	var stdout, stderr bytes.Buffer
+	code := run([]string{"-case", "c_hello", "-format", "bogus", "-o", path}, &stdout, &stderr)
+	if code != 1 {
+		t.Fatalf("exit %d, want 1; stderr:\n%s", code, stderr.String())
+	}
+	if !strings.Contains(stderr.String(), `profile: unknown format "bogus"`) {
+		t.Fatalf("stderr %q does not name the format", stderr.String())
+	}
+	if stdout.Len() != 0 {
+		t.Fatalf("stdout written:\n%s", stdout.String())
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("-o created despite the rejection: %v", err)
+	}
+}

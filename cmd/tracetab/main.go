@@ -19,6 +19,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -31,66 +32,76 @@ import (
 	"ticktock/internal/trace"
 )
 
+// exporters render a tracer's events in [from, to] in each output format.
+var exporters = map[string]func(t *trace.Tracer, w io.Writer, from, to uint64) error{
+	"text":   (*trace.Tracer).ExportTextWindow,
+	"chrome": (*trace.Tracer).ExportChromeJSONWindow,
+}
+
 func main() {
-	list := flag.Bool("list", false, "list the traceable release-test cases and exit")
-	caseName := flag.String("case", "", "release-test case to trace (see -list)")
-	flavour := flag.String("flavour", "ticktock", "kernel flavour: ticktock or tock")
-	format := flag.String("format", "text", "output format: text or chrome")
-	capacity := flag.Int("cap", 1<<17, "trace ring-buffer capacity in events")
-	outPath := flag.String("o", "", "write output to FILE instead of stdout")
-	fromCycle := flag.Uint64("from-cycle", 0, "only render events at or after this cycle")
-	toCycle := flag.Uint64("to-cycle", ^uint64(0), "only render events at or before this cycle")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("tracetab", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	list := fs.Bool("list", false, "list the traceable release-test cases and exit")
+	caseName := fs.String("case", "", "release-test case to trace (see -list)")
+	flavour := fs.String("flavour", "ticktock", "kernel flavour: ticktock or tock")
+	format := fs.String("format", "text", "output format: text or chrome")
+	capacity := fs.Int("cap", 1<<17, "trace ring-buffer capacity in events")
+	outPath := fs.String("o", "", "write output to FILE instead of stdout")
+	fromCycle := fs.Uint64("from-cycle", 0, "only render events at or after this cycle")
+	toCycle := fs.Uint64("to-cycle", ^uint64(0), "only render events at or before this cycle")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	if *list {
 		for _, tc := range apps.All() {
-			fmt.Println(tc.Name)
+			fmt.Fprintln(stdout, tc.Name)
 		}
-		return
+		return 0
 	}
 
 	tc, ok := apps.Find(*caseName)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "tracetab: unknown case %q (use -list)\n", *caseName)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "tracetab: unknown case %q (use -list)\n", *caseName)
+		return 2
 	}
 	fl, ok := kernel.ParseFlavour(*flavour)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "tracetab: unknown flavour %q\n", *flavour)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "tracetab: unknown flavour %q\n", *flavour)
+		return 2
+	}
+	export, ok := exporters[*format]
+	if !ok {
+		fmt.Fprintf(stderr, "tracetab: unknown format %q\n", *format)
+		return 2
 	}
 
 	tr := trace.New(*capacity)
 	k, err := difftest.RunFlavour(tc, fl, difftest.Config{}, kcore.Observe{Trace: tr})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "tracetab: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "tracetab: %v\n", err)
+		return 1
 	}
 
-	var w io.Writer = os.Stdout
-	if *outPath != "" {
-		f, err := os.Create(*outPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tracetab: %v\n", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		w = f
-	}
-
-	switch *format {
-	case "text":
-		err = tr.ExportTextWindow(w, *fromCycle, *toCycle)
-	case "chrome":
-		err = tr.ExportChromeJSONWindow(w, *fromCycle, *toCycle)
-	default:
-		fmt.Fprintf(os.Stderr, "tracetab: unknown format %q\n", *format)
-		os.Exit(2)
+	if *outPath == "" {
+		err = export(tr, stdout, *fromCycle, *toCycle)
+	} else if f, cerr := os.Create(*outPath); cerr != nil {
+		err = cerr
+	} else {
+		err = errors.Join(export(tr, f, *fromCycle, *toCycle), f.Close())
 	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "tracetab: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "tracetab: %v\n", err)
+		return 1
 	}
-	fmt.Fprintf(os.Stderr, "traced %s on %s: %d events (%d dropped), %d context switches, %d cycles\n",
+	fmt.Fprintf(stderr, "traced %s on %s: %d events (%d dropped), %d context switches, %d cycles\n",
 		tc.Name, fl, tr.Emitted(), tr.Dropped(), k.Switches, k.Meter().Cycles())
+	return 0
 }

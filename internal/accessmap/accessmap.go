@@ -9,7 +9,7 @@
 // The engine is deliberately hardware-agnostic: a port hands Build the set
 // of addresses where its decision function *may* change (region bases and
 // ends, subregion boundaries, TOR/NAPOT bounds) plus its trusted per-byte
-// Check as the decision oracle. Build sweeps the elementary segments
+// Allows as the decision oracle. Build sweeps the elementary segments
 // between consecutive boundaries, evaluates the oracle once per segment
 // per (kind, privilege) slot — the decision is uniform inside a segment by
 // construction — and merges adjacent segments with equal decisions into
@@ -42,7 +42,7 @@ type Interval struct {
 
 // Checker is the per-address decision oracle a Map is built from: it
 // reports whether a one-byte access of the given kind at addr succeeds at
-// the given privilege level. Ports pass their hardware Check method.
+// the given privilege level. Ports pass their hardware Allows method.
 type Checker func(addr uint32, kind mpu.AccessKind, privileged bool) bool
 
 // numSlots covers the (read, write, execute) × (user, privileged) cross
@@ -59,8 +59,8 @@ func slotOf(kind mpu.AccessKind, privileged bool) int {
 }
 
 // Map is the normalized interval view of one protection configuration.
-// It is immutable after Build; ports cache one behind a config-generation
-// counter and rebuild only when the registers change.
+// It is immutable after Build; ports cache one in a Cache and rebuild
+// only when the registers change.
 type Map struct {
 	// allowed holds, per slot, the sorted, disjoint, maximal intervals
 	// where the decision is allow. Maximality (adjacent allow segments

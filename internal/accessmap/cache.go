@@ -2,26 +2,23 @@ package accessmap
 
 import "ticktock/internal/mpu"
 
-// Unit is the protection hardware a Cache derives its Map from.
+// Unit is the protection hardware a Cache derives its Map from. Its
+// decision is a pure function of its registers, and every register
+// write, including a control register such as ARM's MPU_CTRL, calls
+// Invalidate.
 type Unit interface {
-	// Check is the unit's trusted per-byte decision: nil when a one-byte
-	// access of kind at addr succeeds at the given privilege.
-	Check(addr uint32, kind mpu.AccessKind, privileged bool) error
-	// Boundaries returns every address at which Check's decision may
+	// Allows is the unit's trusted per-byte decision: whether a
+	// one-byte access of kind at addr succeeds at the given privilege.
+	Allows(addr uint32, kind mpu.AccessKind, privileged bool) bool
+	// Boundaries returns every address at which Allows's decision may
 	// change (see Build).
 	Boundaries() []uint64
-	// Ctrl returns the unit's control word: the state that changes
-	// Check's decisions without a call to Invalidate, such as ARM's
-	// MPU_CTRL bits, which are plain fields. Units without such state
-	// return 0.
-	Ctrl() uint32
 }
 
 // Cache holds the Map derived from one Unit's registers. It rebuilds
-// the map only when the unit called Invalidate since the last build or
-// the control word differs from the one the map was built under. Every
-// rebuild allocates a new Map, so a *Map names one configuration: a
-// decision cached beside the map it was read from (a block's execute
+// the map only when the unit called Invalidate since the last build.
+// Every rebuild allocates a new Map, so a *Map names one configuration:
+// a decision cached beside the map it was read from (a block's execute
 // cover, a load/store hint) stays valid while Current returns that
 // pointer.
 //
@@ -35,42 +32,28 @@ type Cache struct {
 
 	unit Unit
 	m    *Map // nil before the first build and after Invalidate
-	ctrl uint32
 }
 
 // NewCache returns an empty cache over u.
 func NewCache(u Unit) Cache { return Cache{unit: u} }
 
 // Invalidate marks the cached map stale. Units call it from every
-// register mutation, including the unvalidated fault-injection path.
+// register write, including the unvalidated fault-injection path.
 func (c *Cache) Invalidate() { c.m = nil }
 
-// Current returns the map when it is current under ctrl, which must be
-// the unit's Ctrl(), and nil when the unit called Invalidate since the
-// last build or the control word changed. It never builds, so the fast
-// cores call it on every block entry and data access with ctrl read
-// directly from the unit: the check inlines and holds no call. On nil
-// they fall back to AccessMap.
-func (c *Cache) Current(ctrl uint32) *Map {
-	if m := c.m; m != nil && c.ctrl == ctrl {
-		return m
-	}
-	return nil
-}
+// Current returns the map when it is current, and nil when the unit
+// called Invalidate since the last build. It never builds, so the fast
+// cores call it on every block entry and data access: it inlines and
+// holds no call. On nil they fall back to AccessMap.
+func (c *Cache) Current() *Map { return c.m }
 
-// AccessMap returns the map for the unit's current state, building it
-// where Current would return nil.
+// AccessMap returns the map for the unit's current registers, building
+// it where Current would return nil.
 func (c *Cache) AccessMap() *Map {
-	ctrl := c.unit.Ctrl()
-	if m := c.Current(ctrl); m != nil {
-		return m
+	if c.m == nil {
+		c.m = Build(c.unit.Boundaries(), c.unit.Allows)
+		c.MapBuilds++
 	}
-	u := c.unit
-	c.m = Build(u.Boundaries(), func(addr uint32, kind mpu.AccessKind, privileged bool) bool {
-		return u.Check(addr, kind, privileged) == nil
-	})
-	c.ctrl = ctrl
-	c.MapBuilds++
 	return c.m
 }
 
@@ -96,16 +79,16 @@ func (c *Cache) AnyAccessibleUser(start, length uint32, kind mpu.AccessKind) boo
 }
 
 // AccessibleUserByteScan is the trusted per-byte oracle for
-// AccessibleUser: one unit Check per byte, O(length × regions). Kept for
-// differential verification of the interval engine, not for hot paths.
-// It shares AccessibleUser's end-of-address-space semantics.
+// AccessibleUser: one unit Allows per byte, O(length × regions). Kept
+// for differential verification of the interval engine, not for hot
+// paths. It shares AccessibleUser's end-of-address-space semantics.
 func (c *Cache) AccessibleUserByteScan(start, length uint32, kind mpu.AccessKind) bool {
 	end := uint64(start) + uint64(length)
 	if end > AddressSpace {
 		return false
 	}
 	for a := uint64(start); a < end; a++ {
-		if c.unit.Check(uint32(a), kind, false) != nil {
+		if !c.unit.Allows(uint32(a), kind, false) {
 			return false
 		}
 	}

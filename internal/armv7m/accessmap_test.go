@@ -14,7 +14,7 @@ import (
 // iteration scan.
 func TestAccessibleUserWrapRegression(t *testing.T) {
 	h := NewMPUHardware()
-	h.CtrlEnable = true
+	h.WriteCtrl(CtrlEnable | CtrlPrivDefEna)
 	if err := h.WriteRegion(0, 0xFFFF_FF00, mkRASR(256, 0, mpu.ReadWriteOnly, true)); err != nil {
 		t.Fatal(err)
 	}
@@ -43,13 +43,13 @@ func TestAccessibleUserWrapRegression(t *testing.T) {
 	}
 }
 
-// TestAccessMapCacheInvalidation is the ablation guard for the
-// generation-counter cache: queries reuse one build, and every mutation
-// path — validated writes, clears, raw fault-injection flips, snapshot
-// restores, and direct control-bit pokes — forces exactly one rebuild.
+// TestAccessMapCacheInvalidation is the ablation guard for the access-map
+// cache: queries reuse one build, and every mutation path — validated
+// writes, clears, raw fault-injection flips, snapshot restores and
+// MPU_CTRL writes — forces exactly one rebuild.
 func TestAccessMapCacheInvalidation(t *testing.T) {
 	h := NewMPUHardware()
-	h.CtrlEnable = true
+	h.WriteCtrl(CtrlEnable | CtrlPrivDefEna)
 	if err := h.WriteRegion(0, 0x2000_0000, mkRASR(1024, 0, mpu.ReadWriteOnly, true)); err != nil {
 		t.Fatal(err)
 	}
@@ -99,14 +99,14 @@ func TestAccessMapCacheInvalidation(t *testing.T) {
 		t.Fatalf("MapBuilds = %d after Restore, want 5", h.MapBuilds)
 	}
 
-	// Control bits are exported fields: a direct poke has no method-call
-	// hook, so the cache keys on their values too.
-	h.CtrlEnable = false
+	// MPU_CTRL is a register like the region pairs: its write
+	// invalidates.
+	h.WriteCtrl(CtrlPrivDefEna)
 	if !h.AccessibleUser(0xDEAD_0000, 64, mpu.AccessWrite) {
-		t.Fatal("disabled MPU denied access: control-bit change missed")
+		t.Fatal("disabled MPU denied access: MPU_CTRL write missed")
 	}
 	if h.MapBuilds != 6 {
-		t.Fatalf("MapBuilds = %d after CtrlEnable poke, want 6", h.MapBuilds)
+		t.Fatalf("MapBuilds = %d after WriteCtrl, want 6", h.MapBuilds)
 	}
 }
 
@@ -121,7 +121,7 @@ func FuzzAccessMapEquivalence(f *testing.F) {
 	f.Add(uint32(0), uint32(0), uint32(0xFFFF_FFFF), uint32(0xFFFF_FFFF), uint32(0), uint16(0))
 	f.Fuzz(func(t *testing.T, rbar, rasr, rbarXor, rasrXor, start uint32, length uint16) {
 		h := NewMPUHardware()
-		h.CtrlEnable = true
+		h.WriteCtrl(CtrlEnable | CtrlPrivDefEna)
 		_ = h.WriteRegion(0, rbar, rasr) // validated path; rejects are fine
 		h.FlipBits(1, rbarXor, rasrXor)  // raw path reaches illegal states
 		for _, kind := range []mpu.AccessKind{mpu.AccessRead, mpu.AccessWrite, mpu.AccessExecute} {
@@ -134,7 +134,7 @@ func FuzzAccessMapEquivalence(f *testing.F) {
 				end = accessmap.AddressSpace
 			}
 			for a := uint64(start); a < end && !any; a++ {
-				any = h.Check(uint32(a), kind, false) == nil
+				any = h.Allows(uint32(a), kind, false)
 			}
 			if got := h.AnyAccessibleUser(start, uint32(length), kind); got != any {
 				t.Fatalf("AnyAccessibleUser(0x%08x, %d, %v) = %v, byte scan says %v", start, length, kind, got, any)

@@ -115,7 +115,7 @@ func (m *Machine) runFast(budget uint64) (*Stop, error) {
 		}
 		n := 0
 		if b != nil {
-			if am := m.MPU.Current(m.MPU.Ctrl()); am == nil || b.Map != am || b.Priv != priv {
+			if am := m.MPU.Current(); am == nil || b.Map != am || b.Priv != priv {
 				m.Recheck(b, m.MPU.AccessMap(), priv)
 			}
 			n = b.Cover

@@ -143,7 +143,7 @@ func setupUser(m *Machine, prog *Program) {
 		panic(err)
 	}
 	m.CPU.PC = prog.Base
-	m.MPU.CtrlEnable = true
+	m.MPU.WriteCtrl(CtrlEnable | CtrlPrivDefEna)
 	if err := m.MPU.WriteRegion(2, 0x0000_0000, mkRASR(4096, 0, mpu.ReadExecuteOnly, true)); err != nil {
 		panic(err)
 	}
@@ -292,9 +292,10 @@ func TestFastCoreInvalidationMidRun(t *testing.T) {
 			m.MPU.Restore(snap)
 		}},
 		{"ctrl-toggle", func(m *Machine) {
-			// Exported control bit flipped without a WriteRegion: the
-			// access-map cache compares CtrlEnable, so the map changes.
-			m.MPU.CtrlEnable = false
+			// MPU_CTRL.ENABLE cleared without a region write: the
+			// MPU_CTRL write invalidates like any other, so the map
+			// changes.
+			m.MPU.WriteCtrl(CtrlPrivDefEna)
 		}},
 	}
 	for _, tc := range cases {
@@ -378,11 +379,15 @@ func TestFastCoreHintDropsOnGenerationBump(t *testing.T) {
 }
 
 // FuzzFastCoreEquivalence interleaves random register corruption,
-// timer glitches and stepping on the twin machines — the blockstep
-// mirror of FuzzAccessMapEquivalence. Any state divergence fails.
+// MPU_CTRL writes, timer glitches and stepping on the twin machines —
+// the blockstep mirror of FuzzAccessMapEquivalence. Any state
+// divergence fails.
 func FuzzFastCoreEquivalence(f *testing.F) {
 	f.Add([]byte{0x01, 0x40, 0x02, 0x13, 0x03})
 	f.Add([]byte{0xff, 0x00, 0x81, 0x7c, 0x22, 0x10, 0x05, 0x91})
+	// Run, disable the MPU, run, enable it without PRIVDEFENA, run,
+	// restore ENABLE|PRIVDEFENA, run.
+	f.Add([]byte{0xf0, 0x05, 0xfd, 0x0b, 0xf0, 0x23, 0xfd})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 64 {
 			ops = ops[:64]
@@ -392,7 +397,7 @@ func FuzzFastCoreEquivalence(f *testing.F) {
 		tw.both(func(m *Machine) { m.Tick.Arm(60) })
 		for i := 0; i < len(ops); i++ {
 			op := ops[i]
-			switch op % 5 {
+			switch op % 6 {
 			case 0, 1: // run a quantum
 				ss, errS := tw.slow.Run(uint64(op)/4 + 1)
 				fs, errF := tw.fast.Run(uint64(op)/4 + 1)
@@ -422,6 +427,8 @@ func FuzzFastCoreEquivalence(f *testing.F) {
 				tw.both(func(m *Machine) { m.Tick.Jitter(int64(op) - 128) })
 			case 4: // drop the next tick
 				tw.both(func(m *Machine) { m.Tick.DropNext() })
+			case 5: // write MPU_CTRL: every ENABLE/PRIVDEFENA combination
+				tw.both(func(m *Machine) { m.MPU.WriteCtrl(uint32(op / 6)) })
 			}
 			if d := tw.diff(); d != "" {
 				t.Fatalf("op %d (0x%02x): %s", i, op, d)

@@ -25,8 +25,8 @@ func (m *Machine) FlightFields() []flightrec.Field {
 		flightrec.F("cpu.control", uint64(c.Control)),
 		flightrec.F("cpu.mode", uint64(c.Mode)),
 		flightrec.F("cpu.priv", flightrec.B(c.Privileged())),
-		flightrec.F("mpu.ctrl_enable", flightrec.B(m.MPU.CtrlEnable)),
-		flightrec.F("mpu.privdefena", flightrec.B(m.MPU.PrivDefEna)),
+		flightrec.F("mpu.ctrl_enable", flightrec.B(m.MPU.ctrl&CtrlEnable != 0)),
+		flightrec.F("mpu.privdefena", flightrec.B(m.MPU.ctrl&CtrlPrivDefEna != 0)),
 	)
 	for i := 0; i < NumRegions; i++ {
 		rbar, rasr := m.MPU.Region(i)

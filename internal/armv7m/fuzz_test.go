@@ -14,13 +14,12 @@ func FuzzMPUCheck(f *testing.F) {
 	f.Add(uint32(0), uint32(0), uint32(0xFFFF_FFFF))
 	f.Fuzz(func(t *testing.T, rbar, rasr, addr uint32) {
 		h := NewMPUHardware()
-		h.CtrlEnable = true
+		h.WriteCtrl(CtrlEnable | CtrlPrivDefEna)
 		// Force the raw registers in, bypassing WriteRegion validation,
 		// to model arbitrary (even illegal) register states.
 		h.rbar[0] = rbar & (RBARAddrMask | RBARValid | RBARRegionMask)
 		h.rasr[0] = rasr
-		err := h.Check(addr, mpu.AccessRead, false)
-		if err == nil {
+		if h.Allows(addr, mpu.AccessRead, false) {
 			// Admitted: the address must fall inside region 0's span.
 			size := h.regionSize(0)
 			if size == 0 {

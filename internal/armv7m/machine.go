@@ -146,8 +146,8 @@ func NewMachine(mem *Memory) *Machine {
 // check covers the instruction's first byte, like a real fetch of the
 // first halfword.
 func (m *Machine) fetch(addr uint32) (Instr, error) {
-	if err := m.MPU.Check(addr, mpu.AccessExecute, m.CPU.Privileged()); err != nil {
-		return nil, err
+	if priv := m.CPU.Privileged(); !m.MPU.Allows(addr, mpu.AccessExecute, priv) {
+		return nil, &mpu.ProtectionError{Addr: addr, Kind: mpu.AccessExecute, Privileged: priv}
 	}
 	if p := m.ProgramAt(addr); p != nil {
 		if in := p.At(addr); in != nil {
@@ -165,15 +165,16 @@ func (m *Machine) writePC(v uint32) {
 }
 
 // checkAccess runs the MPU check for a data access at the current
-// privilege level. With the fast core enabled it first consults the
-// last-hit accessmap interval hint; only the success case is ever
-// short-circuited, so denials reach the hardware Check and produce
-// byte-identical ProtectionError values. Like the oracle path, the check
-// covers the access's first byte.
+// privilege level and builds the MemManage fault value on a denial. With
+// the fast core enabled it first consults the last-hit accessmap
+// interval hint; only the success case is ever short-circuited, so
+// denials reach the hardware Allows and produce byte-identical
+// ProtectionError values. Like the oracle path, the check covers the
+// access's first byte.
 func (m *Machine) checkAccess(addr uint32, kind mpu.AccessKind) error {
+	priv := m.CPU.Privileged()
 	if f := m.Fast(); f != nil {
-		priv := m.CPU.Privileged()
-		if f.Hints.Allows(addr, 1, kind, priv, m.MPU.Current(m.MPU.Ctrl())) {
+		if f.Hints.Allows(addr, 1, kind, priv, m.MPU.Current()) {
 			f.Table.Stats.HintHits++
 			return nil
 		}
@@ -182,7 +183,10 @@ func (m *Machine) checkAccess(addr uint32, kind mpu.AccessKind) error {
 			return nil
 		}
 	}
-	return m.MPU.Check(addr, kind, m.CPU.Privileged())
+	if !m.MPU.Allows(addr, kind, priv) {
+		return &mpu.ProtectionError{Addr: addr, Kind: kind, Privileged: priv}
+	}
+	return nil
 }
 
 // loadWord is an MPU-checked word load.
@@ -246,7 +250,7 @@ func (m *Machine) pushStackedFrame() (uint32, error) {
 	}
 	for i, w := range f {
 		addr := sp + uint32(4*i)
-		if err := m.MPU.Check(addr, mpu.AccessWrite, priv); err != nil {
+		if !m.MPU.Allows(addr, mpu.AccessWrite, priv) {
 			// MSTKERR: abandon the remaining frame writes.
 			m.Fault = FaultStatus{Valid: true, MMFAR: addr, DACCVIOL: true}
 			return sp, nil

@@ -224,7 +224,7 @@ func TestMachineUnprivilegedMPUFault(t *testing.T) {
 	loadAndStart(t, m, a.MustAssemble())
 
 	// MPU: user may execute its code and use its own RAM window only.
-	m.MPU.CtrlEnable = true
+	m.MPU.WriteCtrl(CtrlEnable | CtrlPrivDefEna)
 	if err := m.MPU.WriteRegion(2, 0x0000_0000, mkRASR(4096, 0, mpu.ReadExecuteOnly, true)); err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestMachinePrivilegedModeBypassesMPU(t *testing.T) {
 		Emit(Str{R1, R0, 0}).
 		Emit(WFI{})
 	loadAndStart(t, m, a.MustAssemble())
-	m.MPU.CtrlEnable = true
+	m.MPU.WriteCtrl(CtrlEnable | CtrlPrivDefEna)
 	if err := m.MPU.WriteRegion(2, 0x0000_0000, mkRASR(4096, 0, mpu.ReadExecuteOnly, true)); err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +297,7 @@ func TestMachineExecuteFetchChecked(t *testing.T) {
 	a := NewAssembler(0x400)
 	a.Emit(NOP{}).Emit(WFI{})
 	loadAndStart(t, m, a.MustAssemble())
-	m.MPU.CtrlEnable = true
+	m.MPU.WriteCtrl(CtrlEnable | CtrlPrivDefEna)
 	// RAM region is rw- (XN): jumping there must fault on fetch.
 	if err := m.MPU.WriteRegion(0, 0x2000_0000, mkRASR(1024, 0, mpu.ReadWriteOnly, true)); err != nil {
 		t.Fatal(err)

@@ -112,22 +112,26 @@ func apAllows(ap uint32, privileged bool, kind mpu.AccessKind) bool {
 	}
 }
 
-// MPUHardware models the ARMv7-M memory protection unit: a control
-// register and eight RBAR/RASR register pairs. Register writes take effect
-// immediately, exactly as MMIO stores to 0xE000ED90.. would. The access
-// map derived from the registers, and the range queries answered from it,
-// come from the embedded cache.
+// MPU_CTRL bits the model keeps (B3.5.3); HFNMIENA is not modelled.
+const (
+	// CtrlEnable is MPU_CTRL.ENABLE.
+	CtrlEnable = 1 << 0
+	// CtrlPrivDefEna is MPU_CTRL.PRIVDEFENA: when set, privileged
+	// accesses that match no region use the default memory map instead
+	// of faulting. Tock runs with this set so the kernel is never
+	// blocked by the MPU.
+	CtrlPrivDefEna = 1 << 2
+)
+
+// MPUHardware models the ARMv7-M memory protection unit: the MPU_CTRL
+// register and eight RBAR/RASR register pairs. Register writes take
+// effect immediately, exactly as MMIO stores to 0xE000ED90.. would. The
+// access map derived from the registers, and the range queries answered
+// from it, come from the embedded cache.
 type MPUHardware struct {
 	accessmap.Cache
 
-	// CtrlEnable is MPU_CTRL.ENABLE.
-	CtrlEnable bool
-	// PrivDefEna is MPU_CTRL.PRIVDEFENA: when set, privileged accesses
-	// that match no region use the default memory map instead of
-	// faulting. Tock runs with this set so the kernel is never blocked
-	// by the MPU.
-	PrivDefEna bool
-
+	ctrl uint32 // MPU_CTRL: CtrlEnable and CtrlPrivDefEna only
 	rbar [NumRegions]uint32
 	rasr [NumRegions]uint32
 
@@ -142,25 +146,19 @@ type MPUHardware struct {
 	Writes *metrics.Counter
 }
 
-// NewMPUHardware returns a disabled MPU with all regions cleared.
+// NewMPUHardware returns a disabled MPU (MPU_CTRL = PRIVDEFENA) with all
+// regions cleared.
 func NewMPUHardware() *MPUHardware {
-	h := &MPUHardware{PrivDefEna: true}
+	h := &MPUHardware{ctrl: CtrlPrivDefEna}
 	h.Cache = accessmap.NewCache(h)
 	return h
 }
 
-// Ctrl returns the MPU_CTRL bits the model keeps as fields, ENABLE (bit
-// 0) and PRIVDEFENA (bit 2): the control word the access-map cache
-// compares on every lookup.
-func (h *MPUHardware) Ctrl() uint32 {
-	var c uint32
-	if h.CtrlEnable {
-		c |= 1
-	}
-	if h.PrivDefEna {
-		c |= 4
-	}
-	return c
+// WriteCtrl writes MPU_CTRL. Bits other than ENABLE and PRIVDEFENA read
+// as zero.
+func (h *MPUHardware) WriteCtrl(v uint32) {
+	h.ctrl = v & (CtrlEnable | CtrlPrivDefEna)
+	h.Invalidate()
 }
 
 // WriteRegion programs region pair (rbar, rasr). The region number is taken
@@ -259,14 +257,13 @@ func (h *MPUHardware) regionMatches(i int, addr uint32) bool {
 	return true
 }
 
-// Check evaluates an access against the MPU configuration and returns nil
-// if the access is allowed. Matching follows ARMv7-M semantics: the
-// highest-numbered matching region wins; if no region matches, privileged
-// accesses succeed when PRIVDEFENA is set and unprivileged accesses fault.
-// A disabled MPU allows everything.
-func (h *MPUHardware) Check(addr uint32, kind mpu.AccessKind, privileged bool) error {
-	if !h.CtrlEnable {
-		return nil
+// Allows evaluates an access against the MPU configuration. Matching
+// follows ARMv7-M semantics: the highest-numbered matching region wins;
+// if no region matches, privileged accesses succeed when PRIVDEFENA is
+// set and unprivileged accesses fault. A disabled MPU allows everything.
+func (h *MPUHardware) Allows(addr uint32, kind mpu.AccessKind, privileged bool) bool {
+	if h.ctrl&CtrlEnable == 0 {
+		return true
 	}
 	for i := NumRegions - 1; i >= 0; i-- {
 		if !h.regionMatches(i, addr) {
@@ -274,18 +271,11 @@ func (h *MPUHardware) Check(addr uint32, kind mpu.AccessKind, privileged bool) e
 		}
 		rasr := h.rasr[i]
 		if kind == mpu.AccessExecute && rasr&RASRXN != 0 {
-			return &mpu.ProtectionError{Addr: addr, Kind: kind, Privileged: privileged}
+			return false
 		}
-		ap := rasr & RASRAPMask >> RASRAPShift
-		if !apAllows(ap, privileged, kind) {
-			return &mpu.ProtectionError{Addr: addr, Kind: kind, Privileged: privileged}
-		}
-		return nil
+		return apAllows(rasr&RASRAPMask>>RASRAPShift, privileged, kind)
 	}
-	if privileged && h.PrivDefEna {
-		return nil
-	}
-	return &mpu.ProtectionError{Addr: addr, Kind: kind, Privileged: privileged}
+	return privileged && h.ctrl&CtrlPrivDefEna != 0
 }
 
 // Boundaries collects every address at which the MPU decision can change:
@@ -315,20 +305,19 @@ func (h *MPUHardware) Boundaries() []uint64 {
 
 // Snapshot captures the full register state, for save/restore in tests.
 type Snapshot struct {
-	CtrlEnable bool
-	PrivDefEna bool
-	RBAR       [NumRegions]uint32
-	RASR       [NumRegions]uint32
+	Ctrl uint32
+	RBAR [NumRegions]uint32
+	RASR [NumRegions]uint32
 }
 
 // Snapshot returns a copy of the current register state.
 func (h *MPUHardware) Snapshot() Snapshot {
-	return Snapshot{CtrlEnable: h.CtrlEnable, PrivDefEna: h.PrivDefEna, RBAR: h.rbar, RASR: h.rasr}
+	return Snapshot{Ctrl: h.ctrl, RBAR: h.rbar, RASR: h.rasr}
 }
 
 // Restore overwrites the register state with a snapshot.
 func (h *MPUHardware) Restore(s Snapshot) {
-	h.CtrlEnable, h.PrivDefEna, h.rbar, h.rasr = s.CtrlEnable, s.PrivDefEna, s.RBAR, s.RASR
+	h.ctrl, h.rbar, h.rasr = s.Ctrl, s.RBAR, s.RASR
 	h.Invalidate()
 }
 

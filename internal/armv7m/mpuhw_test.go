@@ -26,30 +26,30 @@ func mkRASR(sizePow2 uint32, srd uint8, perms mpu.Permissions, enable bool) uint
 
 func TestMPUDisabledAllowsEverything(t *testing.T) {
 	h := NewMPUHardware()
-	if err := h.Check(0xDEAD_BEEF, mpu.AccessWrite, false); err != nil {
-		t.Fatalf("disabled MPU denied access: %v", err)
+	if !h.Allows(0xDEAD_BEEF, mpu.AccessWrite, false) {
+		t.Fatal("disabled MPU denied access")
 	}
 }
 
 func TestMPUEnabledDefaultDeniesUnprivileged(t *testing.T) {
 	h := NewMPUHardware()
-	h.CtrlEnable = true
-	if err := h.Check(0x2000_0000, mpu.AccessRead, false); err == nil {
+	h.WriteCtrl(CtrlEnable | CtrlPrivDefEna)
+	if h.Allows(0x2000_0000, mpu.AccessRead, false) {
 		t.Fatal("unprivileged access with no matching region succeeded")
 	}
 	// PRIVDEFENA background map admits privileged access.
-	if err := h.Check(0x2000_0000, mpu.AccessRead, true); err != nil {
-		t.Fatalf("privileged background access denied: %v", err)
+	if !h.Allows(0x2000_0000, mpu.AccessRead, true) {
+		t.Fatal("privileged background access denied")
 	}
-	h.PrivDefEna = false
-	if err := h.Check(0x2000_0000, mpu.AccessRead, true); err == nil {
+	h.WriteCtrl(CtrlEnable)
+	if h.Allows(0x2000_0000, mpu.AccessRead, true) {
 		t.Fatal("privileged access with PRIVDEFENA clear succeeded")
 	}
 }
 
 func TestMPURegionGrantsConfiguredPermissions(t *testing.T) {
 	h := NewMPUHardware()
-	h.CtrlEnable = true
+	h.WriteCtrl(CtrlEnable | CtrlPrivDefEna)
 	if err := h.WriteRegion(0, 0x2000_0000, mkRASR(1024, 0, mpu.ReadWriteOnly, true)); err != nil {
 		t.Fatal(err)
 	}
@@ -65,62 +65,61 @@ func TestMPURegionGrantsConfiguredPermissions(t *testing.T) {
 		{0x2000_0100, mpu.AccessExecute, false}, // XN set for rw-
 	}
 	for _, c := range cases {
-		err := h.Check(c.addr, c.kind, false)
-		if (err == nil) != c.ok {
-			t.Errorf("Check(0x%08x, %v) = %v, want ok=%v", c.addr, c.kind, err, c.ok)
+		if got := h.Allows(c.addr, c.kind, false); got != c.ok {
+			t.Errorf("Allows(0x%08x, %v) = %v, want %v", c.addr, c.kind, got, c.ok)
 		}
 	}
 }
 
 func TestMPUReadExecuteRegion(t *testing.T) {
 	h := NewMPUHardware()
-	h.CtrlEnable = true
+	h.WriteCtrl(CtrlEnable | CtrlPrivDefEna)
 	if err := h.WriteRegion(2, 0x0000_0000, mkRASR(4096, 0, mpu.ReadExecuteOnly, true)); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Check(0x100, mpu.AccessExecute, false); err != nil {
-		t.Fatalf("execute denied: %v", err)
+	if !h.Allows(0x100, mpu.AccessExecute, false) {
+		t.Fatal("execute denied")
 	}
-	if err := h.Check(0x100, mpu.AccessWrite, false); err == nil {
+	if h.Allows(0x100, mpu.AccessWrite, false) {
 		t.Fatal("write to r-x region succeeded")
 	}
 }
 
 func TestMPUSubregionDisable(t *testing.T) {
 	h := NewMPUHardware()
-	h.CtrlEnable = true
+	h.WriteCtrl(CtrlEnable | CtrlPrivDefEna)
 	// 2048-byte region, 256-byte subregions. Disable subregions 6 and 7
 	// (the top quarter) — the paper's grant-region carve-out pattern.
 	srd := uint8(1<<6 | 1<<7)
 	if err := h.WriteRegion(0, 0x2000_0000, mkRASR(2048, srd, mpu.ReadWriteOnly, true)); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Check(0x2000_0000+5*256, mpu.AccessWrite, false); err != nil {
-		t.Fatalf("enabled subregion denied: %v", err)
+	if !h.Allows(0x2000_0000+5*256, mpu.AccessWrite, false) {
+		t.Fatal("enabled subregion denied")
 	}
-	if err := h.Check(0x2000_0000+6*256, mpu.AccessWrite, false); err == nil {
+	if h.Allows(0x2000_0000+6*256, mpu.AccessWrite, false) {
 		t.Fatal("disabled subregion 6 allowed")
 	}
-	if err := h.Check(0x2000_0000+7*256+255, mpu.AccessRead, false); err == nil {
+	if h.Allows(0x2000_0000+7*256+255, mpu.AccessRead, false) {
 		t.Fatal("disabled subregion 7 allowed")
 	}
 }
 
 func TestMPUSubregionsIgnoredBelow256(t *testing.T) {
 	h := NewMPUHardware()
-	h.CtrlEnable = true
+	h.WriteCtrl(CtrlEnable | CtrlPrivDefEna)
 	// 128-byte region: SRD has no effect per the architecture.
 	if err := h.WriteRegion(0, 0x2000_0000, mkRASR(128, 0xFF, mpu.ReadWriteOnly, true)); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Check(0x2000_0040, mpu.AccessRead, false); err != nil {
-		t.Fatalf("access denied despite SRD being architecturally ignored: %v", err)
+	if !h.Allows(0x2000_0040, mpu.AccessRead, false) {
+		t.Fatal("access denied despite SRD being architecturally ignored")
 	}
 }
 
 func TestMPUHigherRegionNumberWins(t *testing.T) {
 	h := NewMPUHardware()
-	h.CtrlEnable = true
+	h.WriteCtrl(CtrlEnable | CtrlPrivDefEna)
 	// Region 0 allows RW over 4K; region 7 overlays a no-user-access
 	// window on the top 1K. Higher number takes priority.
 	if err := h.WriteRegion(0, 0x2000_0000, mkRASR(4096, 0, mpu.ReadWriteOnly, true)); err != nil {
@@ -129,15 +128,15 @@ func TestMPUHigherRegionNumberWins(t *testing.T) {
 	if err := h.WriteRegion(7, 0x2000_0C00, mkRASR(1024, 0, mpu.NoAccess, true)); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Check(0x2000_0800, mpu.AccessWrite, false); err != nil {
-		t.Fatalf("region 0 access denied: %v", err)
+	if !h.Allows(0x2000_0800, mpu.AccessWrite, false) {
+		t.Fatal("region 0 access denied")
 	}
-	if err := h.Check(0x2000_0C00, mpu.AccessWrite, false); err == nil {
+	if h.Allows(0x2000_0C00, mpu.AccessWrite, false) {
 		t.Fatal("overlay region did not take priority")
 	}
 	// The kernel (privileged) retains access through the overlay.
-	if err := h.Check(0x2000_0C00, mpu.AccessWrite, true); err != nil {
-		t.Fatalf("privileged access through overlay denied: %v", err)
+	if !h.Allows(0x2000_0C00, mpu.AccessWrite, true) {
+		t.Fatal("privileged access through overlay denied")
 	}
 }
 
@@ -195,7 +194,7 @@ func TestMPUWriteLogRecordsOrder(t *testing.T) {
 
 func TestMPUSnapshotRestore(t *testing.T) {
 	h := NewMPUHardware()
-	h.CtrlEnable = true
+	h.WriteCtrl(CtrlEnable | CtrlPrivDefEna)
 	if err := h.WriteRegion(1, 0x2000_0000, mkRASR(1024, 0, mpu.ReadWriteOnly, true)); err != nil {
 		t.Fatal(err)
 	}
@@ -203,13 +202,13 @@ func TestMPUSnapshotRestore(t *testing.T) {
 	if err := h.ClearRegion(1); err != nil {
 		t.Fatal(err)
 	}
-	h.CtrlEnable = false
+	h.WriteCtrl(CtrlPrivDefEna)
 	h.Restore(snap)
-	if !h.CtrlEnable {
-		t.Fatal("CtrlEnable not restored")
+	if h.Snapshot().Ctrl&CtrlEnable == 0 {
+		t.Fatal("MPU_CTRL.ENABLE not restored")
 	}
-	if err := h.Check(0x2000_0000, mpu.AccessWrite, false); err != nil {
-		t.Fatalf("restored region not effective: %v", err)
+	if !h.Allows(0x2000_0000, mpu.AccessWrite, false) {
+		t.Fatal("restored region not effective")
 	}
 }
 
@@ -220,7 +219,7 @@ func TestMPUSnapshotRestore(t *testing.T) {
 func TestMPUAdmittedAddressesWithinRegionProperty(t *testing.T) {
 	f := func(baseSel uint8, sizeSel uint8, srd uint8, probe uint16) bool {
 		h := NewMPUHardware()
-		h.CtrlEnable = true
+		h.WriteCtrl(CtrlEnable | CtrlPrivDefEna)
 		sizes := []uint32{256, 512, 1024, 2048, 4096}
 		size := sizes[int(sizeSel)%len(sizes)]
 		base := (uint32(baseSel) * size) % 0x0001_0000
@@ -229,8 +228,7 @@ func TestMPUAdmittedAddressesWithinRegionProperty(t *testing.T) {
 			return false
 		}
 		addr := uint32(probe)
-		err := h.Check(addr, mpu.AccessRead, false)
-		if err == nil {
+		if h.Allows(addr, mpu.AccessRead, false) {
 			if addr < base || addr >= base+size {
 				return false // admitted an address outside the region
 			}

@@ -13,7 +13,7 @@ import (
 // memory nor scan for ~4 billion iterations.
 func TestAccessibleUserWrapRegression(t *testing.T) {
 	h := NewMPUHardware()
-	h.CtrlEnable = true
+	h.WriteCtrl(CtrlEnable | CtrlPrivDefEna)
 	if err := h.WriteRegion(0, 0xFFFF_FF00|EncodeRBAR(mpu.ReadWriteOnly), 0xFFFF_FFE0|RLAREnable); err != nil {
 		t.Fatal(err)
 	}
@@ -39,11 +39,10 @@ func TestAccessibleUserWrapRegression(t *testing.T) {
 }
 
 // TestAccessMapCacheInvalidation: queries share one build; WriteRegion,
-// ClearRegion and direct pokes of the exported control bits each force a
-// rebuild.
+// ClearRegion and WriteCtrl each force exactly one rebuild.
 func TestAccessMapCacheInvalidation(t *testing.T) {
 	h := NewMPUHardware()
-	h.CtrlEnable = true
+	h.WriteCtrl(CtrlEnable | CtrlPrivDefEna)
 	if err := h.WriteRegion(0, 0x2000_0000|EncodeRBAR(mpu.ReadWriteOnly), 0x2000_03E0|RLAREnable); err != nil {
 		t.Fatal(err)
 	}
@@ -71,18 +70,17 @@ func TestAccessMapCacheInvalidation(t *testing.T) {
 	if h.MapBuilds != 3 {
 		t.Fatalf("MapBuilds = %d after ClearRegion, want 3", h.MapBuilds)
 	}
-	h.CtrlEnable = false
+	h.WriteCtrl(CtrlPrivDefEna)
 	if !h.AccessibleUser(0xDEAD_0000, 64, mpu.AccessWrite) {
-		t.Fatal("disabled MPU denied access: control-bit change missed")
+		t.Fatal("disabled MPU denied access: MPU_CTRL write missed")
 	}
 	if h.MapBuilds != 4 {
-		t.Fatalf("MapBuilds = %d after CtrlEnable poke, want 4", h.MapBuilds)
+		t.Fatalf("MapBuilds = %d after WriteCtrl disabled the MPU, want 4", h.MapBuilds)
 	}
-	h.CtrlEnable = true
-	h.PrivDefEna = false
+	h.WriteCtrl(CtrlEnable)
 	h.AccessibleUser(0x2000_0000, 1024, mpu.AccessWrite)
 	if h.MapBuilds != 5 {
-		t.Fatalf("MapBuilds = %d after PrivDefEna poke, want 5", h.MapBuilds)
+		t.Fatalf("MapBuilds = %d after WriteCtrl cleared PRIVDEFENA, want 5", h.MapBuilds)
 	}
 }
 
@@ -95,7 +93,7 @@ func FuzzAccessMapEquivalence(f *testing.F) {
 	f.Add(uint32(0), uint32(0), uint32(0), uint16(0))
 	f.Fuzz(func(t *testing.T, rbar, rlar, start uint32, length uint16) {
 		h := NewMPUHardware()
-		h.CtrlEnable = true
+		h.WriteCtrl(CtrlEnable | CtrlPrivDefEna)
 		_ = h.WriteRegion(0, rbar, rlar) // rejects (limit<base) are fine
 		for _, kind := range []mpu.AccessKind{mpu.AccessRead, mpu.AccessWrite, mpu.AccessExecute} {
 			if got, want := h.AccessibleUser(start, uint32(length), kind), h.AccessibleUserByteScan(start, uint32(length), kind); got != want {
@@ -107,7 +105,7 @@ func FuzzAccessMapEquivalence(f *testing.F) {
 				end = accessmap.AddressSpace
 			}
 			for a := uint64(start); a < end && !any; a++ {
-				any = h.Check(uint32(a), kind, false) == nil
+				any = h.Allows(uint32(a), kind, false)
 			}
 			if got := h.AnyAccessibleUser(start, uint32(length), kind); got != any {
 				t.Fatalf("AnyAccessibleUser(0x%08x, %d, %v) = %v, byte scan says %v", start, length, kind, got, any)

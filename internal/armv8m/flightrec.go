@@ -14,8 +14,8 @@ import (
 func (h *MPUHardware) FlightFields() []flightrec.Field {
 	f := make([]flightrec.Field, 0, 2+2*NumRegions)
 	f = append(f,
-		flightrec.F("v8mpu.ctrl_enable", flightrec.B(h.CtrlEnable)),
-		flightrec.F("v8mpu.privdefena", flightrec.B(h.PrivDefEna)),
+		flightrec.F("v8mpu.ctrl_enable", flightrec.B(h.ctrl&CtrlEnable != 0)),
+		flightrec.F("v8mpu.privdefena", flightrec.B(h.ctrl&CtrlPrivDefEna != 0)),
 	)
 	for i := 0; i < NumRegions; i++ {
 		rbar, rlar := h.Region(i)

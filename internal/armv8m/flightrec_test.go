@@ -8,7 +8,7 @@ import "testing"
 // reconstruct the exact register file.
 func TestFlightFieldsCoverRegisterFile(t *testing.T) {
 	h := NewMPUHardware()
-	h.CtrlEnable = true
+	h.WriteCtrl(CtrlEnable | CtrlPrivDefEna)
 	const rbar, rlar = 0x2000_0000 | APRW<<RBARAPShift, 0x2000_0FE0 | RLAREnable
 	if err := h.WriteRegion(3, rbar, rlar); err != nil {
 		t.Fatal(err)

@@ -90,38 +90,39 @@ func apAllows(ap uint32, privileged bool, kind mpu.AccessKind) bool {
 	}
 }
 
-// MPUHardware models the v8-M MPU registers. The access map derived
-// from them, and the range queries answered from it, come from the
-// embedded cache.
+// MPU_CTRL bits the model keeps, laid out as on ARMv7-M; HFNMIENA is not
+// modelled.
+const (
+	// CtrlEnable is MPU_CTRL.ENABLE.
+	CtrlEnable = 1 << 0
+	// CtrlPrivDefEna is MPU_CTRL.PRIVDEFENA: privileged accesses that
+	// match no region use the default memory map.
+	CtrlPrivDefEna = 1 << 2
+)
+
+// MPUHardware models the v8-M MPU registers: MPU_CTRL and the RBAR/RLAR
+// pairs. The access map derived from them, and the range queries
+// answered from it, come from the embedded cache.
 type MPUHardware struct {
 	accessmap.Cache
 
-	CtrlEnable bool
-	PrivDefEna bool
-
+	ctrl uint32 // MPU_CTRL: CtrlEnable and CtrlPrivDefEna only
 	rbar [NumRegions]uint32
 	rlar [NumRegions]uint32
 }
 
-// NewMPUHardware returns a disabled MPU.
+// NewMPUHardware returns a disabled MPU (MPU_CTRL = PRIVDEFENA).
 func NewMPUHardware() *MPUHardware {
-	h := &MPUHardware{PrivDefEna: true}
+	h := &MPUHardware{ctrl: CtrlPrivDefEna}
 	h.Cache = accessmap.NewCache(h)
 	return h
 }
 
-// Ctrl returns the MPU_CTRL bits the model keeps as fields, ENABLE (bit
-// 0) and PRIVDEFENA (bit 2): the control word the access-map cache
-// compares on every lookup.
-func (h *MPUHardware) Ctrl() uint32 {
-	var c uint32
-	if h.CtrlEnable {
-		c |= 1
-	}
-	if h.PrivDefEna {
-		c |= 4
-	}
-	return c
+// WriteCtrl writes MPU_CTRL. Bits other than ENABLE and PRIVDEFENA read
+// as zero.
+func (h *MPUHardware) WriteCtrl(v uint32) {
+	h.ctrl = v & (CtrlEnable | CtrlPrivDefEna)
+	h.Invalidate()
 }
 
 // WriteRegion programs a region pair. v8-M forbids overlapping enabled
@@ -169,11 +170,11 @@ func (h *MPUHardware) Region(number int) (rbar, rlar uint32) {
 	return h.rbar[number], h.rlar[number]
 }
 
-// Check evaluates an access. Since enabled regions never overlap, at most
-// one region matches.
-func (h *MPUHardware) Check(addr uint32, kind mpu.AccessKind, privileged bool) error {
-	if !h.CtrlEnable {
-		return nil
+// Allows evaluates an access. Since enabled regions never overlap, at
+// most one region matches.
+func (h *MPUHardware) Allows(addr uint32, kind mpu.AccessKind, privileged bool) bool {
+	if h.ctrl&CtrlEnable == 0 {
+		return true
 	}
 	for i := 0; i < NumRegions; i++ {
 		if h.rlar[i]&RLAREnable == 0 {
@@ -185,18 +186,11 @@ func (h *MPUHardware) Check(addr uint32, kind mpu.AccessKind, privileged bool) e
 			continue
 		}
 		if kind == mpu.AccessExecute && h.rbar[i]&RBARXN != 0 {
-			return &mpu.ProtectionError{Addr: addr, Kind: kind, Privileged: privileged}
+			return false
 		}
-		ap := h.rbar[i] & RBARAPMask >> RBARAPShift
-		if !apAllows(ap, privileged, kind) {
-			return &mpu.ProtectionError{Addr: addr, Kind: kind, Privileged: privileged}
-		}
-		return nil
+		return apAllows(h.rbar[i]&RBARAPMask>>RBARAPShift, privileged, kind)
 	}
-	if privileged && h.PrivDefEna {
-		return nil
-	}
-	return &mpu.ProtectionError{Addr: addr, Kind: kind, Privileged: privileged}
+	return privileged && h.ctrl&CtrlPrivDefEna != 0
 }
 
 // Boundaries collects every address at which the MPU decision can change:

@@ -11,26 +11,26 @@ import (
 
 func TestCheckBaseLimitSemantics(t *testing.T) {
 	h := NewMPUHardware()
-	h.CtrlEnable = true
+	h.WriteCtrl(CtrlEnable | CtrlPrivDefEna)
 	rbar := uint32(0x2000_0100) | EncodeRBAR(mpu.ReadWriteOnly)
 	rlar := uint32(0x2000_01E0) | RLAREnable // limit block: last byte 0x200001FF
 	if err := h.WriteRegion(0, rbar, rlar); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Check(0x2000_0100, mpu.AccessWrite, false); err != nil {
-		t.Fatalf("base denied: %v", err)
+	if !h.Allows(0x2000_0100, mpu.AccessWrite, false) {
+		t.Fatal("base denied")
 	}
-	if err := h.Check(0x2000_01FF, mpu.AccessWrite, false); err != nil {
-		t.Fatalf("inclusive limit denied: %v", err)
+	if !h.Allows(0x2000_01FF, mpu.AccessWrite, false) {
+		t.Fatal("inclusive limit denied")
 	}
-	if err := h.Check(0x2000_0200, mpu.AccessRead, false); err == nil {
+	if h.Allows(0x2000_0200, mpu.AccessRead, false) {
 		t.Fatal("past limit allowed")
 	}
-	if err := h.Check(0x2000_00FF, mpu.AccessRead, false); err == nil {
+	if h.Allows(0x2000_00FF, mpu.AccessRead, false) {
 		t.Fatal("before base allowed")
 	}
 	// XN on rw- regions.
-	if err := h.Check(0x2000_0100, mpu.AccessExecute, false); err == nil {
+	if h.Allows(0x2000_0100, mpu.AccessExecute, false) {
 		t.Fatal("execute allowed on rw- region")
 	}
 }
@@ -47,15 +47,15 @@ func TestWriteRegionRejectsInvertedRange(t *testing.T) {
 
 func TestPrivilegedDefaultMap(t *testing.T) {
 	h := NewMPUHardware()
-	h.CtrlEnable = true
-	if err := h.Check(0x1234, mpu.AccessWrite, true); err != nil {
-		t.Fatalf("PRIVDEFENA denied kernel: %v", err)
+	h.WriteCtrl(CtrlEnable | CtrlPrivDefEna)
+	if !h.Allows(0x1234, mpu.AccessWrite, true) {
+		t.Fatal("PRIVDEFENA denied kernel")
 	}
-	if err := h.Check(0x1234, mpu.AccessWrite, false); err == nil {
+	if h.Allows(0x1234, mpu.AccessWrite, false) {
 		t.Fatal("default map admitted user")
 	}
-	h.PrivDefEna = false
-	if err := h.Check(0x1234, mpu.AccessWrite, true); err == nil {
+	h.WriteCtrl(CtrlEnable)
+	if h.Allows(0x1234, mpu.AccessWrite, true) {
 		t.Fatal("kernel admitted with PRIVDEFENA clear")
 	}
 }

@@ -9,15 +9,15 @@
 //
 // The cache itself is deliberately dumb — it never decides whether an
 // access is allowed. Permission decisions come from the port's accessmap
-// (itself differentially verified against the hardware Check oracle), and
+// (itself differentially verified against the hardware Allows oracle), and
 // every cached decision is keyed on the *accessmap.Map it was read from.
 // The unit's access-map cache allocates a new Map whenever the registers
-// change (WriteRegion/ClearRegion/SetEntry/FlipBits/Restore all
-// invalidate it) or a control bit differs, so stale blocks fail their map
-// comparison on next entry and recompute their cover, and load/store
-// hints drop wholesale. A stale entry can therefore never authorize an
-// access the current registers would deny; see docs/SPEED.md for the full
-// soundness argument.
+// change (WriteRegion/ClearRegion/WriteCtrl/SetEntry/FlipBits/Restore
+// all invalidate it), so stale blocks fail their map comparison on next
+// entry and recompute their cover, and load/store hints drop wholesale.
+// A stale entry can therefore never authorize an access the current
+// registers would deny; see docs/SPEED.md for the full soundness
+// argument.
 //
 // Blocks are generic over the port's decoded instruction type so armv7m
 // and rv32 share one table implementation without interface-call overhead

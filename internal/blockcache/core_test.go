@@ -28,16 +28,11 @@ func stubProgram(base uint32, n int) *Program[stubInstr] {
 // below userEnd.
 type stubUnit struct{ userEnd uint32 }
 
-func (u *stubUnit) Check(addr uint32, kind mpu.AccessKind, privileged bool) error {
-	if kind == mpu.AccessExecute && !privileged && addr >= u.userEnd {
-		return &mpu.ProtectionError{Addr: addr, Kind: kind}
-	}
-	return nil
+func (u *stubUnit) Allows(addr uint32, kind mpu.AccessKind, privileged bool) bool {
+	return kind != mpu.AccessExecute || privileged || addr < u.userEnd
 }
 
 func (u *stubUnit) Boundaries() []uint64 { return []uint64{uint64(u.userEnd)} }
-
-func (u *stubUnit) Ctrl() uint32 { return 0 }
 
 func TestLoadProgramRejectsOverlap(t *testing.T) {
 	var c Core[stubInstr]
@@ -126,7 +121,7 @@ func TestRecheckOncePerMapOrPrivilege(t *testing.T) {
 		if b == nil {
 			b = c.BuildBlock(0x100, notPure)
 		}
-		if am := cache.Current(unit.Ctrl()); am == nil || b.Map != am || b.Priv != priv {
+		if am := cache.Current(); am == nil || b.Map != am || b.Priv != priv {
 			c.Recheck(b, cache.AccessMap(), priv)
 		}
 		return b.Cover

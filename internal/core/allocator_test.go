@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"ticktock/internal/armv7m"
 	"ticktock/internal/mpu"
 	"ticktock/internal/riscv"
 )
@@ -250,23 +251,23 @@ func TestConfigureMPUEndToEnd(t *testing.T) {
 	}
 	// User cannot touch the grant region — the paper's core theorem.
 	for addr := b.KernelBreak(); addr < b.MemoryEnd(); addr += 4 {
-		if hw.Check(addr, mpu.AccessRead, false) == nil {
+		if hw.Allows(addr, mpu.AccessRead, false) {
 			t.Fatalf("grant byte 0x%x user-readable", addr)
 		}
 	}
 	// User cannot touch memory just outside the block.
-	if hw.Check(b.MemoryEnd()+64, mpu.AccessRead, false) == nil {
+	if hw.Allows(b.MemoryEnd()+64, mpu.AccessRead, false) {
 		t.Fatal("past-block access allowed")
 	}
-	if hw.Check(b.MemoryStart()-4, mpu.AccessWrite, false) == nil {
+	if hw.Allows(b.MemoryStart()-4, mpu.AccessWrite, false) {
 		t.Fatal("pre-block access allowed")
 	}
 	// Kernel (privileged) retains access everywhere.
-	if hw.Check(b.KernelBreak(), mpu.AccessWrite, true) != nil {
+	if !hw.Allows(b.KernelBreak(), mpu.AccessWrite, true) {
 		t.Fatal("kernel denied grant access")
 	}
 	a.DisableMPU()
-	if hw.CtrlEnable {
+	if hw.Snapshot().Ctrl&armv7m.CtrlEnable != 0 {
 		t.Fatal("DisableMPU left enforcement on")
 	}
 }
@@ -335,7 +336,7 @@ func TestAllocatorGenericOverPMPAllChips(t *testing.T) {
 			if !hw.AccessibleUser(b.MemoryStart(), b.AppBreak()-b.MemoryStart(), mpu.AccessWrite) {
 				t.Fatal("accessible RAM denied")
 			}
-			if hw.Check(b.KernelBreak(), mpu.AccessRead, false) == nil {
+			if hw.Allows(b.KernelBreak(), mpu.AccessRead, false) {
 				t.Fatal("grant user-readable")
 			}
 			if !hw.AccessibleUser(0x2000_0000, flashSize, mpu.AccessExecute) {
@@ -384,11 +385,11 @@ func TestAllocatorIsolationProperty(t *testing.T) {
 			}
 			b := arm.Breaks()
 			for addr := b.KernelBreak(); addr < b.MemoryEnd(); addr += 16 {
-				if armDrv.HW.Check(addr, mpu.AccessRead, false) == nil {
+				if armDrv.HW.Allows(addr, mpu.AccessRead, false) {
 					return false
 				}
 			}
-			if armDrv.HW.Check(b.MemoryEnd(), mpu.AccessWrite, false) == nil {
+			if armDrv.HW.Allows(b.MemoryEnd(), mpu.AccessWrite, false) {
 				return false
 			}
 		}
@@ -404,7 +405,7 @@ func TestAllocatorIsolationProperty(t *testing.T) {
 			}
 			b := pmp.Breaks()
 			for addr := b.KernelBreak(); addr < b.MemoryEnd(); addr += 16 {
-				if pmpDrv.HW.Check(addr, mpu.AccessRead, false) == nil {
+				if pmpDrv.HW.Allows(addr, mpu.AccessRead, false) {
 					return false
 				}
 			}

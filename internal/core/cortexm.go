@@ -271,7 +271,7 @@ func (c *CortexMMPU) ConfigureMPU(regions []CortexMRegion) error {
 			return err
 		}
 	}
-	c.HW.CtrlEnable = true
+	c.HW.WriteCtrl(armv7m.CtrlEnable | armv7m.CtrlPrivDefEna)
 	// TickTock issues an extra DSB+ISB pair after enabling the MPU so
 	// the verified region-write ordering is architecturally committed
 	// before the exception return — the ~7-cycle setup_mpu regression
@@ -282,7 +282,7 @@ func (c *CortexMMPU) ConfigureMPU(regions []CortexMRegion) error {
 
 // DisableMPU implements MPU.
 func (c *CortexMMPU) DisableMPU() {
-	c.HW.CtrlEnable = false
+	c.HW.WriteCtrl(armv7m.CtrlPrivDefEna)
 	c.Meter.Add(cycles.MMIO)
 }
 

@@ -237,7 +237,7 @@ func TestCortexMConfigureMPUWritesHardware(t *testing.T) {
 	if err := c.ConfigureMPU(regions); err != nil {
 		t.Fatal(err)
 	}
-	if !c.HW.CtrlEnable {
+	if c.HW.Snapshot().Ctrl&armv7m.CtrlEnable == 0 {
 		t.Fatal("MPU not enabled")
 	}
 	// All 8 regions written, in ascending order.
@@ -255,7 +255,7 @@ func TestCortexMConfigureMPUWritesHardware(t *testing.T) {
 	if !c.HW.AccessibleUser(start, end-start, mpu.AccessWrite) {
 		t.Fatal("configured hardware denies the accessible span")
 	}
-	if c.HW.Check(end, mpu.AccessRead, false) == nil {
+	if c.HW.Allows(end, mpu.AccessRead, false) {
 		t.Fatal("configured hardware admits past the accessible span")
 	}
 }
@@ -279,7 +279,7 @@ func TestCortexMScrambledWriteOrder(t *testing.T) {
 
 // Property: whatever NewRegions returns, the accessible span it reports is
 // exactly what the hardware admits after ConfigureMPU — the §4.4 driver
-// obligation, checked against the bit-level Check.
+// obligation, checked against the bit-level Allows.
 func TestCortexMDriverHardwareAgreementProperty(t *testing.T) {
 	f := func(startSel uint8, sizeSel uint16) bool {
 		c := newCortexDriver()
@@ -303,21 +303,21 @@ func TestCortexMDriverHardwareAgreementProperty(t *testing.T) {
 		}
 		// Boundary probes: first byte in, last byte in, one before,
 		// one after — plus subregion boundaries.
-		if c.HW.Check(start, mpu.AccessWrite, false) != nil {
+		if !c.HW.Allows(start, mpu.AccessWrite, false) {
 			return false
 		}
-		if c.HW.Check(end-1, mpu.AccessWrite, false) != nil {
+		if !c.HW.Allows(end-1, mpu.AccessWrite, false) {
 			return false
 		}
-		if start > 0 && c.HW.Check(start-1, mpu.AccessWrite, false) == nil {
+		if start > 0 && c.HW.Allows(start-1, mpu.AccessWrite, false) {
 			return false
 		}
-		if c.HW.Check(end, mpu.AccessWrite, false) == nil {
+		if c.HW.Allows(end, mpu.AccessWrite, false) {
 			return false
 		}
 		sub := r0.footprint() / 8
 		for a := start; a < end; a += sub {
-			if c.HW.Check(a, mpu.AccessRead, false) != nil {
+			if !c.HW.Allows(a, mpu.AccessRead, false) {
 				return false
 			}
 		}

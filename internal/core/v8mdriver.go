@@ -143,14 +143,14 @@ func (c *V8MMPU) ConfigureMPU(regions []V8MRegion) error {
 			return err
 		}
 	}
-	c.HW.CtrlEnable = true
+	c.HW.WriteCtrl(armv8m.CtrlEnable | armv8m.CtrlPrivDefEna)
 	c.Meter.Add(cycles.MMIO + cycles.Barrier)
 	return nil
 }
 
 // DisableMPU implements MPU.
 func (c *V8MMPU) DisableMPU() {
-	c.HW.CtrlEnable = false
+	c.HW.WriteCtrl(armv8m.CtrlPrivDefEna)
 	c.Meter.Add(cycles.MMIO)
 }
 

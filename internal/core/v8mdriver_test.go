@@ -66,7 +66,7 @@ func TestV8MGenericAllocatorEndToEnd(t *testing.T) {
 	if !hw.AccessibleUser(b.MemoryStart(), b.AppBreak()-b.MemoryStart(), mpu.AccessWrite) {
 		t.Fatal("accessible RAM denied")
 	}
-	if hw.Check(b.KernelBreak(), mpu.AccessRead, false) == nil {
+	if hw.Allows(b.KernelBreak(), mpu.AccessRead, false) {
 		t.Fatal("grant user-readable")
 	}
 	if !hw.AccessibleUser(0x0008_0000, 0x1000, mpu.AccessExecute) {
@@ -90,7 +90,7 @@ func TestV8MGenericAllocatorEndToEnd(t *testing.T) {
 	if err := a.ConfigureMPU(); err != nil {
 		t.Fatal(err)
 	}
-	if hw.Check(a.Breaks().KernelBreak(), mpu.AccessWrite, false) == nil {
+	if hw.Allows(a.Breaks().KernelBreak(), mpu.AccessWrite, false) {
 		t.Fatal("grown grant user-writable")
 	}
 }
@@ -137,11 +137,11 @@ func TestV8MIsolationProperty(t *testing.T) {
 		}
 		b := a.Breaks()
 		for addr := b.KernelBreak(); addr < b.MemoryEnd(); addr += 16 {
-			if drv.HW.Check(addr, mpu.AccessRead, false) == nil {
+			if drv.HW.Allows(addr, mpu.AccessRead, false) {
 				return false
 			}
 		}
-		return drv.HW.Check(b.MemoryEnd(), mpu.AccessWrite, false) != nil
+		return !drv.HW.Allows(b.MemoryEnd(), mpu.AccessWrite, false)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

@@ -134,7 +134,7 @@ func NewARM(fast bool) *armv7m.Machine {
 		{4, 0x2000_4000, rasr(1024, 0, mpu.NoAccess)},         // decoy
 		{5, 0x0000_8000, rasr(4096, 1<<0|1<<5, mpu.ReadOnly)}, // decoy
 	}
-	m.MPU.CtrlEnable = true
+	m.MPU.WriteCtrl(armv7m.CtrlEnable | armv7m.CtrlPrivDefEna)
 	for _, w := range mpuWrites {
 		if err := m.MPU.WriteRegion(w.region, w.rbar, w.rasr); err != nil {
 			panic(err)

@@ -30,7 +30,7 @@ func TestTracedCampaignCountsMatchKernelCounters(t *testing.T) {
 			}
 
 			var b strings.Builder
-			if err := tr.ExportChromeJSON(&b); err != nil {
+			if err := tr.ExportChromeJSONWindow(&b, 0, ^uint64(0)); err != nil {
 				t.Fatal(err)
 			}
 			var out struct {

@@ -123,7 +123,7 @@ func TestIPCUnshareRevokesAccess(t *testing.T) {
 		t.Fatal(err)
 	}
 	hw := k.Board.Machine.MPU
-	if hw.Check(svc.MM.Layout().MemoryStart+1700, readKind(), false) == nil {
+	if hw.Allows(svc.MM.Layout().MemoryStart+1700, readKind(), false) {
 		t.Fatal("revoked mapping still admits access")
 	}
 }

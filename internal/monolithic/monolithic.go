@@ -313,14 +313,14 @@ func (m *MPU) ConfigureMPU(cfg *MpuConfig) error {
 			return err
 		}
 	}
-	m.HW.CtrlEnable = true
+	m.HW.WriteCtrl(armv7m.CtrlEnable | armv7m.CtrlPrivDefEna)
 	m.Meter.Add(cycles.MMIO + cycles.Barrier)
 	return nil
 }
 
 // DisableMPU turns enforcement off for kernel execution.
 func (m *MPU) DisableMPU() {
-	m.HW.CtrlEnable = false
+	m.HW.WriteCtrl(armv7m.CtrlPrivDefEna)
 	m.Meter.Add(cycles.MMIO)
 }
 

@@ -109,7 +109,7 @@ func TestGrantOverlapBreaksIsolationOnHardware(t *testing.T) {
 		t.Fatal(err)
 	}
 	kernelBreak := start + size - params[3]
-	if m.HW.Check(kernelBreak, mpu.AccessWrite, false) != nil {
+	if !m.HW.Allows(kernelBreak, mpu.AccessWrite, false) {
 		t.Fatal("expected user write to grant start to be admitted under the bug")
 	}
 }
@@ -207,11 +207,11 @@ func TestConfigureMPUWritesAllRegions(t *testing.T) {
 	if len(m.HW.RegionWriteLog) != armv7m.NumRegions {
 		t.Fatalf("wrote %d regions", len(m.HW.RegionWriteLog))
 	}
-	if !m.HW.CtrlEnable {
+	if m.HW.Snapshot().Ctrl&armv7m.CtrlEnable == 0 {
 		t.Fatal("MPU not enabled")
 	}
 	m.DisableMPU()
-	if m.HW.CtrlEnable {
+	if m.HW.Snapshot().Ctrl&armv7m.CtrlEnable != 0 {
 		t.Fatal("MPU not disabled")
 	}
 }

@@ -108,7 +108,8 @@ func (k AccessKind) String() string {
 
 // ProtectionError describes a memory access denied by protection hardware.
 // It is the simulated equivalent of an ARMv7-M MemManage fault or a RISC-V
-// access fault.
+// access fault. The protection units only answer Allows; the machines
+// build this value at their fault sites.
 type ProtectionError struct {
 	Addr uint32
 	Kind AccessKind

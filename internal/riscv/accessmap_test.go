@@ -107,7 +107,7 @@ func FuzzAccessMapEquivalence(f *testing.F) {
 				end = accessmap.AddressSpace
 			}
 			for a := uint64(start); a < end && !any; a++ {
-				any = p.Check(uint32(a), kind, false) == nil
+				any = p.Allows(uint32(a), kind, false)
 			}
 			if got := p.AnyAccessibleUser(start, uint32(length), kind); got != any {
 				t.Fatalf("AnyAccessibleUser(0x%08x, %d, %v) = %v, byte scan says %v", start, length, kind, got, any)

@@ -98,10 +98,6 @@ func NewPMP(chip ChipConfig) *PMP {
 	return p
 }
 
-// Ctrl returns 0: every PMP configuration input lives behind SetEntry
-// and FlipBits, which invalidate the access-map cache.
-func (p *PMP) Ctrl() uint32 { return 0 }
-
 // SetEntry writes pmpcfg[i] and pmpaddr[i]. Locked entries reject writes,
 // as the hardware silently ignores them — surfaced as an error here so the
 // kernel notices.
@@ -224,36 +220,30 @@ func (p *PMP) match(i int, addr uint32) bool {
 	}
 }
 
-// Check evaluates an access. PMP priority is the lowest-numbered matching
-// entry; if no entry matches, machine-mode (privileged) accesses succeed
-// and user-mode accesses fail (when any entries are implemented).
-func (p *PMP) Check(addr uint32, kind mpu.AccessKind, machineMode bool) error {
+// Allows evaluates an access. PMP priority is the lowest-numbered
+// matching entry; if no entry matches, machine-mode (privileged)
+// accesses succeed and user-mode accesses fail (when any entries are
+// implemented).
+func (p *PMP) Allows(addr uint32, kind mpu.AccessKind, machineMode bool) bool {
 	for i := 0; i < p.Chip.Entries; i++ {
 		if !p.match(i, addr) {
 			continue
 		}
 		cfg := p.cfg[i]
 		if machineMode && cfg&CfgL == 0 {
-			return nil // unlocked entries do not constrain M-mode
+			return true // unlocked entries do not constrain M-mode
 		}
-		var ok bool
 		switch kind {
 		case mpu.AccessRead:
-			ok = cfg&CfgR != 0
+			return cfg&CfgR != 0
 		case mpu.AccessWrite:
-			ok = cfg&CfgW != 0
+			return cfg&CfgW != 0
 		case mpu.AccessExecute:
-			ok = cfg&CfgX != 0
+			return cfg&CfgX != 0
 		}
-		if !ok {
-			return &mpu.ProtectionError{Addr: addr, Kind: kind, Privileged: machineMode}
-		}
-		return nil
+		return false
 	}
-	if machineMode {
-		return nil
-	}
-	return &mpu.ProtectionError{Addr: addr, Kind: kind, Privileged: false}
+	return machineMode
 }
 
 // Boundaries collects every address at which the PMP decision can change:

@@ -49,16 +49,16 @@ func TestPMPNAPOTCheck(t *testing.T) {
 	if err := p.SetEntry(0, EncodeCfg(mpu.ReadWriteOnly, ANapot), reg); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Check(0x8000_1000, mpu.AccessWrite, false); err != nil {
-		t.Fatalf("in-region write denied: %v", err)
+	if !p.Allows(0x8000_1000, mpu.AccessWrite, false) {
+		t.Fatal("in-region write denied")
 	}
-	if err := p.Check(0x8000_1FFF, mpu.AccessRead, false); err != nil {
-		t.Fatalf("last byte denied: %v", err)
+	if !p.Allows(0x8000_1FFF, mpu.AccessRead, false) {
+		t.Fatal("last byte denied")
 	}
-	if err := p.Check(0x8000_2000, mpu.AccessRead, false); err == nil {
+	if p.Allows(0x8000_2000, mpu.AccessRead, false) {
 		t.Fatal("past-end read allowed")
 	}
-	if err := p.Check(0x8000_1000, mpu.AccessExecute, false); err == nil {
+	if p.Allows(0x8000_1000, mpu.AccessExecute, false) {
 		t.Fatal("execute allowed on rw- entry")
 	}
 }
@@ -72,16 +72,16 @@ func TestPMPTORCheck(t *testing.T) {
 	if err := p.SetEntry(1, EncodeCfg(mpu.ReadExecuteOnly, ATor), 0x8000_4000>>2); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Check(0x8000_0000, mpu.AccessExecute, false); err != nil {
-		t.Fatalf("TOR low bound denied: %v", err)
+	if !p.Allows(0x8000_0000, mpu.AccessExecute, false) {
+		t.Fatal("TOR low bound denied")
 	}
-	if err := p.Check(0x8000_3FFF, mpu.AccessRead, false); err != nil {
-		t.Fatalf("TOR interior denied: %v", err)
+	if !p.Allows(0x8000_3FFF, mpu.AccessRead, false) {
+		t.Fatal("TOR interior denied")
 	}
-	if err := p.Check(0x8000_4000, mpu.AccessRead, false); err == nil {
+	if p.Allows(0x8000_4000, mpu.AccessRead, false) {
 		t.Fatal("TOR top (exclusive) allowed")
 	}
-	if err := p.Check(0x7FFF_FFFF, mpu.AccessRead, false); err == nil {
+	if p.Allows(0x7FFF_FFFF, mpu.AccessRead, false) {
 		t.Fatal("below TOR range allowed")
 	}
 }
@@ -111,21 +111,21 @@ func TestPMPLowestEntryWins(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Lowest-numbered match wins: the deny window masks the rw window.
-	if err := p.Check(0x8000_0010, mpu.AccessRead, false); err == nil {
+	if p.Allows(0x8000_0010, mpu.AccessRead, false) {
 		t.Fatal("entry 0 deny did not take priority")
 	}
-	if err := p.Check(0x8000_0100, mpu.AccessRead, false); err != nil {
-		t.Fatalf("entry 1 allow did not apply outside entry 0: %v", err)
+	if !p.Allows(0x8000_0100, mpu.AccessRead, false) {
+		t.Fatal("entry 1 allow did not apply outside entry 0")
 	}
 }
 
 func TestPMPMachineModeDefaults(t *testing.T) {
 	p := NewPMP(ChipHiFive1)
 	// No matching entry: M-mode succeeds, U-mode fails.
-	if err := p.Check(0x8000_0000, mpu.AccessWrite, true); err != nil {
-		t.Fatalf("M-mode default deny: %v", err)
+	if !p.Allows(0x8000_0000, mpu.AccessWrite, true) {
+		t.Fatal("M-mode default deny")
 	}
-	if err := p.Check(0x8000_0000, mpu.AccessWrite, false); err == nil {
+	if p.Allows(0x8000_0000, mpu.AccessWrite, false) {
 		t.Fatal("U-mode default allow")
 	}
 	// An unlocked entry does not constrain M-mode.
@@ -133,8 +133,8 @@ func TestPMPMachineModeDefaults(t *testing.T) {
 	if err := p.SetEntry(0, ANapot<<CfgAShift, reg); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Check(0x8000_0000, mpu.AccessWrite, true); err != nil {
-		t.Fatalf("unlocked entry constrained M-mode: %v", err)
+	if !p.Allows(0x8000_0000, mpu.AccessWrite, true) {
+		t.Fatal("unlocked entry constrained M-mode")
 	}
 	// A locked deny entry does constrain M-mode.
 	if err := p.SetEntry(1, CfgL|ANapot<<CfgAShift, reg); err != nil {
@@ -145,7 +145,7 @@ func TestPMPMachineModeDefaults(t *testing.T) {
 	if err := p2.SetEntry(0, CfgL|ANapot<<CfgAShift, reg); err != nil {
 		t.Fatal(err)
 	}
-	if err := p2.Check(0x8000_0000, mpu.AccessWrite, true); err == nil {
+	if p2.Allows(0x8000_0000, mpu.AccessWrite, true) {
 		t.Fatal("locked deny entry did not constrain M-mode")
 	}
 }
@@ -195,7 +195,7 @@ func TestPMPNAPOTExactFootprintProperty(t *testing.T) {
 			return false
 		}
 		in := probe >= base && probe < base+size
-		allowed := p.Check(probe, mpu.AccessRead, false) == nil
+		allowed := p.Allows(probe, mpu.AccessRead, false)
 		return in == allowed
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
@@ -210,14 +210,14 @@ func TestPMPNA4Mode(t *testing.T) {
 		t.Fatal(err)
 	}
 	for off := uint32(0); off < 4; off++ {
-		if err := p.Check(0x8000_0100+off, mpu.AccessWrite, false); err != nil {
-			t.Fatalf("NA4 byte %d denied: %v", off, err)
+		if !p.Allows(0x8000_0100+off, mpu.AccessWrite, false) {
+			t.Fatalf("NA4 byte %d denied", off)
 		}
 	}
-	if err := p.Check(0x8000_0104, mpu.AccessWrite, false); err == nil {
+	if p.Allows(0x8000_0104, mpu.AccessWrite, false) {
 		t.Fatal("NA4 allowed past its 4 bytes")
 	}
-	if err := p.Check(0x8000_00FF, mpu.AccessWrite, false); err == nil {
+	if p.Allows(0x8000_00FF, mpu.AccessWrite, false) {
 		t.Fatal("NA4 allowed before its 4 bytes")
 	}
 }
@@ -236,8 +236,8 @@ func TestNAPOTAllOnesFullSpan(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, addr := range []uint32{0, 0x8000_0000, 0xFFFF_FFFF} {
-		if err := p.Check(addr, mpu.AccessRead, false); err != nil {
-			t.Fatalf("all-ones NAPOT entry missed 0x%08x: %v", addr, err)
+		if !p.Allows(addr, mpu.AccessRead, false) {
+			t.Fatalf("all-ones NAPOT entry missed 0x%08x", addr)
 		}
 	}
 	if !p.AccessibleUser(0, 0xFFFF_FFFF, mpu.AccessRead) ||

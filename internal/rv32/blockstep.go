@@ -97,7 +97,7 @@ func (m *Machine) runFast(budget uint64) (*Stop, error) {
 		n := 0
 		if b != nil {
 			priv := m.machineMode()
-			if am := m.PMP.Current(m.PMP.Ctrl()); am == nil || b.Map != am || b.Priv != priv {
+			if am := m.PMP.Current(); am == nil || b.Map != am || b.Priv != priv {
 				m.Recheck(b, m.PMP.AccessMap(), priv)
 			}
 			n = b.Cover

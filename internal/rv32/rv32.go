@@ -283,15 +283,16 @@ func (m *Machine) writePC(v uint32) {
 // machineMode reports whether PMP checks run with M-mode rights.
 func (m *Machine) machineMode() bool { return m.Priv == PrivMachine }
 
-// check runs the PMP check at the current privilege. With the fast core
-// enabled it first consults the last-hit accessmap interval hint; only
-// the success case is ever short-circuited, so denials reach the
-// hardware Check and produce byte-identical fault values. Like the
-// oracle path, the check covers the access's first byte.
+// check runs the PMP check at the current privilege and builds the
+// access fault value on a denial. With the fast core enabled it first
+// consults the last-hit accessmap interval hint; only the success case
+// is ever short-circuited, so denials reach the hardware Allows and
+// produce byte-identical fault values. Like the oracle path, the check
+// covers the access's first byte.
 func (m *Machine) check(addr uint32, kind mpu.AccessKind) error {
+	priv := m.machineMode()
 	if f := m.Fast(); f != nil {
-		priv := m.machineMode()
-		if f.Hints.Allows(addr, 1, kind, priv, m.PMP.Current(m.PMP.Ctrl())) {
+		if f.Hints.Allows(addr, 1, kind, priv, m.PMP.Current()) {
 			f.Table.Stats.HintHits++
 			return nil
 		}
@@ -300,15 +301,18 @@ func (m *Machine) check(addr uint32, kind mpu.AccessKind) error {
 			return nil
 		}
 	}
-	return m.PMP.Check(addr, kind, m.machineMode())
+	if !m.PMP.Allows(addr, kind, priv) {
+		return &mpu.ProtectionError{Addr: addr, Kind: kind, Privileged: priv}
+	}
+	return nil
 }
 
 // fetch returns the instruction at addr after a PMP execute check. The
 // check covers the instruction's first byte and goes to the PMP
 // directly: the fast core's hints cache load/store checks only.
 func (m *Machine) fetch(addr uint32) (Instr, error) {
-	if err := m.PMP.Check(addr, mpu.AccessExecute, m.machineMode()); err != nil {
-		return nil, err
+	if priv := m.machineMode(); !m.PMP.Allows(addr, mpu.AccessExecute, priv) {
+		return nil, &mpu.ProtectionError{Addr: addr, Kind: mpu.AccessExecute, Privileged: priv}
 	}
 	if p := m.ProgramAt(addr); p != nil {
 		if in := p.At(addr); in != nil {

@@ -13,7 +13,7 @@ import (
 
 // The access-map oracle-equivalence obligations: for every port, the
 // interval engine's range answers must coincide with the trusted per-byte
-// Check scan over the full bounded domain. The engine's correctness
+// Allows scan over the full bounded domain. The engine's correctness
 // argument is "the boundary set is complete, so the decision is uniform
 // inside each elementary segment"; these specs are the differential check
 // that discharges it — any missing boundary shows up as a disagreement at
@@ -25,7 +25,7 @@ type rangeQuerier interface {
 	AccessibleUser(start, length uint32, kind mpu.AccessKind) bool
 	AnyAccessibleUser(start, length uint32, kind mpu.AccessKind) bool
 	AccessibleUserByteScan(start, length uint32, kind mpu.AccessKind) bool
-	Check(addr uint32, kind mpu.AccessKind, privileged bool) error
+	Allows(addr uint32, kind mpu.AccessKind, privileged bool) bool
 }
 
 var accessKinds = []mpu.AccessKind{mpu.AccessRead, mpu.AccessWrite, mpu.AccessExecute}
@@ -55,7 +55,7 @@ var amEdgeQueries = []struct{ start, length uint32 }{
 	{0, 0},
 }
 
-// oracleTable is the unit's per-byte Check read once per (byte, kind,
+// oracleTable is the unit's per-byte Allows read once per (byte, kind,
 // privilege) over one swept window, kept as prefix counts of the allowed
 // bytes, so no clause asks the oracle twice about one byte. A byte's
 // answer is a one-byte count, a range is
@@ -98,7 +98,7 @@ func (o *oracleTable) count(start, length uint32, kind mpu.AccessKind, priv bool
 	return c[i+length] - c[i]
 }
 
-// allowed is Check's answer at addr: read from the table inside it, asked
+// allowed is Allows's answer at addr: read from the table inside it, asked
 // of the unit outside it.
 func (o *oracleTable) allowed(addr uint32, kind mpu.AccessKind, priv bool) bool {
 	if addr-o.base >= o.size {
@@ -108,15 +108,13 @@ func (o *oracleTable) allowed(addr uint32, kind mpu.AccessKind, priv bool) bool 
 }
 
 // checkOracleEquivalence sweeps [window, window+winSize): every byte must
-// get the same answer from the interval map and the hardware Check, and
+// get the same answer from the interval map and the hardware Allows, and
 // every (start, length, kind) range query must match the per-byte scan,
 // for both the all-bytes and any-byte forms. The in-window answers come
 // from one oracle pass over the window plus the longest query; the
 // address-space-edge queries go through the unit's own byte scan.
 func checkOracleEquivalence(t *verify.T, hw rangeQuerier, window, winSize uint32) {
-	oracle := &oracleTable{check: func(a uint32, k mpu.AccessKind, p bool) bool {
-		return hw.Check(a, k, p) == nil
-	}, base: window, size: winSize + slices.Max(amLengths)}
+	oracle := &oracleTable{check: hw.Allows, base: window, size: winSize + slices.Max(amLengths)}
 	for off := uint32(0); off < winSize && !t.Stopped(); off++ {
 		addr := window + off
 		for _, kind := range accessKinds {
@@ -176,13 +174,13 @@ func accessMapConfigs() []amConfig {
 	cs := []amConfig{
 		{"accessmap/armv7m/basic_rw", armWindow, func() rangeQuerier {
 			h := armv7m.NewMPUHardware()
-			h.CtrlEnable = true
+			h.WriteCtrl(armv7m.CtrlEnable | armv7m.CtrlPrivDefEna)
 			must(h.WriteRegion(0, 0x2000_0000, v7mRASR(1024, 0, mpu.ReadWriteOnly)))
 			return h
 		}},
 		{"accessmap/armv7m/srd_carveout_overlap", armWindow, func() rangeQuerier {
 			h := armv7m.NewMPUHardware()
-			h.CtrlEnable = true
+			h.WriteCtrl(armv7m.CtrlEnable | armv7m.CtrlPrivDefEna)
 			// 2 KiB RW region with the top quarter carved out, overlapped
 			// by a higher-numbered RO region: number priority decides.
 			must(h.WriteRegion(0, 0x2000_0000, v7mRASR(2048, 1<<6|1<<7, mpu.ReadWriteOnly)))
@@ -191,14 +189,13 @@ func accessMapConfigs() []amConfig {
 		}},
 		{"accessmap/armv7m/exec_privdef_off", armWindow, func() rangeQuerier {
 			h := armv7m.NewMPUHardware()
-			h.CtrlEnable = true
-			h.PrivDefEna = false
+			h.WriteCtrl(armv7m.CtrlEnable)
 			must(h.WriteRegion(1, 0x2000_1000, v7mRASR(4096, 0, mpu.ReadExecuteOnly)))
 			return h
 		}},
 		{"accessmap/armv7m/flipbits_corrupted", armWindow, func() rangeQuerier {
 			h := armv7m.NewMPUHardware()
-			h.CtrlEnable = true
+			h.WriteCtrl(armv7m.CtrlEnable | armv7m.CtrlPrivDefEna)
 			must(h.WriteRegion(0, 0x2000_0000, v7mRASR(2048, 0, mpu.ReadWriteOnly)))
 			// An SEU scrambles the size field and SRD bits: the engine
 			// must track whatever illegal state results.
@@ -210,15 +207,14 @@ func accessMapConfigs() []amConfig {
 		}},
 		{"accessmap/armv8m/two_regions", armWindow, func() rangeQuerier {
 			h := armv8m.NewMPUHardware()
-			h.CtrlEnable = true
+			h.WriteCtrl(armv8m.CtrlEnable | armv8m.CtrlPrivDefEna)
 			must(h.WriteRegion(0, 0x2000_0000|armv8m.EncodeRBAR(mpu.ReadWriteOnly), 0x2000_03E0|armv8m.RLAREnable))
 			must(h.WriteRegion(1, 0x2000_0800|armv8m.EncodeRBAR(mpu.ReadExecuteOnly), 0x2000_0BE0|armv8m.RLAREnable))
 			return h
 		}},
 		{"accessmap/armv8m/privdef_off", armWindow, func() rangeQuerier {
 			h := armv8m.NewMPUHardware()
-			h.CtrlEnable = true
-			h.PrivDefEna = false
+			h.WriteCtrl(armv8m.CtrlEnable)
 			must(h.WriteRegion(0, 0x2000_0100|armv8m.EncodeRBAR(mpu.ReadOnly), 0x2000_01E0|armv8m.RLAREnable))
 			return h
 		}},

@@ -17,7 +17,7 @@ import (
 //
 //   - lookup_maximal: Map.Lookup returns exactly the maximal allow
 //     interval around an address — agreeing with the per-byte hardware
-//     Check at the address, inside the whole interval, and (crucially)
+//     Allows at the address, inside the whole interval, and (crucially)
 //     *failing* just outside both ends. Maximality is what lets a block
 //     span or a load/store hint stand in for per-access checks.
 //   - block_exec_equiv: the block cover computed from one Lookup plus
@@ -53,7 +53,7 @@ type lookuper interface {
 }
 
 // checkLookupMaximal sweeps every (addr, kind, privilege) in the window.
-// Check is read once per (byte, kind, privilege) of the window; interval
+// Allows is read once per (byte, kind, privilege) of the window; interval
 // ends outside it are asked of check directly.
 func checkLookupMaximal(t *verify.T, am lookuper, check accessmap.Checker, window, winSize uint32) {
 	oracle := &oracleTable{check: check, base: window, size: winSize}
@@ -288,7 +288,7 @@ func BuildBlockCache(sc Scale) *verify.Registry {
 	// fragmented interval sets where a wrong cover or hint shows up.
 	v7m := func() *armv7m.MPUHardware {
 		h := armv7m.NewMPUHardware()
-		h.CtrlEnable = true
+		h.WriteCtrl(armv7m.CtrlEnable | armv7m.CtrlPrivDefEna)
 		must(h.WriteRegion(0, 0x2000_0000, v7mRASR(2048, 1<<6|1<<7, mpu.ReadWriteOnly)))
 		must(h.WriteRegion(2, 0x2000_0800, v7mRASR(1024, 1<<3, mpu.ReadExecuteOnly)))
 		must(h.WriteRegion(3, 0x2000_0400, v7mRASR(1024, 0, mpu.ReadOnly)))
@@ -313,9 +313,7 @@ func BuildBlockCache(sc Scale) *verify.Registry {
 		SpecLines: 3, DomainSize: lookupDomain,
 		Body: func(t *verify.T) {
 			h := v7m()
-			checkLookupMaximal(t, h.AccessMap(), func(a uint32, k mpu.AccessKind, p bool) bool {
-				return h.Check(a, k, p) == nil
-			}, 0x2000_0000-0x100, bcWinSize)
+			checkLookupMaximal(t, h.AccessMap(), h.Allows, 0x2000_0000-0x100, bcWinSize)
 		},
 	})
 	r.Add(&verify.Spec{
@@ -323,9 +321,7 @@ func BuildBlockCache(sc Scale) *verify.Registry {
 		SpecLines: 3, DomainSize: lookupDomain,
 		Body: func(t *verify.T) {
 			p := pmp()
-			checkLookupMaximal(t, p.AccessMap(), func(a uint32, k mpu.AccessKind, pr bool) bool {
-				return p.Check(a, k, pr) == nil
-			}, 0x8000_0000-0x100, bcWinSize)
+			checkLookupMaximal(t, p.AccessMap(), p.Allows, 0x8000_0000-0x100, bcWinSize)
 		},
 	})
 	r.Add(&verify.Spec{
@@ -333,9 +329,7 @@ func BuildBlockCache(sc Scale) *verify.Registry {
 		SpecLines: 2, DomainSize: coverDomain,
 		Body: func(t *verify.T) {
 			h := v7m()
-			checkBlockCover(t, h.AccessMap(), func(a uint32, k mpu.AccessKind, p bool) bool {
-				return h.Check(a, k, p) == nil
-			}, 0x2000_0000-0x100, bcWinSize)
+			checkBlockCover(t, h.AccessMap(), h.Allows, 0x2000_0000-0x100, bcWinSize)
 		},
 	})
 	r.Add(&verify.Spec{
@@ -343,9 +337,7 @@ func BuildBlockCache(sc Scale) *verify.Registry {
 		SpecLines: 2, DomainSize: coverDomain,
 		Body: func(t *verify.T) {
 			p := pmp()
-			checkBlockCover(t, p.AccessMap(), func(a uint32, k mpu.AccessKind, pr bool) bool {
-				return p.Check(a, k, pr) == nil
-			}, 0x8000_0000-0x100, bcWinSize)
+			checkBlockCover(t, p.AccessMap(), p.Allows, 0x8000_0000-0x100, bcWinSize)
 		},
 	})
 
@@ -365,16 +357,14 @@ func BuildBlockCache(sc Scale) *verify.Registry {
 					h.FlipBits(0, 0, 1<<armv7m.RASRAPShift)
 				}},
 				{"clearregion", func(h *armv7m.MPUHardware) { must(h.ClearRegion(0)) }},
-				{"ctrl_disable", func(h *armv7m.MPUHardware) { h.CtrlEnable = false }},
+				{"ctrl_disable", func(h *armv7m.MPUHardware) { h.WriteCtrl(armv7m.CtrlPrivDefEna) }},
 			}
 			for _, mut := range muts {
 				if t.Stopped() {
 					return
 				}
 				h := v7m()
-				checkHintInvalidation(t, h.AccessMap, func(a uint32, k mpu.AccessKind, p bool) bool {
-					return h.Check(a, k, p) == nil
-				}, v7mAddrs, bcMutation{mut.name, func() { mut.run(h) }})
+				checkHintInvalidation(t, h.AccessMap, h.Allows, v7mAddrs, bcMutation{mut.name, func() { mut.run(h) }})
 			}
 		},
 	})
@@ -384,7 +374,7 @@ func BuildBlockCache(sc Scale) *verify.Registry {
 	// model — SEU injection targets the v7-M and PMP ports).
 	v8m := func() *armv8m.MPUHardware {
 		h := armv8m.NewMPUHardware()
-		h.CtrlEnable = true
+		h.WriteCtrl(armv8m.CtrlEnable | armv8m.CtrlPrivDefEna)
 		must(h.WriteRegion(0, 0x2000_0000|armv8m.EncodeRBAR(mpu.ReadWriteOnly), 0x2000_03E0|armv8m.RLAREnable))
 		must(h.WriteRegion(1, 0x2000_0400|armv8m.EncodeRBAR(mpu.ReadOnly), 0x2000_07E0|armv8m.RLAREnable))
 		must(h.WriteRegion(2, 0x2000_0800|armv8m.EncodeRBAR(mpu.ReadExecuteOnly), 0x2000_0BE0|armv8m.RLAREnable))
@@ -403,16 +393,14 @@ func BuildBlockCache(sc Scale) *verify.Registry {
 					must(h.WriteRegion(0, 0x2000_0000|armv8m.EncodeRBAR(mpu.ReadWriteOnly), 0x2000_00E0|armv8m.RLAREnable))
 				}},
 				{"clearregion", func(h *armv8m.MPUHardware) { must(h.ClearRegion(0)) }},
-				{"ctrl_disable", func(h *armv8m.MPUHardware) { h.CtrlEnable = false }},
+				{"ctrl_disable", func(h *armv8m.MPUHardware) { h.WriteCtrl(armv8m.CtrlPrivDefEna) }},
 			}
 			for _, mut := range muts {
 				if t.Stopped() {
 					return
 				}
 				h := v8m()
-				checkHintInvalidation(t, h.AccessMap, func(a uint32, k mpu.AccessKind, p bool) bool {
-					return h.Check(a, k, p) == nil
-				}, v8mAddrs, bcMutation{mut.name, func() { mut.run(h) }})
+				checkHintInvalidation(t, h.AccessMap, h.Allows, v8mAddrs, bcMutation{mut.name, func() { mut.run(h) }})
 			}
 		},
 	})
@@ -438,9 +426,7 @@ func BuildBlockCache(sc Scale) *verify.Registry {
 					return
 				}
 				p := pmp()
-				checkHintInvalidation(t, p.AccessMap, func(a uint32, k mpu.AccessKind, pr bool) bool {
-					return p.Check(a, k, pr) == nil
-				}, rvAddrs, bcMutation{mut.name, func() { mut.run(p) }})
+				checkHintInvalidation(t, p.AccessMap, p.Allows, rvAddrs, bcMutation{mut.name, func() { mut.run(p) }})
 			}
 		},
 	})

@@ -95,7 +95,7 @@ func TestSweepsCatchOneWrongAnswer(t *testing.T) {
 	}
 
 	// One Lookup whose End lands inside the swept window (read from the
-	// table) and one whose End lands past it (asked of Check directly).
+	// table) and one whose End lands past it (asked of Allows directly).
 	lookups := []struct {
 		name, detail string
 		lie          lookupLie
@@ -110,7 +110,7 @@ func TestSweepsCatchOneWrongAnswer(t *testing.T) {
 			hw := carve.build()
 			l := c.lie
 			l.Map = hw.(interface{ AccessMap() *accessmap.Map }).AccessMap()
-			check := func(a uint32, k mpu.AccessKind, p bool) bool { return hw.Check(a, k, p) == nil }
+			check := hw.Allows
 			v := onlyViolation(t, func(vt *verify.T) { checkLookupMaximal(vt, l, check, carve.window, bcWinSize) })
 			if v.Clause != "lookup maximality" || v.Detail != c.detail {
 				t.Fatalf("got %q: %q\nwant %q: %q", v.Clause, v.Detail, "lookup maximality", c.detail)
@@ -128,7 +128,7 @@ func TestOracleTableMatchesByteScan(t *testing.T) {
 	size := amWinSize + slices.Max(amLengths)
 	for _, c := range accessMapConfigs() {
 		hw := c.build()
-		check := func(a uint32, k mpu.AccessKind, p bool) bool { return hw.Check(a, k, p) == nil }
+		check := hw.Allows
 		oracle := &oracleTable{check: check, base: c.window, size: size}
 		for i := 0; i < 64; i++ {
 			off := rng.Uint32() % size

@@ -51,16 +51,40 @@ func chromeName(e Event) string {
 	}
 }
 
-// ExportChromeJSON writes the buffered events as Chrome trace-event JSON.
-// Syscalls become B/E duration pairs on the process's track; everything
-// else becomes an instant event. Nil-safe: a nil tracer writes an empty
-// trace.
-func (t *Tracer) ExportChromeJSON(w io.Writer) error {
-	return t.ExportChromeJSONWindow(w, 0, ^uint64(0))
+// chromeKernelEvent renders one kernel event on track tid at ts.
+// Syscalls become B/E duration pairs; everything else becomes an
+// instant event.
+func chromeKernelEvent(e Event, cat string, ts uint64, tid int) chromeEvent {
+	ce := chromeEvent{
+		Name: chromeName(e),
+		Cat:  cat,
+		TS:   ts,
+		TID:  tid,
+		Args: map[string]string{
+			"proc": e.Name,
+			"a":    fmt.Sprintf("0x%x", e.A),
+			"b":    fmt.Sprintf("0x%x", e.B),
+		},
+	}
+	if e.Label != "" {
+		ce.Args["label"] = e.Label
+	}
+	switch e.Kind {
+	case KindSyscallEnter:
+		ce.Phase = "B"
+	case KindSyscallExit:
+		ce.Phase = "E"
+	default:
+		ce.Phase = "i"
+		ce.Scope = "t"
+	}
+	return ce
 }
 
-// ExportChromeJSONWindow is ExportChromeJSON restricted to events whose
-// cycle timestamp falls in [from, to].
+// ExportChromeJSONWindow writes the buffered events whose cycle
+// timestamp falls in [from, to] as Chrome trace-event JSON, one track
+// per process (tid 0 is the kernel). Nil-safe: a nil tracer writes an
+// empty trace.
 func (t *Tracer) ExportChromeJSONWindow(w io.Writer, from, to uint64) error {
 	out := chromeTrace{TraceEvents: []chromeEvent{}}
 	if t != nil {
@@ -71,34 +95,9 @@ func (t *Tracer) ExportChromeJSONWindow(w io.Writer, from, to uint64) error {
 		if e.Cycle < from || e.Cycle > to {
 			continue
 		}
-		ce := chromeEvent{
-			Name: chromeName(e),
-			Cat:  e.Kind.String(),
-			TS:   e.Cycle,
-			PID:  0,
-			TID:  e.Proc + 1, // tid 0 is the kernel track
-			Args: map[string]string{
-				"proc": e.Name,
-				"a":    fmt.Sprintf("0x%x", e.A),
-				"b":    fmt.Sprintf("0x%x", e.B),
-			},
-		}
-		if e.Label != "" {
-			ce.Args["label"] = e.Label
-		}
-		switch e.Kind {
-		case KindSyscallEnter:
-			ce.Phase = "B"
-		case KindSyscallExit:
-			ce.Phase = "E"
-		default:
-			ce.Phase = "i"
-			ce.Scope = "t"
-		}
-		out.TraceEvents = append(out.TraceEvents, ce)
+		out.TraceEvents = append(out.TraceEvents, chromeKernelEvent(e, e.Kind.String(), e.Cycle, e.Proc+1))
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(out)
+	return json.NewEncoder(w).Encode(out)
 }
 
 // ExportText writes the buffered events as a human-readable timeline,

@@ -80,31 +80,8 @@ func nestKernel(sp FleetSpan) []chromeEvent {
 	}
 	out := make([]chromeEvent, 0, len(sp.Kernel))
 	for _, e := range sp.Kernel {
-		ce := chromeEvent{
-			Name: chromeName(e),
-			Cat:  "kernel:" + e.Kind.String(),
-			TS:   scale(e.Cycle),
-			PID:  0,
-			TID:  sp.TID,
-			Args: map[string]string{
-				"proc":  e.Name,
-				"cycle": fmt.Sprintf("%d", e.Cycle),
-				"a":     fmt.Sprintf("0x%x", e.A),
-				"b":     fmt.Sprintf("0x%x", e.B),
-			},
-		}
-		if e.Label != "" {
-			ce.Args["label"] = e.Label
-		}
-		switch e.Kind {
-		case KindSyscallEnter:
-			ce.Phase = "B"
-		case KindSyscallExit:
-			ce.Phase = "E"
-		default:
-			ce.Phase = "i"
-			ce.Scope = "t"
-		}
+		ce := chromeKernelEvent(e, "kernel:"+e.Kind.String(), scale(e.Cycle), sp.TID)
+		ce.Args["cycle"] = fmt.Sprintf("%d", e.Cycle)
 		out = append(out, ce)
 	}
 	return out

@@ -22,7 +22,7 @@ func TestNilTracerIsSafe(t *testing.T) {
 		t.Fatal("nil tracer returned events")
 	}
 	var b strings.Builder
-	if err := tr.ExportChromeJSON(&b); err != nil {
+	if err := tr.ExportChromeJSONWindow(&b, 0, ^uint64(0)); err != nil {
 		t.Fatal(err)
 	}
 	b.Reset()
@@ -103,7 +103,7 @@ func TestChromeExportShape(t *testing.T) {
 	tr.Emit(Event{Cycle: 55, Kind: KindFault, Proc: 1, Name: "crashy", Label: "mpu violation"})
 
 	var b strings.Builder
-	if err := tr.ExportChromeJSON(&b); err != nil {
+	if err := tr.ExportChromeJSONWindow(&b, 0, ^uint64(0)); err != nil {
 		t.Fatal(err)
 	}
 	var out struct {

@@ -148,22 +148,22 @@ type Spec struct {
 // Registry holds a set of proof obligations.
 type Registry struct {
 	specs []*Spec
+	names map[string]bool // the names Add has registered
 }
 
 // NewRegistry returns an empty registry.
-func NewRegistry() *Registry { return &Registry{} }
+func NewRegistry() *Registry { return &Registry{names: map[string]bool{}} }
 
 // Add registers a spec. Duplicate names are rejected by panic: obligations
 // are statically known, so a duplicate is a programming error.
 func (r *Registry) Add(s *Spec) {
-	for _, q := range r.specs {
-		if q.Name == s.Name {
-			panic("verify: duplicate spec " + s.Name)
-		}
+	if r.names[s.Name] {
+		panic("verify: duplicate spec " + s.Name)
 	}
 	if s.Trust == Checked && s.Body == nil {
 		panic("verify: checked spec without body: " + s.Name)
 	}
+	r.names[s.Name] = true
 	r.specs = append(r.specs, s)
 }
 
