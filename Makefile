@@ -89,7 +89,8 @@ faultcamp:
 
 # campaigncheck proves the campaign supervisor's crash-resilience story
 # under the race detector — kill-and-resume determinism at varying
-# worker counts, terminal quarantine across resume, chaos-seeded
+# worker counts, one observer checkpoint per journal checkpoint record
+# and the live supervision ledger, terminal quarantine across resume, chaos-seeded
 # timeout/crash classification, supervised receipts, nested-backoff
 # additivity, the per-campaign baseline table (one run per key, results
 # equal to RunScenario's, nothing stored by a panic, no lookup waiting
@@ -107,7 +108,10 @@ campaigncheck:
 	$(GO) run ./cmd/runpack verify -rerun quarantine/*
 
 # telemetrycheck proves the live telemetry plane end to end under the
-# race detector: plane/progress and scrape-server unit suites, the
+# race detector: plane/progress and scrape-server unit suites (driven
+# by real supervised campaigns), /progress and the timeline reading the
+# supervisor's own ledger across stop, resume and no journal
+# (TestTelemetryReadsSupervisionLedger), the
 # net/http-free dependency closure of the campaign packages, the
 # streaming aggregation invariants (live aggregate == post-hoc merge at
 # any worker count), traced == untraced results, the exposition

@@ -433,7 +433,7 @@ func BenchmarkAblation_TelemetryOverhead(b *testing.B) {
 		// Kernel layer: plane-fed tracer vs none.
 		plainCycles, plainCreate, plainSwitches := run(nil)
 		plane := telemetry.New()
-		plane.CampaignStart("bench", 1, 1, 0)
+		plane.CampaignStart("bench", 1, &campaign.Stats{Units: 1})
 		plane.UnitStart(0, 0, false)
 		plane.AttemptStart(0, 0, 1)
 		tr := plane.UnitTracer(0)

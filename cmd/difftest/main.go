@@ -57,7 +57,6 @@ import (
 	"ticktock/internal/difftest"
 	"ticktock/internal/monolithic"
 	"ticktock/internal/runpack"
-	"ticktock/internal/telemetry"
 	"ticktock/internal/telemetry/scrape"
 )
 
@@ -113,26 +112,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	var plane *telemetry.Plane
-	if *serve != "" || *progress {
-		plane = telemetry.New()
-	}
-	if *serve != "" {
-		srv, err := scrape.Serve(*serve, plane)
-		if err != nil {
-			fmt.Fprintf(stderr, "difftest: telemetry server: %v\n", err)
-			return 1
-		}
-		defer srv.Close()
-		fmt.Fprintf(stderr, "telemetry: serving http://%s\n", srv.Addr())
-	}
-
-	tty := (*telemetry.TTY)(nil)
-	if *progress {
-		tty = telemetry.StartTTY(stderr, plane, 0)
+	plane, stopTelemetry, err := scrape.Watch(*serve, *progress, stderr)
+	if err != nil {
+		fmt.Fprintf(stderr, "difftest: telemetry server: %v\n", err)
+		return 1
 	}
 	rows, _, err := difftest.RunAllSupervised(cfg, campaign.Config{Timeout: *timeout, Retries: *retries}, plane)
-	tty.Stop()
+	stopTelemetry()
 	if err != nil {
 		fmt.Fprintf(stderr, "difftest: %v\n", err)
 		return 1

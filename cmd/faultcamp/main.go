@@ -63,7 +63,6 @@ import (
 	"ticktock/internal/faultinject"
 	"ticktock/internal/metrics"
 	"ticktock/internal/runpack"
-	"ticktock/internal/telemetry"
 	"ticktock/internal/telemetry/scrape"
 )
 
@@ -115,26 +114,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		*stopAfter > 0 || *quarantineDir != "" || *chaos != "" ||
 		*serve != "" || *progress
 
-	var plane *telemetry.Plane
-	if *serve != "" || *progress {
-		plane = telemetry.New()
-	}
-	if *serve != "" {
-		srv, err := scrape.Serve(*serve, plane)
-		if err != nil {
-			fmt.Fprintf(stderr, "faultcamp: telemetry server: %v\n", err)
-			return 1
-		}
-		defer srv.Close()
-		fmt.Fprintf(stderr, "telemetry: serving http://%s\n", srv.Addr())
-	}
-
-	tty := (*telemetry.TTY)(nil)
-	if *progress {
-		tty = telemetry.StartTTY(stderr, plane, 0)
+	plane, stopTelemetry, err := scrape.Watch(*serve, *progress, stderr)
+	if err != nil {
+		fmt.Fprintf(stderr, "faultcamp: telemetry server: %v\n", err)
+		return 1
 	}
 	rep, supRun, err := faultinject.RunSupervised(cfg, sup, plane)
-	tty.Stop()
+	stopTelemetry()
 	if err != nil {
 		fmt.Fprintf(stderr, "faultcamp: %v\n", err)
 		return 1

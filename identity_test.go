@@ -125,11 +125,7 @@ func TestByteIdentity(t *testing.T) {
 			if _, err := k.LoadProcess(app); err != nil {
 				t.Fatal(err)
 			}
-			quanta := 2000
-			if app.Name == "whileone" {
-				quanta = 30
-			}
-			if _, err := k.Run(quanta); err != nil {
+			if _, err := k.Run(app.Quanta); err != nil {
 				t.Fatal(err)
 			}
 			k.PublishCoreStats()

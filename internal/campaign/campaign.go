@@ -31,6 +31,7 @@ package campaign
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"ticktock/internal/metrics"
@@ -185,9 +186,10 @@ const DefaultCheckpointEvery = 8
 type Run[R any] struct {
 	// Outcomes holds one terminal record per unit, by index.
 	Outcomes []Outcome[R]
-	// Stats tallies the supervision machinery. Steals and Resumed are
-	// properties of this invocation's scheduling, not of the campaign
-	// result — they belong in metrics, never in result aggregates.
+	// Stats is the supervision ledger, booked live. Steals and Resumed
+	// are properties of this invocation's scheduling, not of the
+	// campaign result — they belong in metrics, never in result
+	// aggregates.
 	Stats Stats
 	// Interrupted reports that StopAfter tripped before every unit
 	// completed; the journal holds the checkpoint to resume from.
@@ -205,7 +207,9 @@ func (r *Run[R]) Quarantined() []Outcome[R] {
 	return out
 }
 
-// Stats tallies one supervised invocation.
+// Stats is the supervision ledger of one invocation, the one copy of
+// its counts that every reader reads. Supervise books it atomically
+// while the campaign runs; read a running campaign's ledger with Load.
 type Stats struct {
 	// Units is the campaign size; Completed counts units that reached a
 	// terminal state in this invocation; Resumed counts units restored
@@ -225,6 +229,49 @@ type Stats struct {
 	Steals uint64
 	// Checkpoints counts journal checkpoint records written.
 	Checkpoints uint64
+}
+
+// Book tallies a terminated unit's attempt failures, retries and
+// quarantine, atomically: the one tally rule, used by the supervisor
+// and by every report that folds outcomes back.
+func (s *Stats) Book(status Status, attempts []Attempt) {
+	for _, a := range attempts {
+		switch a.Failure {
+		case FailTimeout:
+			atomic.AddUint64(&s.Timeouts, 1)
+		case FailCrashed:
+			atomic.AddUint64(&s.Crashes, 1)
+		case FailError:
+			atomic.AddUint64(&s.Errors, 1)
+		}
+	}
+	retries := len(attempts)
+	if status == StatusQuarantined {
+		atomic.AddUint64(&s.Quarantined, 1)
+		retries-- // the final failed attempt was not retried
+	}
+	if retries > 0 {
+		atomic.AddUint64(&s.Retries, uint64(retries))
+	}
+}
+
+// Load snapshots the ledger field by field, atomically. Supervise books
+// a unit's Completed before its Quarantined and Load reads Quarantined
+// first, so no snapshot holds more quarantined units than done ones.
+func (s *Stats) Load() Stats {
+	quarantined := atomic.LoadUint64(&s.Quarantined)
+	return Stats{
+		Units:       atomic.LoadUint64(&s.Units),
+		Completed:   atomic.LoadUint64(&s.Completed),
+		Resumed:     atomic.LoadUint64(&s.Resumed),
+		Timeouts:    atomic.LoadUint64(&s.Timeouts),
+		Crashes:     atomic.LoadUint64(&s.Crashes),
+		Errors:      atomic.LoadUint64(&s.Errors),
+		Retries:     atomic.LoadUint64(&s.Retries),
+		Quarantined: quarantined,
+		Steals:      atomic.LoadUint64(&s.Steals),
+		Checkpoints: atomic.LoadUint64(&s.Checkpoints),
+	}
 }
 
 // Publish books the invocation tallies into a metrics registry as the

@@ -243,31 +243,30 @@ func (j *journal) writeLine(v any) error {
 
 // append books one newly-completed unit: digest its payload, write its
 // record durably, and drop a checkpoint record every `every`
-// completions.
-func (j *journal) append(rec unitRecord, st *Stats) error {
+// completions. It returns the checkpoint record it wrote, if any.
+func (j *journal) append(rec unitRecord, st *Stats) (*checkpointRecord, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if rec.Status == StatusOK {
 		if !json.Valid(rec.Result) {
-			return fmt.Errorf("campaign: journal: unit %d result payload is not valid JSON", rec.Unit)
+			return nil, fmt.Errorf("campaign: journal: unit %d result payload is not valid JSON", rec.Unit)
 		}
 		rec.ResultSHA = sha256hex(rec.Result)
 	}
 	if err := j.writeLine(rec); err != nil {
-		return err
+		return nil, err
 	}
 	j.digests[rec.Unit] = recordDigest(rec)
 	j.sinceCk++
 	if j.sinceCk >= j.every {
-		if err := j.checkpoint(st); err != nil {
-			return err
-		}
+		return j.checkpoint(st)
 	}
-	return nil
+	return nil, nil
 }
 
-// checkpoint writes the progress summary record. Caller holds mu.
-func (j *journal) checkpoint(st *Stats) error {
+// checkpoint writes the progress summary record and books it in st.
+// Caller holds mu.
+func (j *journal) checkpoint(st *Stats) (*checkpointRecord, error) {
 	idx := make([]int, 0, len(j.digests))
 	for i := range j.digests {
 		idx = append(idx, i)
@@ -284,25 +283,26 @@ func (j *journal) checkpoint(st *Stats) error {
 		AggSHA:     hex.EncodeToString(agg.Sum(nil)),
 	}
 	if err := j.writeLine(ck); err != nil {
-		return err
+		return nil, err
 	}
 	j.sinceCk = 0
 	atomic.AddUint64(&st.Checkpoints, 1)
-	return nil
+	return &ck, nil
 }
 
 // finish writes a final checkpoint (if anything completed since the
-// last one) and surfaces any append error swallowed mid-run.
-func (j *journal) finish(st *Stats) error {
+// last one), returning it, and surfaces any append error swallowed
+// mid-run.
+func (j *journal) finish(st *Stats) (*checkpointRecord, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.err != nil {
-		return j.err
+		return nil, j.err
 	}
 	if j.sinceCk > 0 {
 		return j.checkpoint(st)
 	}
-	return nil
+	return nil, nil
 }
 
 // fail records the first journal error; the campaign keeps running.

@@ -78,14 +78,9 @@ func Supervise[R any](cfg Config, src Source[R]) (*Run[R], error) {
 	if workers > len(remaining) {
 		workers = len(remaining)
 	}
-	if obs := cfg.Observer; obs != nil {
-		obs.CampaignStart(src.Kind, src.N, workers, int(run.Stats.Resumed))
-	}
-	if len(remaining) == 0 {
-		if obs := cfg.Observer; obs != nil {
-			obs.CampaignEnd(run.Stats, false)
-		}
-		return run, nil
+	obs := cfg.Observer
+	if obs != nil {
+		obs.CampaignStart(src.Kind, workers, &run.Stats)
 	}
 
 	// Shard the remaining index space into contiguous per-worker deques.
@@ -98,9 +93,8 @@ func Supervise[R any](cfg Config, src Source[R]) (*Run[R], error) {
 	}
 
 	var (
-		completedNew atomic.Uint64
-		stopped      atomic.Bool
-		wg           sync.WaitGroup
+		stopped atomic.Bool
+		wg      sync.WaitGroup
 	)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -117,23 +111,26 @@ func Supervise[R any](cfg Config, src Source[R]) (*Run[R], error) {
 				if stolen {
 					atomic.AddUint64(&run.Stats.Steals, 1)
 				}
-				if obs := cfg.Observer; obs != nil {
+				if obs != nil {
 					obs.UnitStart(i, self, stolen)
 				}
 				out := superviseUnit(cfg, src, i, self)
 				run.Outcomes[i] = out
-				bookUnit(&run.Stats, out.Status, out.Attempts)
-				if obs := cfg.Observer; obs != nil {
+				// Completed first: see Stats.Load.
+				n := atomic.AddUint64(&run.Stats.Completed, 1)
+				run.Stats.Book(out.Status, out.Attempts)
+				if obs != nil {
 					obs.UnitDone(i, self, out.Status, out.Attempts)
 				}
 				if jl != nil {
 					var payload []byte
+					var ck *checkpointRecord
 					var err error
 					if out.Status == StatusOK {
 						payload, err = src.Encode(out.Result)
 					}
 					if err == nil {
-						err = jl.append(unitRecord{
+						ck, err = jl.append(unitRecord{
 							Unit: i, Status: out.Status, Attempts: out.Attempts, Result: payload,
 						}, &run.Stats)
 					}
@@ -142,10 +139,7 @@ func Supervise[R any](cfg Config, src Source[R]) (*Run[R], error) {
 						// keep running, surface the error at the end.
 						jl.fail(err)
 					}
-				}
-				n := completedNew.Add(1)
-				if obs := cfg.Observer; obs != nil && n%uint64(cfg.CheckpointEvery) == 0 {
-					obs.Checkpoint(n)
+					notifyCheckpoint(obs, ck)
 				}
 				if cfg.StopAfter > 0 && n >= uint64(cfg.StopAfter) {
 					stopped.Store(true)
@@ -155,25 +149,30 @@ func Supervise[R any](cfg Config, src Source[R]) (*Run[R], error) {
 		}(w)
 	}
 	wg.Wait()
-	run.Stats.Completed = completedNew.Load()
 	for _, o := range run.Outcomes {
 		if o.Status == StatusPending {
 			run.Interrupted = true
 			break
 		}
 	}
+	var err error
 	if jl != nil {
-		if err := jl.finish(&run.Stats); err != nil {
-			if obs := cfg.Observer; obs != nil {
-				obs.CampaignEnd(run.Stats, run.Interrupted)
-			}
-			return run, err
-		}
+		var ck *checkpointRecord
+		ck, err = jl.finish(&run.Stats)
+		notifyCheckpoint(obs, ck)
 	}
-	if obs := cfg.Observer; obs != nil {
-		obs.CampaignEnd(run.Stats, run.Interrupted)
+	if obs != nil {
+		obs.CampaignEnd(run.Interrupted)
 	}
-	return run, nil
+	return run, err
+}
+
+// notifyCheckpoint tells the observer about a checkpoint record the
+// journal wrote (ck nil: none).
+func notifyCheckpoint(obs Observer, ck *checkpointRecord) {
+	if obs != nil && ck != nil {
+		obs.Checkpoint(uint64(ck.Completed))
+	}
 }
 
 // shard is one worker's deque of unit indexes.
@@ -220,30 +219,6 @@ func next(shards []*shard, self int) (unit int, stolen bool) {
 		}
 	}
 	return -1, false
-}
-
-// bookUnit tallies one terminal outcome (attempt failures, retries,
-// quarantine) into the invocation stats. Counter fields are touched by
-// one worker at a time only via atomics.
-func bookUnit(st *Stats, status Status, attempts []Attempt) {
-	for _, a := range attempts {
-		switch a.Failure {
-		case FailTimeout:
-			atomic.AddUint64(&st.Timeouts, 1)
-		case FailCrashed:
-			atomic.AddUint64(&st.Crashes, 1)
-		case FailError:
-			atomic.AddUint64(&st.Errors, 1)
-		}
-	}
-	retries := len(attempts)
-	if status == StatusQuarantined {
-		atomic.AddUint64(&st.Quarantined, 1)
-		retries-- // the final failed attempt was not retried
-	}
-	if retries > 0 {
-		atomic.AddUint64(&st.Retries, uint64(retries))
-	}
 }
 
 // superviseUnit drives one unit through the attempt loop: run under

@@ -504,11 +504,7 @@ func rvRun(sc Scenario, cfg Config, inject bool, obs kcore.Observe) (portRun, er
 	if _, err := k.LoadProcess(app); err != nil {
 		return portRun{}, err
 	}
-	quanta := 2000
-	if sc.App == "whileone" {
-		quanta = 30
-	}
-	if err := drive(k, sc, inject, quanta, func() bool { return rvBoundaryInject(sc, k) }, &r); err != nil {
+	if err := drive(k, sc, inject, app.Quanta, func() bool { return rvBoundaryInject(sc, k) }, &r); err != nil {
 		return portRun{}, err
 	}
 	r.sweep = func() []string { return rvIsolation(k) }

@@ -393,9 +393,9 @@ func (t Tally) Total() OutcomeCounts {
 
 // Supervision aggregates what the campaign supervisor had to do:
 // attempt failures by class, retries spent, and the scenarios it gave
-// up on. Derived purely from terminal outcomes, so it is deterministic
-// at any worker count; invocation-local effects (steals, resume count)
-// live in campaign.Stats and go to metrics only.
+// up on. Every terminal outcome is booked by campaign.Stats.Book, so it
+// is deterministic at any worker count; invocation-local effects
+// (steals, resume count) live in campaign.Stats and go to metrics only.
 type Supervision struct {
 	// Timeouts, Crashes and Errors count failed *attempts* by class
 	// (one scenario retried twice books two failures).

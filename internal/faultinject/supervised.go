@@ -138,27 +138,19 @@ func ReportFromRun(cfg Config, run *campaign.Run[Result]) *Report {
 	scenarios := GenScenarios(cfg)
 	results := make([]Result, len(run.Outcomes))
 	sup := &Supervision{}
+	// Every outcome, resumed ones included, is booked by the
+	// supervisor's own tally rule.
+	var st campaign.Stats
 	for i, o := range run.Outcomes {
-		for _, a := range o.Attempts {
-			switch a.Failure {
-			case campaign.FailTimeout:
-				sup.Timeouts++
-			case campaign.FailCrashed:
-				sup.Crashes++
-			case campaign.FailError:
-				sup.Errors++
-			}
-		}
+		st.Book(o.Status, o.Attempts)
 		switch o.Status {
 		case campaign.StatusOK:
 			results[i] = o.Result
-			sup.Retries += uint64(len(o.Attempts))
 		case campaign.StatusQuarantined:
 			results[i] = Result{
 				Scenario: scenarios[i],
 				Sup:      fmt.Sprintf("quarantined (%s after %d attempts)", o.FinalFailure(), len(o.Attempts)),
 			}
-			sup.Retries += uint64(len(o.Attempts) - 1)
 			sup.Quarantined = append(sup.Quarantined, QuarantinedScenario{
 				Label:    scenarios[i].Label(),
 				Failure:  o.FinalFailure(),
@@ -169,6 +161,7 @@ func ReportFromRun(cfg Config, run *campaign.Run[Result]) *Report {
 			sup.Pending++
 		}
 	}
+	sup.Timeouts, sup.Crashes, sup.Errors, sup.Retries = st.Timeouts, st.Crashes, st.Errors, st.Retries
 	sort.Slice(sup.Quarantined, func(a, b int) bool { return sup.Quarantined[a].Label < sup.Quarantined[b].Label })
 	rep := &Report{Config: cfg, Results: results}
 	if !sup.trivial() {

@@ -35,10 +35,11 @@ func exit(a *rv32.Assembler, code uint32) {
 	a.Emit(rv32.Li{Rd: rv32.A0, Imm: code}).Emit(rv32.Li{Rd: rv32.A7, Imm: kcore.SVCExit}).Emit(rv32.Ecall{})
 }
 
-// stdApp wraps a builder with default geometry.
+// stdApp wraps a builder with default geometry and a 2000-quantum run
+// budget.
 func stdApp(name string, build func(a *rv32.Assembler)) App {
 	return App{
-		Name: name, MinRAM: 10240, InitRAM: 2048, Stack: 1024, KernelHint: 1024,
+		Name: name, MinRAM: 10240, InitRAM: 2048, Stack: 1024, KernelHint: 1024, Quanta: 2000,
 		Build: func(base uint32) *rv32.Program {
 			a := rv32.NewAssembler(base)
 			build(a)
@@ -49,6 +50,13 @@ func stdApp(name string, build func(a *rv32.Assembler)) App {
 
 // ReleaseSubset returns the RISC-V builds of eight upstream release tests.
 func ReleaseSubset() []App {
+	whileone := stdApp("whileone", func(a *rv32.Assembler) {
+		a.Label("loop")
+		a.Emit(rv32.Addi{Rd: rv32.S2, Rs1: rv32.S2, Imm: 1})
+		a.JTo("loop")
+	})
+	// whileone never exits: a short run shows it preempted, not wedged.
+	whileone.Quanta = 30
 	return []App{
 		stdApp("c_hello", func(a *rv32.Assembler) {
 			puts(a, "Hello World!\r\n")
@@ -98,11 +106,7 @@ func ReleaseSubset() []App {
 				Emit(rv32.Sw{Rs2: rv32.RA, Rs1: rv32.SP, Off: 0})
 			a.JTo("loop")
 		}),
-		stdApp("whileone", func(a *rv32.Assembler) {
-			a.Label("loop")
-			a.Emit(rv32.Addi{Rd: rv32.S2, Rs1: rv32.S2, Imm: 1})
-			a.JTo("loop")
-		}),
+		whileone,
 		stdApp("exit_test", func(a *rv32.Assembler) {
 			puts(a, "exiting with code 7\r\n")
 			exit(a, 7)
@@ -144,11 +148,7 @@ func RunCampaign(chip riscv.ChipConfig) ([]CampaignRow, error) {
 		if err != nil {
 			return nil, fmt.Errorf("rvkernel campaign %s/%s: %w", chip.Name, app.Name, err)
 		}
-		quanta := 2000
-		if app.Name == "whileone" {
-			quanta = 30
-		}
-		if _, err := k.Run(quanta); err != nil {
+		if _, err := k.Run(app.Quanta); err != nil {
 			return nil, fmt.Errorf("rvkernel campaign %s/%s: %w", chip.Name, app.Name, err)
 		}
 		rows = append(rows, CampaignRow{

@@ -71,6 +71,9 @@ type App struct {
 	Stack      uint32
 	KernelHint uint32
 	Build      func(codeBase uint32) *rv32.Program
+	// Quanta is a release-subset app's run budget in scheduler quanta:
+	// every runner of the subset runs it for at most this many.
+	Quanta int
 }
 
 // coreKernel, coreProcess and supervision are the port-neutral kernel

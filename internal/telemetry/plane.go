@@ -17,6 +17,8 @@
 //     completed unit, and it is byte-identical to a post-hoc merge.
 //   - Progress: a JSON-ready fleet summary (units done/retried/
 //     quarantined, steals, per-worker state, ETA) behind Progress().
+//     The plane keeps no counts: it reads the supervisor's ledger
+//     (campaign.Stats), the source of the campaign_* series.
 //
 // House rules hold: the plane lives entirely on the wall-clock
 // supervision side — it never touches the simulated cycle meter — and
@@ -83,24 +85,14 @@ type Plane struct {
 	now func() time.Time
 
 	// campaign identity and wall origin
-	kind    string
-	start   time.Time
-	started bool
-	ended   bool
-
-	units, workers, resumed int
-
-	// completion tallies (mirrors of campaign.Stats, maintained live)
-	doneNew     uint64
-	ok          uint64
-	quarantined uint64
-	retries     uint64
-	timeouts    uint64
-	crashes     uint64
-	errors      uint64
-	steals      uint64
-	checkpoints uint64
+	kind        string
+	start       time.Time
+	started     bool
+	ended       bool
 	interrupted bool
+	workers     int
+
+	stats *campaign.Stats // the running campaign's ledger (zero before)
 
 	workerStates []workerState
 	open         map[int]*openUnit
@@ -126,6 +118,7 @@ type Plane struct {
 func New() *Plane {
 	return &Plane{
 		now:        time.Now,
+		stats:      &campaign.Stats{},
 		spanCap:    DefaultSpanCapacity,
 		instantCap: DefaultSpanCapacity,
 		nestLeft:   DefaultNestCapacity,
@@ -188,16 +181,15 @@ func (p *Plane) pushInstant(in trace.FleetInstant) {
 }
 
 // CampaignStart implements campaign.Observer.
-func (p *Plane) CampaignStart(kind string, units, workers, resumed int) {
+func (p *Plane) CampaignStart(kind string, workers int, stats *campaign.Stats) {
 	if p == nil {
 		return
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.kind = kind
-	p.units = units
 	p.workers = workers
-	p.resumed = resumed
+	p.stats = stats
 	p.start = p.now()
 	p.started = true
 	p.workerStates = make([]workerState, workers)
@@ -221,7 +213,6 @@ func (p *Plane) UnitStart(unit, worker int, stolen bool) {
 		p.workerStates[worker] = workerState{state: "running", unit: unit, since: now}
 	}
 	if stolen {
-		p.steals++
 		p.pushInstant(trace.FleetInstant{
 			Name: "steal", Cat: "sched", TID: worker + 1, TS: p.us(now),
 			Args: map[string]string{"unit": itoa(unit)},
@@ -270,14 +261,6 @@ func (p *Plane) AttemptEnd(unit, worker, attempt int, failure string) {
 	args := map[string]string{"unit": itoa(unit), "attempt": itoa(attempt)}
 	if failure != "" {
 		args["failure"] = failure
-		switch failure {
-		case campaign.FailTimeout:
-			p.timeouts++
-		case campaign.FailCrashed:
-			p.crashes++
-		case campaign.FailError:
-			p.errors++
-		}
 	}
 	if ou.stolen {
 		args["stolen"] = "true"
@@ -304,7 +287,6 @@ func (p *Plane) UnitBackoff(unit, worker, attempt int, delay time.Duration) {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.retries++
 	if worker < len(p.workerStates) {
 		p.workerStates[worker].state = "backoff"
 	}
@@ -318,8 +300,8 @@ func (p *Plane) UnitBackoff(unit, worker, attempt int, delay time.Duration) {
 
 // UnitDone implements campaign.Observer: finalizes the unit — attaches
 // its kernel trace (if any) to the last attempt span, executes its
-// deferred metrics observation against the live registry, and updates
-// the tallies.
+// deferred metrics observation against the live registry, and marks a
+// quarantine on the timeline.
 func (p *Plane) UnitDone(unit, worker int, status campaign.Status, attempts []campaign.Attempt) {
 	if p == nil {
 		return
@@ -344,17 +326,12 @@ func (p *Plane) UnitDone(unit, worker int, status campaign.Status, attempts []ca
 	}
 
 	now := p.now()
-	switch status {
-	case campaign.StatusOK:
-		p.ok++
-	case campaign.StatusQuarantined:
-		p.quarantined++
+	if status == campaign.StatusQuarantined {
 		p.pushInstant(trace.FleetInstant{
 			Name: "quarantine", Cat: "sched", TID: worker + 1, TS: p.us(now),
 			Args: map[string]string{"unit": itoa(unit), "failure": lastFailure(attempts)},
 		})
 	}
-	p.doneNew++
 	if worker < len(p.workerStates) {
 		p.workerStates[worker] = workerState{state: "idle", unit: -1, since: now}
 	}
@@ -369,15 +346,14 @@ func (p *Plane) UnitDone(unit, worker int, status campaign.Status, attempts []ca
 	}
 }
 
-// Checkpoint implements campaign.Observer: marks the checkpoint on the
-// timeline.
+// Checkpoint implements campaign.Observer: marks the journal
+// checkpoint on the timeline.
 func (p *Plane) Checkpoint(completed uint64) {
 	if p == nil {
 		return
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.checkpoints++
 	p.pushInstant(trace.FleetInstant{
 		Name: "checkpoint", Cat: "campaign", TID: 0, TS: p.us(p.now()),
 		Args: map[string]string{"completed": utoa(completed)},
@@ -385,13 +361,14 @@ func (p *Plane) Checkpoint(completed uint64) {
 }
 
 // CampaignEnd implements campaign.Observer: closes the campaign span.
-func (p *Plane) CampaignEnd(stats campaign.Stats, interrupted bool) {
+func (p *Plane) CampaignEnd(interrupted bool) {
 	if p == nil {
 		return
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	now := p.now()
+	st := p.stats.Load()
 	p.ended = true
 	p.interrupted = interrupted
 	for w := range p.workerStates {
@@ -404,9 +381,9 @@ func (p *Plane) CampaignEnd(stats campaign.Stats, interrupted bool) {
 		StartUS: 0,
 		DurUS:   p.us(now),
 		Args: map[string]string{
-			"units":       itoa(p.units),
+			"units":       utoa(st.Units),
 			"workers":     itoa(p.workers),
-			"resumed":     itoa(p.resumed),
+			"resumed":     utoa(st.Resumed),
 			"interrupted": boolStr(interrupted),
 		},
 	})

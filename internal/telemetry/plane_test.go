@@ -2,7 +2,9 @@ package telemetry
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -30,14 +32,14 @@ func fakeNow(p *Plane, stepUS int64) *atomic.Int64 {
 // A nil plane must be a fully disabled observer.
 func TestNilPlaneNoOps(t *testing.T) {
 	var p *Plane
-	p.CampaignStart("x", 1, 1, 0)
+	p.CampaignStart("x", 1, &campaign.Stats{Units: 1})
 	p.UnitStart(0, 0, false)
 	p.AttemptStart(0, 0, 0)
 	p.AttemptEnd(0, 0, 0, "")
 	p.UnitBackoff(0, 0, 0, time.Second)
 	p.UnitDone(0, 0, campaign.StatusOK, nil)
 	p.Checkpoint(1)
-	p.CampaignEnd(campaign.Stats{}, false)
+	p.CampaignEnd(false)
 	p.UnitObservation(0, func(*metrics.Registry) {})
 	if p.UnitTracer(0) != nil {
 		t.Fatal("nil plane returned a tracer")
@@ -53,48 +55,132 @@ func TestNilPlaneNoOps(t *testing.T) {
 	}
 }
 
-// Driving the observer by hand with a fake clock must produce attempt
-// spans on the right tracks, steal/backoff/quarantine instants, and a
-// closed campaign span.
+// scriptClock is the supervisor clock of TestPlaneSpansAndProgress:
+// backoff sleeps return at once (FakeClock), and only the fireOn-th
+// timeout timer fires — immediately — while every other never does.
+type scriptClock struct {
+	campaign.FakeClock
+	fireOn int64
+	calls  atomic.Int64
+	// armed closes once the first fireOn-1 timers exist; retrying
+	// closes at the one backoff sleep.
+	armed, retrying chan struct{}
+}
+
+func (c *scriptClock) Sleep(d time.Duration) {
+	c.FakeClock.Sleep(d)
+	close(c.retrying)
+}
+
+func (c *scriptClock) After(time.Duration) <-chan time.Time {
+	ch := make(chan time.Time, 1)
+	switch c.calls.Add(1) {
+	case c.fireOn - 1:
+		close(c.armed)
+	case c.fireOn:
+		ch <- time.Time{}
+	}
+	return ch
+}
+
+// unitDoneHook runs hook after the plane has seen a unit terminate.
+type unitDoneHook struct {
+	*Plane
+	hook func(unit int)
+}
+
+func (h unitDoneHook) UnitDone(unit, worker int, status campaign.Status, attempts []campaign.Attempt) {
+	h.Plane.UnitDone(unit, worker, status, attempts)
+	h.hook(unit)
+}
+
+// A real supervised campaign — one unit resumed from the journal, one
+// stolen, one timed out, backed off, crashed and quarantined — must
+// produce attempt spans on the right tracks, steal/backoff/quarantine/
+// checkpoint instants and a closed campaign span, and a Progress that
+// reads the supervisor's own ledger.
+//
+// The schedule is forced: two workers split units 1..3 as [1] and
+// [2,3]. Unit 1 returns once both first timeout timers exist, so worker
+// 1 already holds unit 2 and worker 0 must steal unit 3. Unit 3's first
+// attempt gets the third timer, which fires (a timeout) while the
+// attempt waits for its cancellation or the backoff; its retry, made
+// after the backoff, panics. Unit 2 waits until unit 3 has terminated.
 func TestPlaneSpansAndProgress(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "campaign.journal")
+	clk := &scriptClock{fireOn: 3, armed: make(chan struct{}), retrying: make(chan struct{})}
+	unit3Done := make(chan struct{})
+	src := campaign.Source[int]{
+		N: 4, Kind: "faultcamp", Fingerprint: []byte("plane-test"),
+		Run: func(ctx context.Context, i int) (int, error) {
+			switch i {
+			case 1:
+				<-clk.armed
+			case 2:
+				<-unit3Done
+			case 3:
+				select {
+				case <-ctx.Done():
+					return 0, ctx.Err()
+				case <-clk.retrying:
+					panic("unit 3 crashes on its retry")
+				}
+			}
+			return i, nil
+		},
+		Encode: func(v int) ([]byte, error) { return json.Marshal(v) },
+		Decode: func(b []byte) (v int, err error) { err = json.Unmarshal(b, &v); return },
+	}
+	if _, err := campaign.Supervise(campaign.Config{Workers: 1, Journal: journal, StopAfter: 1}, src); err != nil {
+		t.Fatal(err)
+	}
+
 	p := New()
 	fakeNow(p, 1000) // 1ms per observation
-
-	p.CampaignStart("faultcamp", 4, 2, 1)
-	p.UnitStart(0, 0, false)
-	p.AttemptStart(0, 0, 0)
-	p.AttemptEnd(0, 0, 0, "")
-	p.UnitDone(0, 0, campaign.StatusOK, nil)
-
-	p.UnitStart(1, 1, true) // stolen
-	p.AttemptStart(1, 1, 0)
-	p.AttemptEnd(1, 1, 0, campaign.FailTimeout)
-	p.UnitBackoff(1, 1, 0, 10*time.Millisecond)
-	p.AttemptStart(1, 1, 1)
-	p.AttemptEnd(1, 1, 1, campaign.FailCrashed)
-	p.UnitDone(1, 1, campaign.StatusQuarantined, []campaign.Attempt{
-		{Failure: campaign.FailTimeout}, {Failure: campaign.FailCrashed},
-	})
-
-	pr := p.Progress()
-	if !pr.Running || pr.Done != 3 || pr.OK != 1 || pr.Quarantined != 1 ||
-		pr.Retries != 1 || pr.Timeouts != 1 || pr.Crashes != 1 || pr.Steals != 1 {
-		t.Fatalf("progress wrong: %+v", pr)
+	var mid Progress
+	obs := unitDoneHook{Plane: p, hook: func(unit int) {
+		if unit == 3 {
+			mid = p.Progress()
+			close(unit3Done)
+		}
+	}}
+	run, err := campaign.Supervise(campaign.Config{
+		Workers: 2, Timeout: time.Second, Retries: 1, BackoffBase: 10 * time.Millisecond,
+		Clock: clk, Journal: journal, Observer: obs,
+	}, src)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if pr.Resumed != 1 || pr.Units != 4 || pr.Workers != 2 {
-		t.Fatalf("identity wrong: %+v", pr)
+	if got := clk.Sleeps(); len(got) != 1 || got[0] != 10*time.Millisecond {
+		t.Fatalf("backoff sleeps %v, want one of 10ms", got)
 	}
-	if pr.ETAMS < 0 {
-		t.Fatalf("ETA should be estimable after completions: %+v", pr)
+	st := run.Stats
+	if st.Resumed != 1 || st.Steals != 1 || st.Timeouts != 1 || st.Crashes != 1 || st.Retries != 1 || st.Quarantined != 1 {
+		t.Fatalf("schedule not forced as planned: %+v", st)
 	}
-	if got := len(pr.PerWorker); got != 2 {
+
+	// Mid-run: the resumed unit and units 1 and 3 are done.
+	if !mid.Running || mid.Done != 3 || mid.OK != 2 || mid.Quarantined != 1 ||
+		mid.Retries != st.Retries || mid.Timeouts != st.Timeouts || mid.Crashes != st.Crashes || mid.Steals != st.Steals {
+		t.Fatalf("mid-run progress wrong: %+v", mid)
+	}
+	if mid.Resumed != 1 || mid.Units != 4 || mid.Workers != 2 {
+		t.Fatalf("identity wrong: %+v", mid)
+	}
+	if mid.ETAMS < 0 {
+		t.Fatalf("ETA should be estimable after completions: %+v", mid)
+	}
+	if got := len(mid.PerWorker); got != 2 {
 		t.Fatalf("want 2 worker states, got %d", got)
 	}
 
-	p.CampaignEnd(campaign.Stats{}, false)
-	pr = p.Progress()
+	pr := p.Progress()
 	if pr.Running || pr.ETAMS != 0 {
 		t.Fatalf("post-end progress wrong: %+v", pr)
+	}
+	if pr.Done != st.Resumed+st.Completed || pr.OK+pr.Quarantined != pr.Done || pr.Quarantined != st.Quarantined ||
+		pr.Retries != st.Retries || pr.Checkpoints != st.Checkpoints || pr.Steals != st.Steals {
+		t.Fatalf("post-end progress %+v disagrees with the ledger %+v", pr, st)
 	}
 
 	tl := p.Timeline()
@@ -113,15 +199,16 @@ func TestPlaneSpansAndProgress(t *testing.T) {
 			campaigns++
 		}
 	}
-	if attempts != 3 || campaigns != 1 {
-		t.Fatalf("want 3 attempt spans and 1 campaign span, got %d/%d", attempts, campaigns)
+	if attempts != 4 || campaigns != 1 {
+		t.Fatalf("want 4 attempt spans and 1 campaign span, got %d/%d", attempts, campaigns)
 	}
 	names := map[string]int{}
 	for _, in := range tl.Instants {
 		names[in.Name]++
 	}
-	if names["steal"] != 1 || names["backoff"] != 1 || names["quarantine"] != 1 {
-		t.Fatalf("instants wrong: %v", names)
+	if names["steal"] != 1 || names["backoff"] != 1 || names["quarantine"] != 1 ||
+		uint64(names["checkpoint"]) != st.Checkpoints || st.Checkpoints == 0 {
+		t.Fatalf("instants wrong: %v (ledger checkpoints %d)", names, st.Checkpoints)
 	}
 }
 
@@ -130,7 +217,7 @@ func TestPlaneSpansAndProgress(t *testing.T) {
 func TestPlaneTimelineNestsUnitTrace(t *testing.T) {
 	p := New()
 	fakeNow(p, 1000)
-	p.CampaignStart("faultcamp", 1, 1, 0)
+	p.CampaignStart("faultcamp", 1, &campaign.Stats{Units: 1})
 	p.UnitStart(0, 0, false)
 	p.AttemptStart(0, 0, 0)
 	tr := p.UnitTracer(0)
@@ -141,7 +228,7 @@ func TestPlaneTimelineNestsUnitTrace(t *testing.T) {
 	tr.Emit(trace.Event{Cycle: 90, Kind: trace.KindSyscallExit, Proc: 1, Name: "app", Label: "command"})
 	p.AttemptEnd(0, 0, 0, "")
 	p.UnitDone(0, 0, campaign.StatusOK, nil)
-	p.CampaignEnd(campaign.Stats{}, false)
+	p.CampaignEnd(false)
 
 	var b strings.Builder
 	if err := trace.ExportFleetChromeJSON(&b, p.Timeline()); err != nil {
@@ -182,7 +269,7 @@ func TestPlaneTimelineNestsUnitTrace(t *testing.T) {
 // publish; only the terminal OK attempt's observation runs, once.
 func TestUnitObservationPublishesOnTerminalOnly(t *testing.T) {
 	p := New()
-	p.CampaignStart("x", 2, 1, 0)
+	p.CampaignStart("x", 1, &campaign.Stats{Units: 2})
 
 	p.UnitStart(0, 0, false)
 	p.AttemptStart(0, 0, 0)
@@ -200,7 +287,7 @@ func TestUnitObservationPublishesOnTerminalOnly(t *testing.T) {
 	p.AttemptEnd(1, 0, 0, campaign.FailError)
 	p.UnitDone(1, 0, campaign.StatusQuarantined, []campaign.Attempt{{Failure: campaign.FailError}})
 
-	p.CampaignEnd(campaign.Stats{}, false)
+	p.CampaignEnd(false)
 	snap := p.Live().Snapshot()
 	vals := map[string]uint64{}
 	for _, cp := range snap.Counters {
@@ -280,7 +367,7 @@ func TestStreamingAggregateWorkerCountInvariant(t *testing.T) {
 // The TTY renderer writes in-place lines and clears on Stop.
 func TestTTYRendersAndClears(t *testing.T) {
 	p := New()
-	p.CampaignStart("tty-test", 10, 2, 0)
+	p.CampaignStart("tty-test", 2, &campaign.Stats{Units: 10})
 	var buf lockedBuffer
 	tty := StartTTY(&buf, p, time.Millisecond)
 	deadline := time.Now().Add(2 * time.Second)

@@ -20,21 +20,25 @@ type WorkerProgress struct {
 }
 
 // Progress is the /progress JSON schema: a fleet summary cheap enough
-// to poll every second.
+// to poll every second. Its counts come from the campaign's ledger
+// (campaign.Stats), the source of the campaign_* series.
 type Progress struct {
 	Kind    string `json:"kind"`
 	Units   int    `json:"units"`
 	Workers int    `json:"workers"`
 	Resumed int    `json:"resumed"`
-	// Done counts units at a terminal state, including resumed ones.
+	// Done counts units at a terminal state, including resumed ones;
+	// OK + Quarantined = Done.
 	Done        uint64 `json:"done"`
 	OK          uint64 `json:"ok"`
 	Quarantined uint64 `json:"quarantined"`
-	Retries     uint64 `json:"retries"`
-	Timeouts    uint64 `json:"timeouts"`
-	Crashes     uint64 `json:"crashes"`
-	Errors      uint64 `json:"errors"`
-	Steals      uint64 `json:"steals"`
+	// Failed attempts count once their unit terminates.
+	Retries  uint64 `json:"retries"`
+	Timeouts uint64 `json:"timeouts"`
+	Crashes  uint64 `json:"crashes"`
+	Errors   uint64 `json:"errors"`
+	Steals   uint64 `json:"steals"`
+	// Checkpoints counts journal checkpoint records (0 without one).
 	Checkpoints uint64 `json:"checkpoints"`
 	ElapsedMS   int64  `json:"elapsed_ms"`
 	// ETAMS extrapolates the remaining wall time from this
@@ -55,28 +59,29 @@ func (p *Plane) Progress() Progress {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	now := p.now()
+	st := p.stats.Load()
 	pr.Kind = p.kind
-	pr.Units = p.units
+	pr.Units = int(st.Units)
 	pr.Workers = p.workers
-	pr.Resumed = p.resumed
-	pr.Done = uint64(p.resumed) + p.doneNew
-	pr.OK = p.ok
-	pr.Quarantined = p.quarantined
-	pr.Retries = p.retries
-	pr.Timeouts = p.timeouts
-	pr.Crashes = p.crashes
-	pr.Errors = p.errors
-	pr.Steals = p.steals
-	pr.Checkpoints = p.checkpoints
+	pr.Resumed = int(st.Resumed)
+	pr.Done = st.Resumed + st.Completed
+	pr.OK = pr.Done - st.Quarantined
+	pr.Quarantined = st.Quarantined
+	pr.Retries = st.Retries
+	pr.Timeouts = st.Timeouts
+	pr.Crashes = st.Crashes
+	pr.Errors = st.Errors
+	pr.Steals = st.Steals
+	pr.Checkpoints = st.Checkpoints
 	pr.Running = p.started && !p.ended
 	pr.Interrupted = p.interrupted
 	if p.started {
 		pr.ElapsedMS = int64(now.Sub(p.start) / time.Millisecond)
 	}
 	pr.ETAMS = -1
-	if remaining := uint64(p.units) - pr.Done; pr.Running && p.doneNew > 0 && remaining > 0 {
+	if remaining := st.Units - pr.Done; pr.Running && st.Completed > 0 && remaining > 0 {
 		elapsed := now.Sub(p.start)
-		pr.ETAMS = int64(time.Duration(float64(elapsed)/float64(p.doneNew)*float64(remaining)) / time.Millisecond)
+		pr.ETAMS = int64(time.Duration(float64(elapsed)/float64(st.Completed)*float64(remaining)) / time.Millisecond)
 	} else if !pr.Running || remaining == 0 {
 		pr.ETAMS = 0
 	}

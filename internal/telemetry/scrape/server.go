@@ -7,6 +7,7 @@ package scrape
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -69,6 +70,33 @@ func Serve(addr string, p *telemetry.Plane) (*Server, error) {
 	s := &Server{ln: ln, srv: &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}}
 	go func() { _ = s.srv.Serve(ln) }()
 	return s, nil
+}
+
+// Watch sets up a campaign command's -serve and -progress: a plane
+// (nil when neither is asked for), served on addr if it is non-empty
+// with the bound address printed to stderr, and a progress ticker on
+// stderr if progress is set. Call stop once the campaign returns,
+// before printing its report.
+func Watch(addr string, progress bool, stderr io.Writer) (plane *telemetry.Plane, stop func(), err error) {
+	if addr == "" && !progress {
+		return nil, func() {}, nil
+	}
+	plane = telemetry.New()
+	var srv *Server
+	if addr != "" {
+		if srv, err = Serve(addr, plane); err != nil {
+			return nil, nil, err
+		}
+		fmt.Fprintf(stderr, "telemetry: serving http://%s\n", srv.Addr())
+	}
+	var tty *telemetry.TTY
+	if progress {
+		tty = telemetry.StartTTY(stderr, plane, 0)
+	}
+	return plane, func() {
+		tty.Stop()
+		srv.Close()
+	}, nil
 }
 
 // Addr returns the bound address (useful with ":0").

@@ -2,9 +2,11 @@ package scrape
 
 import (
 	"compress/gzip"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -30,22 +32,45 @@ func get(t *testing.T, url string) (string, string) {
 	return string(body), resp.Header.Get("Content-Type")
 }
 
+// The endpoints are scraped while a real supervised campaign is held
+// at its second unit: one worker, a journal checkpointing after every
+// unit, and unit 0 published to the live registry.
 func TestServerEndpoints(t *testing.T) {
 	p := telemetry.New()
-	p.CampaignStart("srv-test", 3, 2, 0)
-	p.UnitStart(0, 0, false)
-	p.AttemptStart(0, 0, 0)
-	p.UnitObservation(0, func(r *metrics.Registry) { r.Counter("served_total").Inc() })
-	p.AttemptEnd(0, 0, 0, "")
-	p.UnitDone(0, 0, campaign.StatusOK, nil)
-	p.Checkpoint(1)
-
 	srv, err := Serve("127.0.0.1:0", p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 	base := "http://" + srv.Addr()
+
+	held, release := make(chan struct{}), make(chan struct{})
+	src := campaign.Source[int]{
+		N: 3, Kind: "srv-test", Fingerprint: []byte("srv-test"),
+		Run: func(ctx context.Context, i int) (int, error) {
+			p.UnitObservation(i, func(r *metrics.Registry) { r.Counter("served_total").Inc() })
+			if i == 1 {
+				close(held)
+				<-release
+			}
+			return i, nil
+		},
+		Encode: func(v int) ([]byte, error) { return json.Marshal(v) },
+		Decode: func(b []byte) (v int, err error) { err = json.Unmarshal(b, &v); return },
+	}
+	type result struct {
+		run *campaign.Run[int]
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		run, err := campaign.Supervise(campaign.Config{
+			Workers: 1, Clock: &campaign.FakeClock{}, Observer: p,
+			Journal: filepath.Join(t.TempDir(), "campaign.journal"), CheckpointEvery: 1,
+		}, src)
+		done <- result{run, err}
+	}()
+	<-held
 
 	body, ct := get(t, base+"/healthz")
 	if strings.TrimSpace(body) != "ok" {
@@ -72,7 +97,7 @@ func TestServerEndpoints(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &pr); err != nil {
 		t.Fatalf("progress is not valid JSON: %v\n%s", err, body)
 	}
-	if pr.Kind != "srv-test" || pr.Done != 1 || pr.Units != 3 || !pr.Running {
+	if pr.Kind != "srv-test" || pr.Done != 1 || pr.OK != 1 || pr.Checkpoints != 1 || pr.Units != 3 || !pr.Running {
 		t.Fatalf("progress wrong: %+v", pr)
 	}
 
@@ -88,6 +113,22 @@ func TestServerEndpoints(t *testing.T) {
 	}
 	if len(tl.TraceEvents) == 0 {
 		t.Fatal("timeline has no events")
+	}
+
+	close(release)
+	res := <-done
+	if res.err != nil {
+		t.Fatal(res.err)
+	}
+	body, _ = get(t, base+"/progress")
+	pr = telemetry.Progress{}
+	if err := json.Unmarshal([]byte(body), &pr); err != nil {
+		t.Fatalf("progress is not valid JSON: %v\n%s", err, body)
+	}
+	st := res.run.Stats
+	if pr.Running || pr.Done != st.Resumed+st.Completed || pr.OK != pr.Done-st.Quarantined ||
+		pr.Checkpoints != st.Checkpoints || pr.Units != int(st.Units) {
+		t.Fatalf("final progress %+v disagrees with the ledger %+v", pr, st)
 	}
 
 	body, _ = get(t, base+"/debug/pprof/")

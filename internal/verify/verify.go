@@ -22,6 +22,7 @@ package verify
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -366,21 +367,8 @@ func (rep *Report) Stats() Stats {
 		d := float64(r.Elapsed - s.Mean)
 		varSum += d * d
 	}
-	s.StdDev = time.Duration(sqrt(varSum / float64(s.Fns)))
+	s.StdDev = time.Duration(math.Sqrt(varSum / float64(s.Fns)))
 	return s
-}
-
-// sqrt avoids importing math for one call... actually math is stdlib; but
-// an integer Newton iteration keeps Duration precision explicit.
-func sqrt(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	z := x
-	for i := 0; i < 40; i++ {
-		z = (z + x/z) / 2
-	}
-	return z
 }
 
 // Slowest returns the n slowest results, for "over 90% of the time was
@@ -426,14 +414,6 @@ func (r *Registry) Effort() []EffortRow {
 		out = append(out, *idx[c])
 	}
 	return out
-}
-
-// RunParallel checks every spec using the given number of worker
-// goroutines, for CI-sized runs where wall-clock matters more than the
-// per-function timing fidelity Figure 12 wants. Results keep
-// registration order. workers < 1 means one worker.
-func (r *Registry) RunParallel(workers int) *Report {
-	return r.RunWith(RunOpts{Workers: workers})
 }
 
 // TotalStates sums the domain points enumerated across all results.

@@ -227,7 +227,7 @@ func TestRunParallelMatchesSequential(t *testing.T) {
 		})
 	}
 	seq := r.Run()
-	par := r.RunParallel(4)
+	par := r.RunWith(RunOpts{Workers: 4})
 	if len(seq.Results) != len(par.Results) {
 		t.Fatalf("lengths differ")
 	}
@@ -247,7 +247,7 @@ func TestRunParallelMatchesSequential(t *testing.T) {
 func TestRunParallelSingleWorkerFloor(t *testing.T) {
 	r := NewRegistry()
 	r.Add(&Spec{Component: "kernel", Name: "only", Body: func(t *T) {}})
-	if rep := r.RunParallel(0); !rep.OK() || len(rep.Results) != 1 {
-		t.Fatal("RunParallel(0) broken")
+	if rep := r.RunWith(RunOpts{Workers: 0}); !rep.OK() || len(rep.Results) != 1 {
+		t.Fatal("RunWith with 0 workers broken")
 	}
 }
