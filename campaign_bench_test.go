@@ -6,8 +6,12 @@ import (
 	"testing"
 	"time"
 
+	"ticktock/internal/apps"
 	"ticktock/internal/campaign"
 	"ticktock/internal/faultinject"
+	"ticktock/internal/kernel"
+	"ticktock/internal/riscv"
+	"ticktock/internal/rvkernel"
 	"ticktock/internal/telemetry"
 )
 
@@ -63,6 +67,53 @@ func BenchmarkCampaignLayers(b *testing.B) {
 				}
 				if got := rep.Text(); got != want {
 					b.Fatalf("%s: report differs from the plain campaign's:\n%s", row.name, got)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkLoadProcess is the image-load layer of a campaign scenario:
+// one LoadProcess of a warm app (c_hello, its images already assembled
+// by an earlier load) on a fresh kernel, per port. The boot runs with
+// the timer stopped, so ns/op and allocs/op are the load's alone: a TBF
+// header written and parsed, the shared program mapped, the process
+// block allocated and zeroed.
+func BenchmarkLoadProcess(b *testing.B) {
+	armApp := apps.All()[0].Apps[0]
+	rvApp := rvkernel.ReleaseSubset()[0]
+	for _, row := range []struct {
+		name string
+		boot func() (load func() error, err error)
+	}{
+		{"arm", func() (func() error, error) {
+			k, err := kernel.New(kernel.Options{})
+			return func() error { _, err := k.LoadProcess(armApp); return err }, err
+		}},
+		{"riscv", func() (func() error, error) {
+			k, err := rvkernel.New(riscv.Chips[0])
+			return func() error { _, err := k.LoadProcess(rvApp); return err }, err
+		}},
+	} {
+		b.Run(row.name, func(b *testing.B) {
+			load, err := row.boot()
+			if err == nil {
+				err = load() // warm the app's images
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				load, err := row.boot()
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if err := load(); err != nil {
+					b.Fatal(err)
 				}
 			}
 		})

@@ -31,13 +31,15 @@
 // campaign, it never steers it.
 //
 // The supervision flags tune that supervisor: -timeout bounds each
-// scenario's wall-clock time, -retries grants a retry budget with
-// exponential backoff, and -resume FILE checkpoints completed scenarios
-// to an fsync'd journal, so a campaign interrupted by -stop-after N
-// (which therefore needs -resume) continues from where it stopped, with
-// byte-identical final output at any worker count. -chaos injects
-// failures into the campaign machinery itself ("wedge:3,panic:5") to
-// exercise those paths end to end; a wedge needs -timeout to end it.
+// scenario's wall-clock time, -retries grants a retry budget (each
+// retry starts as soon as the failed attempt ends: the CLI sets no
+// campaign.Config.BackoffBase), and -resume FILE checkpoints completed
+// scenarios to an fsync'd journal, so a campaign interrupted by
+// -stop-after N (which therefore needs -resume) continues from where it
+// stopped, with byte-identical final output at any worker count.
+// -chaos injects failures into the campaign machinery itself
+// ("wedge:3,panic:5") to exercise those paths end to end; a wedge needs
+// -timeout to end it.
 // With any of -resume, -timeout, -retries, -stop-after, -quarantine,
 // -chaos, -serve or -progress, a quarantined scenario never fails the
 // campaign, -metrics adds the campaign_* supervision series, and

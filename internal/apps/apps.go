@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 
 	"ticktock/internal/armv7m"
+	"ticktock/internal/blockcache"
 	"ticktock/internal/kernel"
 )
 
@@ -91,14 +92,20 @@ func Exit(a *armv7m.Assembler, code uint32) {
 	a.Emit(armv7m.MovImm{Rd: armv7m.R0, Imm: code}).Emit(armv7m.SVC{Imm: kernel.SVCExit})
 }
 
-// stdApp wraps a builder with default RAM geometry.
+// stdApp wraps a builder with default RAM geometry. The app assembles
+// its image once per load base: every kernel that loads it at a base
+// already seen shares that Program, so a campaign's many short-lived
+// kernels each pay for a TBF parse, not an assembly.
 func stdApp(name string, build func(a *armv7m.Assembler)) kernel.App {
+	images := new(blockcache.ProgramMemo[armv7m.Instr])
 	return kernel.App{
 		Name: name, MinRAM: 10240, InitRAM: 2048, Stack: 1024, KernelHint: 1024,
 		Build: func(base uint32) *armv7m.Program {
-			a := armv7m.NewAssembler(base)
-			build(a)
-			return a.MustAssemble()
+			return images.Get(base, func(base uint32) *armv7m.Program {
+				a := armv7m.NewAssembler(base)
+				build(a)
+				return a.MustAssemble()
+			})
 		},
 	}
 }
@@ -239,17 +246,14 @@ func mallocTest02() kernel.App {
 func stackGrowth() kernel.App {
 	// Deliberately overruns the stack; the fault report prints the
 	// (kernel-specific) layout, so outputs differ across kernels.
-	return kernel.App{
-		Name: "stack_growth", MinRAM: 8192, InitRAM: 2048, Stack: 512, KernelHint: 1024,
-		Build: func(base uint32) *armv7m.Program {
-			a := armv7m.NewAssembler(base)
-			Puts(a, "growing stack\r\n")
-			a.Label("loop")
-			a.Emit(armv7m.Push{Regs: []armv7m.GPR{armv7m.R0, armv7m.R1, armv7m.R2, armv7m.R3}})
-			a.BTo(armv7m.AL, "loop")
-			return a.MustAssemble()
-		},
-	}
+	app := stdApp("stack_growth", func(a *armv7m.Assembler) {
+		Puts(a, "growing stack\r\n")
+		a.Label("loop")
+		a.Emit(armv7m.Push{Regs: []armv7m.GPR{armv7m.R0, armv7m.R1, armv7m.R2, armv7m.R3}})
+		a.BTo(armv7m.AL, "loop")
+	})
+	app.MinRAM, app.Stack = 8192, 512
+	return app
 }
 
 func mpuWalkRegion() kernel.App {

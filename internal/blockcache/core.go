@@ -3,6 +3,7 @@ package blockcache
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"ticktock/internal/accessmap"
 	"ticktock/internal/mpu"
@@ -40,6 +41,40 @@ func (p *Program[I]) At(addr uint32) I {
 		return none
 	}
 	return p.Instrs[(addr-p.Base)/4]
+}
+
+// ProgramMemo keeps what one pure builder assembled, by load base, so
+// every later load at that base shares the first load's Program instead
+// of assembling it again. Sharing is sound because nothing writes a
+// Program once it is loaded. The zero ProgramMemo is empty and allocates
+// its storage on the first Get; it is safe for concurrent use.
+type ProgramMemo[I Instr] struct {
+	mu     sync.Mutex
+	byBase map[uint32]*Program[I]
+}
+
+// Get returns build(base), calling build only when no Get at base has
+// stored a Program yet. The lock is not held while build runs, so Gets
+// that race on a new base may each build; all of them return the
+// Program stored first.
+func (m *ProgramMemo[I]) Get(base uint32, build func(base uint32) *Program[I]) *Program[I] {
+	m.mu.Lock()
+	p, ok := m.byBase[base]
+	m.mu.Unlock()
+	if ok {
+		return p
+	}
+	p = build(base)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if first, ok := m.byBase[base]; ok {
+		return first
+	}
+	if m.byBase == nil {
+		m.byBase = make(map[uint32]*Program[I])
+	}
+	m.byBase[base] = p
+	return p
 }
 
 // Fast is the fast core's state: the block table, whose Stats hold every

@@ -229,33 +229,39 @@ func GenScenarios(cfg Config) []Scenario {
 	cfg = cfg.withDefaults()
 	out := make([]Scenario, cfg.N)
 	for i := range out {
-		rng := rand.New(rand.NewSource(cfg.Seed + int64(i)*1000003))
-		sc := Scenario{
-			Index:       i,
-			App:         sharedApps[rng.Intn(len(sharedApps))],
-			Kind:        Kind(rng.Intn(numKinds)),
-			Quantum:     1 + rng.Intn(15),
-			Nth:         1 + rng.Intn(10),
-			Entry:       rng.Intn(16),
-			BitAddr:     uint(rng.Intn(32)),
-			BitAttr:     uint(rng.Intn(32)),
-			AttrReg:     rng.Intn(2) == 1,
-			XorVal:      rng.Uint32(),
-			ArgIdx:      rng.Intn(4),
-			JitterDelta: int64(rng.Intn(10000) - 5000),
-			Quarantine:  rng.Intn(2) == 1,
-			Monolithic:  rng.Intn(2) == 1,
-			Chip:        rng.Intn(3),
-		}
-		if sc.XorVal == 0 {
-			sc.XorVal = 1
-		}
-		if sc.JitterDelta == 0 {
-			sc.JitterDelta = 1
-		}
-		out[i] = sc
+		out[i] = genScenario(cfg.Seed, i)
 	}
 	return out
+}
+
+// genScenario derives scenario i of the campaign seeded seed from its
+// own source, so any one scenario can be derived without the others.
+func genScenario(seed int64, i int) Scenario {
+	rng := rand.New(rand.NewSource(seed + int64(i)*1000003))
+	sc := Scenario{
+		Index:       i,
+		App:         sharedApps[rng.Intn(len(sharedApps))],
+		Kind:        Kind(rng.Intn(numKinds)),
+		Quantum:     1 + rng.Intn(15),
+		Nth:         1 + rng.Intn(10),
+		Entry:       rng.Intn(16),
+		BitAddr:     uint(rng.Intn(32)),
+		BitAttr:     uint(rng.Intn(32)),
+		AttrReg:     rng.Intn(2) == 1,
+		XorVal:      rng.Uint32(),
+		ArgIdx:      rng.Intn(4),
+		JitterDelta: int64(rng.Intn(10000) - 5000),
+		Quarantine:  rng.Intn(2) == 1,
+		Monolithic:  rng.Intn(2) == 1,
+		Chip:        rng.Intn(3),
+	}
+	if sc.XorVal == 0 {
+		sc.XorVal = 1
+	}
+	if sc.JitterDelta == 0 {
+		sc.JitterDelta = 1
+	}
+	return sc
 }
 
 // runSignature is what classification compares between the baseline and

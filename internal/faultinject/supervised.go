@@ -135,7 +135,6 @@ func RunSupervised(cfg Config, sup campaign.Config, plane *telemetry.Plane) (*Re
 // section tallies them deterministically.
 func ReportFromRun(cfg Config, run *campaign.Run[Result]) *Report {
 	cfg = cfg.withDefaults()
-	scenarios := GenScenarios(cfg)
 	results := make([]Result, len(run.Outcomes))
 	sup := &Supervision{}
 	// Every outcome, resumed ones included, is booked by the
@@ -147,17 +146,18 @@ func ReportFromRun(cfg Config, run *campaign.Run[Result]) *Report {
 		case campaign.StatusOK:
 			results[i] = o.Result
 		case campaign.StatusQuarantined:
+			sc := genScenario(cfg.Seed, i)
 			results[i] = Result{
-				Scenario: scenarios[i],
+				Scenario: sc,
 				Sup:      fmt.Sprintf("quarantined (%s after %d attempts)", o.FinalFailure(), len(o.Attempts)),
 			}
 			sup.Quarantined = append(sup.Quarantined, QuarantinedScenario{
-				Label:    scenarios[i].Label(),
+				Label:    sc.Label(),
 				Failure:  o.FinalFailure(),
 				Attempts: len(o.Attempts),
 			})
 		case campaign.StatusPending:
-			results[i] = Result{Scenario: scenarios[i], Sup: "pending (interrupted)"}
+			results[i] = Result{Scenario: genScenario(cfg.Seed, i), Sup: "pending (interrupted)"}
 			sup.Pending++
 		}
 	}

@@ -389,3 +389,15 @@ var classWindows = [...]string{
 	"syscall/yield", "syscall/command", "syscall/allow-rw", "syscall/allow-ro",
 	"syscall/memop", "syscall/exit", "syscall/subscribe", "syscall/upcall-done",
 }
+
+// ZeroWords clears process memory [start, end) as a loop of word stores
+// from start would, a ragged end rounded up to a whole word, and returns
+// the bytes cleared (none when end <= start). It clears by page through
+// physmem.Memory.Zero, so memory never written stays unallocated.
+func ZeroWords(mem *physmem.Memory, start, end uint32) (uint32, error) {
+	if end <= start {
+		return 0, nil
+	}
+	n := (end - start + 3) &^ 3
+	return n, mem.Zero(start, n)
+}

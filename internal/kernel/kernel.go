@@ -112,7 +112,9 @@ type App struct {
 	InitRAM    uint32 // initially-accessible RAM (stack + data + heap)
 	Stack      uint32 // portion of InitRAM that is stack
 	KernelHint uint32 // grant-region size hint
-	// Build assembles the program with its code based at codeBase.
+	// Build assembles the program with its code based at codeBase. It
+	// may return one shared Program for every call at a base: kernels
+	// never write a loaded program.
 	Build func(codeBase uint32) *armv7m.Program
 }
 
@@ -233,11 +235,15 @@ func (k *Kernel) LoadProcess(app App) (*Process, error) {
 	t0 := k.Meter().Cycles()
 	defer func() { k.Attr(t0, nil, "create") }()
 	err := k.instrument("create", func() error {
-		// Size the image: assemble once at a probe base to count
-		// instructions (branch targets are absolute, so the final
-		// program must be rebuilt at its real base).
-		probe := app.Build(0)
-		codeBytes := uint32(4 * len(probe.Instrs))
+		// Build the program where the next flash slot puts its code and
+		// size the image from it. Branch targets are absolute, so a
+		// size that needs a more aligned slot means one more build at
+		// the real base. The release apps keep each build, so a later
+		// kernel loading the same App at the same slot assembles
+		// nothing.
+		guess := k.Board.nextFlashSlot + tbf.HeaderSize
+		prog := app.Build(guess)
+		codeBytes := uint32(4 * len(prog.Instrs))
 		// One extra slot word holds the injected upcall-return stub.
 		imageSize := uint32(tbf.HeaderSize) + codeBytes + 4
 
@@ -275,7 +281,9 @@ func (k *Kernel) LoadProcess(app App) (*Process, error) {
 		k.Meter().Add(uint64(tbf.HeaderSize) / 4 * cycles.Load)
 
 		codeBase := slotBase + parsed.EntryOffset
-		prog := app.Build(codeBase)
+		if codeBase != guess {
+			prog = app.Build(codeBase)
+		}
 		if err := k.Board.Machine.LoadProgram(prog); err != nil {
 			return err
 		}
@@ -308,12 +316,11 @@ func (k *Kernel) LoadProcess(app App) (*Process, error) {
 			{layout.MemoryStart, layout.AppBreak},
 			{layout.KernelBreak, layout.MemoryEnd()},
 		} {
-			for addr := span[0]; addr < span[1]; addr += 4 {
-				if err := k.Board.Machine.Mem.WriteWord(addr, 0); err != nil {
-					return err
-				}
-				zeroed += 4
+			n, err := kcore.ZeroWords(k.Board.Machine.Mem, span[0], span[1])
+			if err != nil {
+				return err
 			}
+			zeroed += n
 		}
 		k.Meter().Add(uint64(zeroed) / 4 * cycles.Store)
 

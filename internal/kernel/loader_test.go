@@ -131,3 +131,32 @@ func TestLoaderFlashSlotAlignment(t *testing.T) {
 		}
 	}
 }
+
+// TestLoaderRebuildsWhenSlotMoves loads a small app and then one whose
+// image needs a larger, more aligned flash slot. The loader's first
+// build, at the code base the next slot would have, is then wrong, so
+// it builds again at the real base, and the program it maps starts at
+// the process entry.
+func TestLoaderRebuildsWhenSlotMoves(t *testing.T) {
+	k := newTestKernel(t, Options{Flavour: FlavourTickTock})
+	load(t, k, helloApp("small", "a"))
+	msg := strings.Repeat("b", 100)
+	big := helloApp("big", msg)
+	var bases []uint32
+	build := big.Build
+	big.Build = func(base uint32) *armv7m.Program {
+		bases = append(bases, base)
+		return build(base)
+	}
+	p := load(t, k, big)
+	run(t, k)
+	if len(bases) != 2 || bases[0] == p.Entry || bases[1] != p.Entry {
+		t.Fatalf("builds at %x, want one elsewhere and then one at the entry 0x%x", bases, p.Entry)
+	}
+	if prog := k.Board.Machine.ProgramAt(p.Entry); prog == nil || prog.Base != p.Entry {
+		t.Fatalf("no program based at the entry 0x%x", p.Entry)
+	}
+	if got := k.Output(p); got != msg {
+		t.Fatalf("output %q", got)
+	}
+}

@@ -176,10 +176,8 @@ func (g armPort) Reset(p *Process) error {
 		}
 		layout = p.MM.Layout()
 	}
-	for addr := layout.MemoryStart; addr < layout.AppBreak; addr += 4 {
-		if err := g.k.Board.Machine.Mem.WriteWord(addr, 0); err != nil {
-			return err
-		}
+	if _, err := kcore.ZeroWords(g.k.Board.Machine.Mem, layout.MemoryStart, layout.AppBreak); err != nil {
+		return err
 	}
 	clear(p.Upcalls)
 	p.inUpcall = false

@@ -22,6 +22,7 @@ package monolithic
 
 import (
 	"fmt"
+	"math/bits"
 
 	"ticktock/internal/armv7m"
 	"ticktock/internal/cycles"
@@ -328,22 +329,12 @@ func (m *MPU) DisableMPU() {
 // config — the recomputation clients are forced into by the monolithic
 // interface (the disagreement problem §3.2). Exposed for the checker.
 func (cfg *MpuConfig) SubregsEnabledEnd() uint32 {
-	srd0 := cfg.RASR[0] & armv7m.RASRSRDMask >> armv7m.RASRSRDShift
-	srd1 := cfg.RASR[1] & armv7m.RASRSRDMask >> armv7m.RASRSRDShift
-	enabled := uint32(0)
-	for i := uint32(0); i < 8; i++ {
-		if srd0&(1<<i) == 0 {
-			enabled++
-		}
-	}
+	// The SRD field is RASR[15:8], one disable bit per subregion.
+	enabled := 8 - bits.OnesCount8(uint8(cfg.RASR[0]>>armv7m.RASRSRDShift))
 	if cfg.RASR[1]&armv7m.RASREnable != 0 {
-		for i := uint32(0); i < 8; i++ {
-			if srd1&(1<<i) == 0 {
-				enabled++
-			}
-		}
+		enabled += 8 - bits.OnesCount8(uint8(cfg.RASR[1]>>armv7m.RASRSRDShift))
 	}
-	return cfg.RegionStart + enabled*(cfg.RegionSize/8)
+	return cfg.RegionStart + uint32(enabled)*(cfg.RegionSize/8)
 }
 
 // AllocateIPCRegion programs MPU region 3 to cover [start, start+size)

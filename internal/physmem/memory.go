@@ -77,6 +77,21 @@ func (s *Segment) write(addr uint32, src []byte) {
 	}
 }
 
+// zero clears [addr, addr+n) in the pages that hold storage; a page
+// never written already reads as zeros and stays unallocated. The span
+// must lie inside the segment.
+func (s *Segment) zero(addr, n uint32) {
+	for n > 0 {
+		off := addr & pageMask
+		k := min(n, pageSize-off)
+		if p := s.pages[addr>>pageShift-s.first]; p != nil {
+			clear(p[off : off+k])
+		}
+		addr += k
+		n -= k
+	}
+}
+
 // writable returns the page holding addr, allocating it on first write.
 func (s *Segment) writable(addr uint32) *page {
 	i := addr>>pageShift - s.first
@@ -335,6 +350,24 @@ func (m *Memory) WriteBytes(addr uint32, b []byte) error {
 	seg.write(addr, b)
 	if m.dirty != nil && len(b) > 0 {
 		m.markDirty(addr, uint32(len(b)))
+	}
+	return nil
+}
+
+// Zero stores n zero bytes starting at addr: the effect, the bus error
+// and the dirty pages of WriteBytes with a zeroed slice, without the
+// slice and without allocating a page that was never written.
+func (m *Memory) Zero(addr, n uint32) error {
+	seg := m.lastHit(addr, n)
+	if seg == nil {
+		var err error
+		if seg, err = m.checkSpan(addr, n); err != nil {
+			return err
+		}
+	}
+	seg.zero(addr, n)
+	if m.dirty != nil && n > 0 {
+		m.markDirty(addr, n)
 	}
 	return nil
 }

@@ -119,6 +119,7 @@ const (
 	opTrackDirty
 	opDrainDirty
 	opSegment
+	opZero
 	opCount
 
 	opLen = 9
@@ -209,6 +210,16 @@ func runDifferential(t *testing.T, prog []byte) {
 			if (seg != nil) != want || seg != nil && !seg.Contains(addr) {
 				t.Fatalf("Segment(0x%08x) = %v, reference backed=%v", addr, seg, want)
 			}
+		case opZero:
+			// The reference writes the zeros byte by byte, so it marks
+			// the pages a WriteWord loop over the span would mark.
+			n := arg&0x1fff + 1
+			fresh := unallocated(m, addr, n)
+			err := m.Zero(addr, n)
+			checkErr(t, "Zero", addr, err, ref.write(addr, make([]byte, n)))
+			if got := unallocated(m, addr, n); !slices.Equal(got, fresh) {
+				t.Fatalf("Zero(0x%08x, %d) allocated pages: unallocated %x before, %x after", addr, n, fresh, got)
+			}
 		}
 	}
 	// Whatever the program did, the whole contents agree, and a fresh
@@ -226,6 +237,22 @@ func runDifferential(t *testing.T, prog []byte) {
 	}
 }
 
+// unallocated returns the numbers of the storage pages overlapping
+// [addr, addr+n) that have none yet, in every segment the span touches.
+func unallocated(m *Memory, addr, n uint32) []uint32 {
+	var out []uint32
+	end := uint64(addr) + uint64(n)
+	for _, s := range m.segs {
+		lo, hi := max(uint64(addr), uint64(s.Base)), min(end, s.end)
+		for pg := lo >> pageShift; lo < hi && pg <= (hi-1)>>pageShift; pg++ {
+			if s.pages[uint32(pg)-s.first] == nil {
+				out = append(out, uint32(pg))
+			}
+		}
+	}
+	return out
+}
+
 // FuzzMemory runs random operation programs differentially against the
 // flat reference. The committed corpus (testdata/fuzz/FuzzMemory) holds
 // the cases TestSparsePages pins by hand. Run it open-ended with
@@ -233,6 +260,51 @@ func runDifferential(t *testing.T, prog []byte) {
 //	go test -run '^$' -fuzz FuzzMemory -fuzztime 20s ./internal/physmem
 func FuzzMemory(f *testing.F) {
 	f.Fuzz(runDifferential)
+}
+
+// TestZeroMatchesWordLoop pins what the loaders rely on when they zero
+// a process block with Zero instead of a WriteWord loop: the same
+// contents and the same dirty pages, with no page allocated that the
+// span did not already hold.
+func TestZeroMatchesWordLoop(t *testing.T) {
+	mems := [2]*Memory{NewMemory(), NewMemory()}
+	for _, m := range mems {
+		if _, err := m.Map("ram", 0x2000_0000, 0x4000); err != nil {
+			t.Fatal(err)
+		}
+		// One written page inside the span, one past its end.
+		for _, a := range []uint32{0x2000_1ff8, 0x2000_3004} {
+			if err := m.WriteWord(a, 0xdeadbeef); err != nil {
+				t.Fatal(err)
+			}
+		}
+		m.TrackDirty()
+		m.DrainDirty()
+	}
+	const start, end = 0x2000_0f80, 0x2000_2100 // straddles three pages
+	for a := uint32(start); a < end; a += 4 {
+		if err := mems[0].WriteWord(a, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := mems[1].Zero(start, end-start); err != nil {
+		t.Fatal(err)
+	}
+	if loop, zero := mems[0].DrainDirty(), mems[1].DrainDirty(); !slices.Equal(loop, zero) {
+		t.Fatalf("Zero marked %x, the word loop %x", zero, loop)
+	}
+	a, _ := mems[0].ReadBytes(0x2000_0000, 0x4000)
+	b, _ := mems[1].ReadBytes(0x2000_0000, 0x4000)
+	if !slices.Equal(a, b) {
+		t.Fatal("Zero left different contents from the word loop")
+	}
+	if got := unallocated(mems[1], 0x2000_0000, 0x4000); !slices.Equal(got, []uint32{0x2_0000, 0x2_0002}) {
+		t.Fatalf("after Zero, unallocated pages %x, want [20000 20002]", got)
+	}
+	var be *BusError
+	if err := mems[1].Zero(0x2000_3ffc, 8); !errors.As(err, &be) || be.Addr != 0x2000_3ffc {
+		t.Fatalf("Zero past the segment end: %v", err)
+	}
 }
 
 // TestSparsePages pins, without the reference, the three cases where a

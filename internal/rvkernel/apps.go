@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"ticktock/internal/blockcache"
 	"ticktock/internal/kcore"
 	"ticktock/internal/riscv"
 	"ticktock/internal/rv32"
@@ -36,14 +37,19 @@ func exit(a *rv32.Assembler, code uint32) {
 }
 
 // stdApp wraps a builder with default geometry and a 2000-quantum run
-// budget.
+// budget. Like the ARM release apps, the app assembles its image once
+// per load base and shares it with every later kernel that loads it
+// there.
 func stdApp(name string, build func(a *rv32.Assembler)) App {
+	images := new(blockcache.ProgramMemo[rv32.Instr])
 	return App{
 		Name: name, MinRAM: 10240, InitRAM: 2048, Stack: 1024, KernelHint: 1024, Quanta: 2000,
 		Build: func(base uint32) *rv32.Program {
-			a := rv32.NewAssembler(base)
-			build(a)
-			return a.MustAssemble()
+			return images.Get(base, func(base uint32) *rv32.Program {
+				a := rv32.NewAssembler(base)
+				build(a)
+				return a.MustAssemble()
+			})
 		},
 	}
 }

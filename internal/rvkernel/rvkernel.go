@@ -70,7 +70,9 @@ type App struct {
 	InitRAM    uint32
 	Stack      uint32
 	KernelHint uint32
-	Build      func(codeBase uint32) *rv32.Program
+	// Build assembles the program at codeBase; like kernel.App's, it
+	// may share one Program between calls at a base.
+	Build func(codeBase uint32) *rv32.Program
 	// Quanta is a release-subset app's run budget in scheduler quanta:
 	// every runner of the subset runs it for at most this many.
 	Quanta int
@@ -184,8 +186,10 @@ func (k *Kernel) allocFlashSlot(need uint32) (uint32, uint32, error) {
 func (k *Kernel) LoadProcess(app App) (*Process, error) {
 	t0 := k.Machine.Meter.Cycles()
 	defer func() { k.Attr(t0, nil, "create") }()
-	probe := app.Build(0)
-	imageSize := uint32(tbf.HeaderSize) + uint32(4*len(probe.Instrs))
+	// Build where the next slot puts the code, as the ARM loader does.
+	guess := (k.nextFlash+3)&^3 + tbf.HeaderSize
+	prog := app.Build(guess)
+	imageSize := uint32(tbf.HeaderSize) + uint32(4*len(prog.Instrs))
 	slotBase, slotSize, err := k.allocFlashSlot(imageSize)
 	if err != nil {
 		return nil, err
@@ -212,7 +216,10 @@ func (k *Kernel) LoadProcess(app App) (*Process, error) {
 	}
 
 	codeBase := slotBase + parsed.EntryOffset
-	if err := k.Machine.LoadProgram(app.Build(codeBase)); err != nil {
+	if codeBase != guess {
+		prog = app.Build(codeBase)
+	}
+	if err := k.Machine.LoadProgram(prog); err != nil {
 		return nil, err
 	}
 
@@ -364,10 +371,8 @@ func (g rvPort) Reset(p *Process) error {
 		}
 	}
 	b := p.Alloc.Breaks()
-	for addr := b.MemoryStart(); addr < b.AppBreak(); addr += 4 {
-		if err := g.k.Machine.Mem.WriteWord(addr, 0); err != nil {
-			return err
-		}
+	if _, err := kcore.ZeroWords(g.k.Machine.Mem, b.MemoryStart(), b.AppBreak()); err != nil {
+		return err
 	}
 	p.initialContext()
 	return nil

@@ -1,7 +1,9 @@
 package rvkernel
 
 import (
+	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"ticktock/internal/kcore"
@@ -300,5 +302,122 @@ func TestRVAllowRejectsKernelMemory(t *testing.T) {
 	}
 	if k.Output(p) != "denied" {
 		t.Fatalf("out=%q", k.Output(p))
+	}
+}
+
+// loadAndRun boots a fresh kernel on the first chip, loads app and runs
+// it to completion. It returns the Program mapped at the app's entry and
+// a summary of the run: output, final state and simulated cycles.
+func loadAndRun(app App) (*rv32.Program, string, error) {
+	k, err := New(riscv.Chips[0])
+	if err != nil {
+		return nil, "", err
+	}
+	p, err := k.LoadProcess(app)
+	if err != nil {
+		return nil, "", err
+	}
+	if _, err := k.Run(100); err != nil {
+		return nil, "", err
+	}
+	return k.Machine.ProgramAt(p.Entry),
+		fmt.Sprintf("%q %s %d", k.Output(p), p.State, k.Machine.Meter.Cycles()), nil
+}
+
+// TestImageAssembledOncePerBase loads one App on two fresh kernels: its
+// builder runs once, at the code base of the first flash slot, the
+// second kernel maps the first one's Program, and the two runs agree.
+func TestImageAssembledOncePerBase(t *testing.T) {
+	builds := map[uint32]int{}
+	app := stdApp("once", func(a *rv32.Assembler) {
+		builds[a.PC()]++
+		puts(a, "once\r\n")
+		exit(a, 0)
+	})
+	var progs [2]*rv32.Program
+	var runs [2]string
+	for i := range progs {
+		var err error
+		if progs[i], runs[i], err = loadAndRun(app); err != nil {
+			t.Fatal(err)
+		}
+	}
+	entry := progs[0].Base
+	if len(builds) != 1 || builds[entry] != 1 {
+		t.Fatalf("builder calls by base = %v, want one at 0x%x", builds, entry)
+	}
+	if progs[1] != progs[0] {
+		t.Fatal("the second kernel assembled its own Program")
+	}
+	if runs[0] != runs[1] || !strings.HasPrefix(runs[0], `"once\r\n" exited `) {
+		t.Fatalf("runs differ or did not finish: %s vs %s", runs[0], runs[1])
+	}
+}
+
+// TestImageSharedAcrossGoroutines has two kernels load and run one
+// release app at once from a cold memo, the way campaign workers share
+// the release subset; under -race it checks the memo and the shared
+// Program.
+func TestImageSharedAcrossGoroutines(t *testing.T) {
+	app := ReleaseSubset()[2] // malloc_test01
+	var wg sync.WaitGroup
+	var progs [2]*rv32.Program
+	var runs [2]string
+	var errs [2]error
+	for i := range progs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			progs[i], runs[i], errs[i] = loadAndRun(app)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if progs[0] != progs[1] || runs[0] != runs[1] {
+		t.Fatalf("concurrent loads differ: %p %s vs %p %s", progs[0], runs[0], progs[1], runs[1])
+	}
+}
+
+// TestLoaderRebuildsWhenSlotMoves loads a small app and then a larger
+// one on the NAPOT-only chip, whose power-of-two slots move the second
+// image to a more aligned base than the loader's first build assumed:
+// it builds again at the real base, which the mapped program starts at.
+func TestLoaderRebuildsWhenSlotMoves(t *testing.T) {
+	k, err := New(riscv.ChipESP32C3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := k.LoadProcess(stdApp("small", func(a *rv32.Assembler) { exit(a, 0) })); err != nil {
+		t.Fatal(err)
+	}
+	msg := strings.Repeat("b", 100)
+	var bases []uint32
+	big := App{Name: "big", MinRAM: 10240, InitRAM: 2048, Stack: 1024, KernelHint: 1024,
+		Build: func(base uint32) *rv32.Program {
+			bases = append(bases, base)
+			a := rv32.NewAssembler(base)
+			puts(a, msg)
+			exit(a, 0)
+			return a.MustAssemble()
+		}}
+	p, err := k.LoadProcess(big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := k.Run(1000); err != nil {
+		t.Fatal(err)
+	}
+	if len(bases) != 2 || bases[0] == p.Entry || bases[1] != p.Entry {
+		t.Fatalf("builds at %x, want one elsewhere and then one at the entry 0x%x", bases, p.Entry)
+	}
+	if prog := k.Machine.ProgramAt(p.Entry); prog == nil || prog.Base != p.Entry {
+		t.Fatalf("no program based at the entry 0x%x", p.Entry)
+	}
+	if got := k.Output(p); got != msg {
+		t.Fatalf("output %q", got)
 	}
 }

@@ -499,10 +499,11 @@ func BuildMonolithic(sc Scale) *verify.Registry {
 								continue
 							}
 							kb := start + size - ks
-							if end := cfg.SubregsEnabledEnd(); end > kb {
+							end := cfg.SubregsEnabledEnd()
+							if end > kb {
 								t.Failf("no grant overlap", "unalloc=0x%x app=%d ks=%d: end=0x%x > kb=0x%x", unalloc, app, ks, end, kb)
 							}
-							if end := cfg.SubregsEnabledEnd(); end < start+app {
+							if end < start+app {
 								t.Failf("covers request", "app=%d end=0x%x", app, end)
 							}
 							if start < unalloc {
