@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: ci fmt vet build test race benchmod bench profile cover ablation faultcamp accessbench fuzzaccessmap fuzzfastcore replaycheck runcheck campaigncheck telemetrycheck
+.PHONY: ci fmt vet build test race benchmod bench profile cover ablation faultcamp accessbench fuzzaccessmap fuzzfastcore fuzzstacking replaycheck runcheck campaigncheck telemetrycheck
 
 # ci is the gate the concurrency-touching paths (parallel difftest
 # campaign, goroutine-safe Stats, tracer, metrics registry) must keep
@@ -72,6 +72,15 @@ fuzzaccessmap:
 fuzzfastcore:
 	$(GO) test -run '^$$' -fuzz '^FuzzFastCoreEquivalence$$' -fuzztime 10s ./internal/armv7m
 	$(GO) test -run '^$$' -fuzz '^FuzzRvFastCoreEquivalence$$' -fuzztime 10s ./internal/rv32
+
+# fuzzstacking fuzzes armv7m exception-entry stacking, which asks the MPU
+# once per 32-byte granule the frame touches, against the per-word
+# reference over forced register states (SIZE < 4, MPU off, PRIVDEFENA,
+# SRD), stack pointers that wrap the address space and both privileges,
+# 10 s. A failing input lands in
+# internal/armv7m/testdata/fuzz/FuzzStackedFrameGranules/.
+fuzzstacking:
+	$(GO) test -run '^$$' -fuzz '^FuzzStackedFrameGranules$$' -fuzztime 10s ./internal/armv7m
 
 # replaycheck runs the flight-recorder determinism and bisection suite
 # under the race detector: byte-identical recordings, replay == live

@@ -128,31 +128,44 @@ func Find(name string) (TestCase, bool) {
 	return TestCase{}, false
 }
 
-// All returns the 21 release-test cases.
+// All returns the 21 release-test cases. The cases and their 22 apps
+// share one allocation; each case's Apps is capped at its own apps, so
+// an append to one case copies instead of overwriting its neighbour.
 func All() []TestCase {
-	return []TestCase{
-		{Name: "c_hello", Apps: []kernel.App{printer("c_hello", "Hello World!\r\n")}},
-		{Name: "blink", Apps: []kernel.App{blink()}},
-		{Name: "console_short", Apps: []kernel.App{printer("console_short", "short console test\r\n")}},
-		{Name: "printf_long", Apps: []kernel.App{printfLong()}},
-		{Name: "sensors", Apps: []kernel.App{sensors()}, ExpectDiff: true},
-		{Name: "temperature", Apps: []kernel.App{temperature()}, ExpectDiff: true},
-		{Name: "malloc_test01", Apps: []kernel.App{mallocTest01()}},
-		{Name: "malloc_test02", Apps: []kernel.App{mallocTest02()}},
-		{Name: "stack_growth", Apps: []kernel.App{stackGrowth()}, ExpectDiff: true},
-		{Name: "mpu_walk_region", Apps: []kernel.App{mpuWalkRegion()}, ExpectDiff: true},
-		{Name: "memory_layout", Apps: []kernel.App{memoryLayout()}, ExpectDiff: true},
-		{Name: "whileone", Apps: []kernel.App{whileone()}, Quanta: 40},
-		{Name: "timer_test", Apps: []kernel.App{timerTest()}},
-		{Name: "multi_alarm", Apps: []kernel.App{multiAlarm()}},
-		{Name: "grant_test", Apps: []kernel.App{grantTest()}},
-		{Name: "allow_ro_test", Apps: []kernel.App{allowROTest()}},
-		{Name: "allow_rw_test", Apps: []kernel.App{allowRWTest()}},
-		{Name: "ipc_pair", Apps: []kernel.App{ipcRx(), ipcTx()}},
-		{Name: "exit_test", Apps: []kernel.App{exitTest()}},
-		{Name: "led_dance", Apps: []kernel.App{ledDance()}},
-		{Name: "yield_loop", Apps: []kernel.App{yieldLoop()}},
+	set := new(struct {
+		cases [21]TestCase
+		apps  [22]kernel.App
+	})
+	n := 0
+	caseApps := func(as ...kernel.App) []kernel.App {
+		s := set.apps[n : n+len(as) : n+len(as)]
+		n += copy(s, as)
+		return s
 	}
+	set.cases = [21]TestCase{
+		{Name: "c_hello", Apps: caseApps(printer("c_hello", "Hello World!\r\n"))},
+		{Name: "blink", Apps: caseApps(blink())},
+		{Name: "console_short", Apps: caseApps(printer("console_short", "short console test\r\n"))},
+		{Name: "printf_long", Apps: caseApps(printfLong())},
+		{Name: "sensors", Apps: caseApps(sensors()), ExpectDiff: true},
+		{Name: "temperature", Apps: caseApps(temperature()), ExpectDiff: true},
+		{Name: "malloc_test01", Apps: caseApps(mallocTest01())},
+		{Name: "malloc_test02", Apps: caseApps(mallocTest02())},
+		{Name: "stack_growth", Apps: caseApps(stackGrowth()), ExpectDiff: true},
+		{Name: "mpu_walk_region", Apps: caseApps(mpuWalkRegion()), ExpectDiff: true},
+		{Name: "memory_layout", Apps: caseApps(memoryLayout()), ExpectDiff: true},
+		{Name: "whileone", Apps: caseApps(whileone()), Quanta: 40},
+		{Name: "timer_test", Apps: caseApps(timerTest())},
+		{Name: "multi_alarm", Apps: caseApps(multiAlarm())},
+		{Name: "grant_test", Apps: caseApps(grantTest())},
+		{Name: "allow_ro_test", Apps: caseApps(allowROTest())},
+		{Name: "allow_rw_test", Apps: caseApps(allowRWTest())},
+		{Name: "ipc_pair", Apps: caseApps(ipcRx(), ipcTx())},
+		{Name: "exit_test", Apps: caseApps(exitTest())},
+		{Name: "led_dance", Apps: caseApps(ledDance())},
+		{Name: "yield_loop", Apps: caseApps(yieldLoop())},
+	}
+	return set.cases[:]
 }
 
 func blink() kernel.App {

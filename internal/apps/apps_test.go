@@ -48,6 +48,29 @@ func TestCaseMetadata(t *testing.T) {
 	}
 }
 
+// The cases share one backing array of apps; an append to one case must
+// leave every other case's apps as they were.
+func TestCaseAppsAreCapped(t *testing.T) {
+	cases := All()
+	want := All()
+	for i := range cases {
+		cases[i].Apps = append(cases[i].Apps, kernel.App{Name: "extra"})
+	}
+	for i, tc := range cases {
+		if len(tc.Apps) != len(want[i].Apps)+1 {
+			t.Fatalf("%s: %d apps after one append, want %d", tc.Name, len(tc.Apps), len(want[i].Apps)+1)
+		}
+		for j, app := range want[i].Apps {
+			if tc.Apps[j].Name != app.Name {
+				t.Fatalf("%s: app %d is %q after appends to the cases, want %q", tc.Name, j, tc.Apps[j].Name, app.Name)
+			}
+		}
+	}
+	if ipc, _ := Find("ipc_pair"); len(ipc.Apps) != 2 {
+		t.Fatalf("ipc_pair has %d apps, want 2", len(ipc.Apps))
+	}
+}
+
 func TestPutHexEmitsUniqueLabels(t *testing.T) {
 	a := armv7m.NewAssembler(0x100)
 	PutHex(a, armv7m.R4)

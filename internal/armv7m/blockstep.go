@@ -92,7 +92,7 @@ func execQuick(m *Machine, in Instr) error {
 // and memory state, fault status, meter and timer totals, metrics,
 // trace and exception hook invocations — is byte-identical with the
 // oracle Run; only the number of MPU checks and program lookups differs.
-func (m *Machine) runFast(budget uint64) (*Stop, error) {
+func (m *Machine) runFast(budget uint64) (Stop, error) {
 	f := m.Fast()
 	start := m.Meter.Cycles()
 	for {
@@ -101,11 +101,7 @@ func (m *Machine) runFast(budget uint64) (*Stop, error) {
 		// batch's last instruction, so polling per batch entry is
 		// equivalent.
 		if m.Tick.TakePending() {
-			m.mTick.Inc()
-			if err := m.TakeException(ExcSysTick); err != nil {
-				return nil, err
-			}
-			return &Stop{Reason: StopPreempted}, nil
+			return m.preempt()
 		}
 		pc := m.CPU.PC
 		priv := m.CPU.Privileged()
@@ -125,12 +121,12 @@ func (m *Machine) runFast(budget uint64) (*Stop, error) {
 			// denied at pc: slow-step so the oracle fetch raises the
 			// identical fault (bus fault or IACCVIOL MemManage).
 			m.Fallback(b)
-			stop, err := m.Step()
-			if stop != nil || err != nil {
+			stop, stopped, err := m.Step()
+			if stopped || err != nil {
 				return stop, err
 			}
 			if budget != 0 && m.Meter.Cycles()-start >= budget {
-				return &Stop{Reason: StopBudget}, nil
+				return Stop{Reason: StopBudget}, nil
 			}
 			continue
 		}
@@ -219,7 +215,7 @@ func (m *Machine) runFast(budget uint64) (*Stop, error) {
 			m.CPU.PC = b.Base + uint32(4*retired)
 		}
 		if budget != 0 && m.Meter.Cycles()-start >= budget {
-			return &Stop{Reason: StopBudget}, nil
+			return Stop{Reason: StopBudget}, nil
 		}
 	}
 }

@@ -60,7 +60,7 @@ func (tw *twins) diff() string {
 
 // run drives both machines one Run call and requires identical stops
 // and identical state.
-func (tw *twins) run(t *testing.T, budget uint64) *Stop {
+func (tw *twins) run(t *testing.T, budget uint64) Stop {
 	t.Helper()
 	ss, errS := tw.slow.Run(budget)
 	fs, errF := tw.fast.Run(budget)
@@ -68,7 +68,7 @@ func (tw *twins) run(t *testing.T, budget uint64) *Stop {
 		t.Fatalf("run errors diverge: oracle=%v fast=%v", errS, errF)
 	}
 	if errS != nil {
-		return nil
+		t.Fatalf("run: %v", errS)
 	}
 	if ss.Reason != fs.Reason || ss.SVCNum != fs.SVCNum || fmt.Sprint(ss.Fault) != fmt.Sprint(fs.Fault) {
 		t.Fatalf("stops diverge: oracle=%+v fast=%+v", ss, fs)

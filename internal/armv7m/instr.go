@@ -440,7 +440,7 @@ func (i Pop) String() string { return fmt.Sprintf("pop %v", i.Regs) }
 // SVC requests a supervisor call; it raises the SVCall exception.
 type SVC struct{ Imm uint8 }
 
-func (i SVC) Exec(m *Machine) error { return &svcTrap{imm: i.Imm} }
+func (i SVC) Exec(m *Machine) error { return svcTrap(i.Imm) }
 func (i SVC) Cost() uint64          { return CostALU }
 func (i SVC) String() string        { return fmt.Sprintf("svc #%d", i.Imm) }
 
@@ -513,7 +513,7 @@ func (i NOP) String() string        { return "nop" }
 // UDF is a permanently-undefined instruction; it escalates to HardFault.
 type UDF struct{}
 
-func (i UDF) Exec(m *Machine) error { return &udfTrap{} }
+func (i UDF) Exec(m *Machine) error { return udfTrap{} }
 func (i UDF) Cost() uint64          { return CostALU }
 func (i UDF) String() string        { return "udf" }
 
@@ -521,7 +521,7 @@ func (i UDF) String() string        { return "udf" }
 // program is idle and stops the run loop.
 type WFI struct{}
 
-func (i WFI) Exec(m *Machine) error { return &wfiTrap{} }
+func (i WFI) Exec(m *Machine) error { return wfiTrap{} }
 func (i WFI) Cost() uint64          { return CostALU }
 func (i WFI) String() string        { return "wfi" }
 

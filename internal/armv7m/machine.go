@@ -19,18 +19,19 @@ const (
 )
 
 // internal trap errors used to signal exceptional instruction outcomes from
-// Exec back to the step loop.
-type svcTrap struct{ imm uint8 }
+// Exec back to the step loop. They are values that fit an interface word
+// (svcTrap is its immediate), so raising one allocates nothing.
+type svcTrap uint8
 
-func (t *svcTrap) Error() string { return fmt.Sprintf("svc #%d", t.imm) }
+func (t svcTrap) Error() string { return fmt.Sprintf("svc #%d", uint8(t)) }
 
 type udfTrap struct{}
 
-func (t *udfTrap) Error() string { return "undefined instruction" }
+func (udfTrap) Error() string { return "undefined instruction" }
 
 type wfiTrap struct{}
 
-func (t *wfiTrap) Error() string { return "wfi" }
+func (wfiTrap) Error() string { return "wfi" }
 
 // Program is a sequence of instructions mapped at a flash base address;
 // instruction k occupies [Base+4k, Base+4k+4).
@@ -76,7 +77,9 @@ func (r StopReason) String() string {
 	}
 }
 
-// Stop describes why user execution stopped and with what detail.
+// Stop describes why user execution stopped and with what detail. Run and
+// Step return it by value: a trap allocates nothing, and a Stop the
+// caller keeps never changes under a later trap.
 type Stop struct {
 	Reason StopReason
 	// SVCNum is the SVC immediate when Reason is StopSyscall.
@@ -240,25 +243,24 @@ const frameBytes = 32
 // — the hardware never scribbles kernel RAM on the process's behalf. The
 // SP is still adjusted, and exception entry proceeds with an
 // unpredictable frame, which the kernel only ever consumes for processes
-// it is about to fault anyway.
+// it is about to fault anyway. The words before the first denied one are
+// written, in order, as the per-word writes would leave them.
 func (m *Machine) pushStackedFrame() (uint32, error) {
-	priv := m.CPU.Privileged()
 	sp := m.CPU.SP() - frameBytes
 	f := [8]uint32{
 		m.CPU.R[R0], m.CPU.R[R1], m.CPU.R[R2], m.CPU.R[R3],
 		m.CPU.R[R12], m.CPU.LR, m.CPU.PC, m.CPU.PSR,
 	}
-	for i, w := range f {
-		addr := sp + uint32(4*i)
-		if !m.MPU.Allows(addr, mpu.AccessWrite, priv) {
-			// MSTKERR: abandon the remaining frame writes.
-			m.Fault = FaultStatus{Valid: true, MMFAR: addr, DACCVIOL: true}
-			return sp, nil
-		}
-		if err := m.Mem.WriteWord(addr, w); err != nil {
+	n := m.MPU.writableWords(sp, len(f), m.CPU.Privileged())
+	for i, w := range f[:n] {
+		if err := m.Mem.WriteWord(sp+uint32(4*i), w); err != nil {
 			// Unmapped stack: likewise abandoned (BusFault.STKERR).
 			return sp, nil
 		}
+	}
+	if n < len(f) {
+		// MSTKERR at the first denied word: the rest are abandoned.
+		m.Fault = FaultStatus{Valid: true, MMFAR: sp + uint32(4*n), DACCVIOL: true}
 	}
 	return sp, nil
 }
@@ -356,20 +358,18 @@ func (m *Machine) exceptionReturn(excReturn uint32) error {
 }
 
 // Step executes one instruction, charging cycles and advancing the PC.
-// It returns a non-nil *Stop when an exception was taken (or WFI), nil
-// otherwise.
-func (m *Machine) Step() (*Stop, error) {
+// stopped reports whether an exception was taken (or WFI executed), and
+// stop then says why.
+func (m *Machine) Step() (stop Stop, stopped bool, err error) {
 	// Pending SysTick preempts before the next instruction issues.
 	if m.Tick.TakePending() {
-		m.mTick.Inc()
-		if err := m.TakeException(ExcSysTick); err != nil {
-			return nil, err
-		}
-		return &Stop{Reason: StopPreempted}, nil
+		stop, err = m.preempt()
+		return stop, true, err
 	}
 	in, err := m.fetch(m.CPU.PC)
 	if err != nil {
-		return m.faultStop(err)
+		stop, err = m.faultStop(err)
+		return stop, true, err
 	}
 	if m.Trace != nil {
 		m.Trace(m.CPU.PC, in)
@@ -381,40 +381,50 @@ func (m *Machine) Step() (*Stop, error) {
 	m.Meter.Add(cost)
 	m.Tick.Advance(cost)
 	if execErr != nil {
-		return m.execStop(execErr)
+		stop, err = m.execStop(execErr)
+		return stop, true, err
 	}
 	if !m.pcWritten {
 		m.CPU.PC += 4
 	}
-	return nil, nil
+	return Stop{}, false, nil
+}
+
+// preempt takes the pending SysTick exception. Shared by the oracle Step
+// and the fast-core dispatch loop, which poll the tick at the same
+// points.
+func (m *Machine) preempt() (Stop, error) {
+	m.mTick.Inc()
+	if err := m.TakeException(ExcSysTick); err != nil {
+		return Stop{}, err
+	}
+	return Stop{Reason: StopPreempted}, nil
 }
 
 // execStop maps a trap error returned by Exec to its exception entry and
 // Stop. Shared by the oracle Step and the fast-core dispatch loop so
 // both produce identical architectural effects. The caller must already
 // have charged the instruction's cost to the meter and timer.
-func (m *Machine) execStop(execErr error) (*Stop, error) {
-	var svc *svcTrap
-	if errors.As(execErr, &svc) {
+func (m *Machine) execStop(execErr error) (Stop, error) {
+	switch t := execErr.(type) {
+	case svcTrap:
 		// SVC: PC must advance past the SVC instruction before
 		// stacking so the return address is the next instruction.
 		m.CPU.PC += 4
 		if err := m.TakeException(ExcSVCall); err != nil {
-			return nil, err
+			return Stop{}, err
 		}
-		return &Stop{Reason: StopSyscall, SVCNum: svc.imm}, nil
-	}
-	var wfi *wfiTrap
-	if errors.As(execErr, &wfi) {
+		return Stop{Reason: StopSyscall, SVCNum: uint8(t)}, nil
+	case wfiTrap:
 		m.CPU.PC += 4
-		return &Stop{Reason: StopIdle}, nil
+		return Stop{Reason: StopIdle}, nil
 	}
 	return m.faultStop(execErr)
 }
 
 // faultStop takes the appropriate fault exception for err and reports the
 // stop. MPU violations raise MemManage; everything else raises HardFault.
-func (m *Machine) faultStop(cause error) (*Stop, error) {
+func (m *Machine) faultStop(cause error) (Stop, error) {
 	exc := uint32(ExcHardFault)
 	var pe *mpu.ProtectionError
 	if errors.As(cause, &pe) {
@@ -427,29 +437,26 @@ func (m *Machine) faultStop(cause error) (*Stop, error) {
 		}
 	}
 	if err := m.TakeException(exc); err != nil {
-		return nil, fmt.Errorf("armv7m: double fault: %v while handling %v", err, cause)
+		return Stop{}, fmt.Errorf("armv7m: double fault: %v while handling %v", err, cause)
 	}
-	return &Stop{Reason: StopFault, Fault: cause}, nil
+	return Stop{Reason: StopFault, Fault: cause}, nil
 }
 
 // Run steps until an exception stops execution or the cycle budget is
 // exhausted. A budget of 0 means unlimited (bounded only by exceptions),
 // which callers should use with care.
-func (m *Machine) Run(budget uint64) (*Stop, error) {
+func (m *Machine) Run(budget uint64) (Stop, error) {
 	if m.FastCore() {
 		return m.runFast(budget)
 	}
 	start := m.Meter.Cycles()
 	for {
-		stop, err := m.Step()
-		if err != nil {
-			return nil, err
-		}
-		if stop != nil {
-			return stop, nil
+		stop, stopped, err := m.Step()
+		if stopped || err != nil {
+			return stop, err
 		}
 		if budget != 0 && m.Meter.Cycles()-start >= budget {
-			return &Stop{Reason: StopBudget}, nil
+			return Stop{Reason: StopBudget}, nil
 		}
 	}
 }

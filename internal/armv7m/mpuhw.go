@@ -136,9 +136,12 @@ type MPUHardware struct {
 	rasr [NumRegions]uint32
 
 	// RegionWriteLog records the order in which region numbers were
-	// written since the last ResetWriteLog. The differential-testing
-	// campaign in the paper (§6.1) caught a TCB bug where regions were
-	// written out of order; the log lets tests assert ordering.
+	// written since the last ResetWriteLog or the last MPU_CTRL write
+	// that left ENABLE clear, so a kernel that disables the MPU on every
+	// trap keeps at most one context switch's writes. The
+	// differential-testing campaign in the paper (§6.1) caught a TCB bug
+	// where regions were written out of order; the log lets tests assert
+	// ordering.
 	RegionWriteLog []int
 
 	// Writes counts region-register writes (WriteRegion + ClearRegion)
@@ -149,15 +152,18 @@ type MPUHardware struct {
 // NewMPUHardware returns a disabled MPU (MPU_CTRL = PRIVDEFENA) with all
 // regions cleared.
 func NewMPUHardware() *MPUHardware {
-	h := &MPUHardware{ctrl: CtrlPrivDefEna}
+	h := &MPUHardware{ctrl: CtrlPrivDefEna, RegionWriteLog: make([]int, 0, NumRegions)}
 	h.Cache = accessmap.NewCache(h)
 	return h
 }
 
 // WriteCtrl writes MPU_CTRL. Bits other than ENABLE and PRIVDEFENA read
-// as zero.
+// as zero. A write that leaves ENABLE clear also clears RegionWriteLog.
 func (h *MPUHardware) WriteCtrl(v uint32) {
 	h.ctrl = v & (CtrlEnable | CtrlPrivDefEna)
+	if h.ctrl&CtrlEnable == 0 {
+		h.ResetWriteLog()
+	}
 	h.Invalidate()
 }
 
@@ -276,6 +282,47 @@ func (h *MPUHardware) Allows(addr uint32, kind mpu.AccessKind, privileged bool) 
 		return apAllows(rasr&RASRAPMask>>RASRAPShift, privileged, kind)
 	}
 	return privileged && h.ctrl&CtrlPrivDefEna != 0
+}
+
+// uniformGranules reports whether Allows is constant on every aligned
+// MinRegionSize-byte granule. It is whenever every enabled region has
+// SIZE >= 4: RBAR holds a base in bits [31:5], such a region spans at
+// least 32 bytes, and its subregions span size/8 >= 32 bytes, so every
+// boundary Boundaries reports is a multiple of 32. WriteRegion refuses a
+// smaller enabled region; only FlipBits can make one.
+func (h *MPUHardware) uniformGranules() bool {
+	if h.ctrl&CtrlEnable == 0 {
+		return true
+	}
+	for _, rasr := range h.rasr {
+		if rasr&RASREnable != 0 && rasr&RASRSizeMask>>RASRSizeShift < 4 {
+			return false
+		}
+	}
+	return true
+}
+
+// writableWords returns how many of the n words at addr, addr+4, ...
+// (wrapping at the top of the address space) Allows admits for writing
+// before the first denied one; like Allows, each word is decided by its
+// first byte. Exception entry stacks its frame through it. It asks Allows
+// once per granule the words touch when uniformGranules holds, and once
+// per word otherwise.
+func (h *MPUHardware) writableWords(addr uint32, n int, privileged bool) int {
+	perGranule := h.uniformGranules()
+	var ok bool
+	for i := 0; i < n; i++ {
+		a := addr + uint32(4*i)
+		// Stepping by 4, a word starts a new granule exactly when its
+		// offset in the granule is below 4.
+		if i == 0 || !perGranule || a%MinRegionSize < 4 {
+			ok = h.Allows(a, mpu.AccessWrite, privileged)
+		}
+		if !ok {
+			return i
+		}
+	}
+	return n
 }
 
 // Boundaries collects every address at which the MPU decision can change:

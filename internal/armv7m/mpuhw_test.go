@@ -192,6 +192,27 @@ func TestMPUWriteLogRecordsOrder(t *testing.T) {
 	}
 }
 
+// A kernel disables the MPU on every trap, so the write log keeps one
+// context switch's writes at most.
+func TestMPUWriteLogClearedWhenDisabled(t *testing.T) {
+	h := NewMPUHardware()
+	for quantum := 0; quantum < 3; quantum++ {
+		for n := 0; n < NumRegions; n++ {
+			if err := h.ClearRegion(n); err != nil {
+				t.Fatal(err)
+			}
+		}
+		h.WriteCtrl(CtrlEnable | CtrlPrivDefEna)
+		if len(h.RegionWriteLog) != NumRegions {
+			t.Fatalf("quantum %d: write log %v after enabling, want %d entries", quantum, h.RegionWriteLog, NumRegions)
+		}
+		h.WriteCtrl(CtrlPrivDefEna)
+		if len(h.RegionWriteLog) != 0 {
+			t.Fatalf("quantum %d: write log %v after disabling, want empty", quantum, h.RegionWriteLog)
+		}
+	}
+}
+
 func TestMPUSnapshotRestore(t *testing.T) {
 	h := NewMPUHardware()
 	h.WriteCtrl(CtrlEnable | CtrlPrivDefEna)

@@ -255,16 +255,10 @@ func (c *CortexMMPU) NewExactRegion(regionID int, start, size uint32, perms mpu.
 // part of the TCB contract §6.1's differential testing validated; the
 // ScrambleWriteOrder flag reintroduces the caught bug for those tests.
 func (c *CortexMMPU) ConfigureMPU(regions []CortexMRegion) error {
-	order := make([]int, len(regions))
-	for i := range order {
-		order[i] = i
-	}
-	if c.ScrambleWriteOrder {
-		for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
-			order[i], order[j] = order[j], order[i]
+	for i := range regions {
+		if c.ScrambleWriteOrder {
+			i = len(regions) - 1 - i
 		}
-	}
-	for _, i := range order {
 		r := regions[i]
 		c.Meter.Add(2 * cycles.MMIO)
 		if err := c.HW.WriteRegion(r.RegionID(), r.rbar, r.rasr); err != nil {

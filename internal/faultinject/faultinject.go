@@ -234,6 +234,17 @@ func GenScenarios(cfg Config) []Scenario {
 	return out
 }
 
+// ScenarioAt derives scenario i of the campaign cfg describes without
+// deriving the others: GenScenarios(cfg)[i], or an error when i is
+// outside [0, N).
+func ScenarioAt(cfg Config, i int) (Scenario, error) {
+	cfg = cfg.withDefaults()
+	if i < 0 || i >= cfg.N {
+		return Scenario{}, fmt.Errorf("faultinject: scenario %d out of range [0,%d)", i, cfg.N)
+	}
+	return genScenario(cfg.Seed, i), nil
+}
+
 // genScenario derives scenario i of the campaign seeded seed from its
 // own source, so any one scenario can be derived without the others.
 func genScenario(seed int64, i int) Scenario {

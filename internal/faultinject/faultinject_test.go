@@ -38,6 +38,25 @@ func TestCampaignDeterministic(t *testing.T) {
 // acceptance conditions: no isolation-contract violation, no scenario
 // infrastructure error, and every scenario fully classified on both
 // ports (injected faults are detected, masked or benign — never lost).
+// ScenarioAt derives one scenario exactly as GenScenarios derives the
+// whole list, and refuses indexes outside the campaign.
+func TestScenarioAtMatchesGenScenarios(t *testing.T) {
+	for _, cfg := range []Config{{Seed: 42, N: 60}, {Seed: 1 << 16}} {
+		all := GenScenarios(cfg)
+		for i, want := range all {
+			got, err := ScenarioAt(cfg, i)
+			if err != nil || got != want {
+				t.Fatalf("seed %d: ScenarioAt(%d) = %+v, %v; want %+v", cfg.Seed, i, got, err, want)
+			}
+		}
+		for _, i := range []int{-1, len(all)} {
+			if _, err := ScenarioAt(cfg, i); err == nil {
+				t.Fatalf("seed %d: ScenarioAt(%d) of %d scenarios succeeded", cfg.Seed, i, len(all))
+			}
+		}
+	}
+}
+
 func TestCampaignUpholdsContracts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("campaign is seconds-long; skipped in -short")

@@ -233,11 +233,10 @@ func deriveDifftestRegress(caseName, bug string) (*Regress, map[string]*flightre
 // machine. Pure function of (seed, n, scenario).
 func deriveFaultcampRegress(seed int64, n, scenario int) (*Regress, map[string]*flightrec.Recording, error) {
 	cfg := faultinject.Config{Seed: seed, N: n}
-	scs := faultinject.GenScenarios(cfg)
-	if scenario < 0 || scenario >= len(scs) {
-		return nil, nil, fmt.Errorf("runpack: scenario %d out of range [0,%d)", scenario, len(scs))
+	sc, err := faultinject.ScenarioAt(cfg, scenario)
+	if err != nil {
+		return nil, nil, fmt.Errorf("runpack: %w", err)
 	}
-	sc := scs[scenario]
 	res := faultinject.RunScenario(sc, cfg)
 	if res.ARM.Err != "" || res.RV.Err != "" {
 		return nil, nil, fmt.Errorf("runpack: scenario %s errored: arm=%q rv=%q", sc.Label(), res.ARM.Err, res.RV.Err)
@@ -421,11 +420,11 @@ func CheckRegression(dir string, opts RegressOptions) error {
 		}
 	case KindFaultcamp:
 		cfg := faultinject.Config{Seed: r.Seed, N: r.N}
-		scs := faultinject.GenScenarios(cfg)
-		if r.Scenario < 0 || r.Scenario >= len(scs) {
-			return fmt.Errorf("runpack: %s: scenario %d out of range", dir, r.Scenario)
+		sc, err := faultinject.ScenarioAt(cfg, r.Scenario)
+		if err != nil {
+			return fmt.Errorf("runpack: %s: %w", dir, err)
 		}
-		res := faultinject.RunScenario(scs[r.Scenario], cfg)
+		res := faultinject.RunScenario(sc, cfg)
 		if res.ARM.Err != "" || res.RV.Err != "" {
 			return fmt.Errorf("runpack: %s: re-running %s: arm=%q rv=%q", dir, r.ScenarioLabel, res.ARM.Err, res.RV.Err)
 		}

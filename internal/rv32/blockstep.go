@@ -81,13 +81,13 @@ func execQuick(m *Machine, in Instr) error {
 // runFast is the fast-core Run loop, byte-identical with the oracle Run
 // in every observable effect. The user-mode-only pending poll mirrors
 // Step exactly; see the Step comment for why machine mode defers ticks.
-func (m *Machine) runFast(budget uint64) (*Stop, error) {
+func (m *Machine) runFast(budget uint64) (Stop, error) {
 	f := m.Fast()
 	start := m.Meter.Cycles()
 	for {
 		if m.Priv == PrivUser && m.Timer.TakePending() {
 			m.trap(CauseMachineTimer, 0)
-			return &Stop{Reason: StopTimer, Cause: CauseMachineTimer}, nil
+			return Stop{Reason: StopTimer, Cause: CauseMachineTimer}, nil
 		}
 		pc := m.PC
 		b := f.Table.Lookup(pc)
@@ -107,12 +107,12 @@ func (m *Machine) runFast(budget uint64) (*Stop, error) {
 			// denied at pc: slow-step so the oracle fetch raises the
 			// identical instruction access fault.
 			m.Fallback(b)
-			stop, err := m.Step()
-			if stop != nil || err != nil {
+			stop, stopped, err := m.Step()
+			if stopped || err != nil {
 				return stop, err
 			}
 			if budget != 0 && m.Meter.Cycles()-start >= budget {
-				return &Stop{Reason: StopBudget}, nil
+				return Stop{Reason: StopBudget}, nil
 			}
 			continue
 		}
@@ -171,7 +171,7 @@ func (m *Machine) runFast(budget uint64) (*Stop, error) {
 			m.PC = b.Base + uint32(4*retired)
 		}
 		if budget != 0 && m.Meter.Cycles()-start >= budget {
-			return &Stop{Reason: StopBudget}, nil
+			return Stop{Reason: StopBudget}, nil
 		}
 	}
 }

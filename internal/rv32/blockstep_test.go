@@ -57,7 +57,7 @@ func (tw *rvTwins) diff() string {
 	return ""
 }
 
-func (tw *rvTwins) run(t *testing.T, budget uint64) *Stop {
+func (tw *rvTwins) run(t *testing.T, budget uint64) Stop {
 	t.Helper()
 	ss, errS := tw.slow.Run(budget)
 	fs, errF := tw.fast.Run(budget)
@@ -65,7 +65,7 @@ func (tw *rvTwins) run(t *testing.T, budget uint64) *Stop {
 		t.Fatalf("run errors diverge: oracle=%v fast=%v", errS, errF)
 	}
 	if errS != nil {
-		return nil
+		t.Fatalf("run: %v", errS)
 	}
 	if ss.Reason != fs.Reason || ss.Cause != fs.Cause || fmt.Sprint(ss.Fault) != fmt.Sprint(fs.Fault) {
 		t.Fatalf("stops diverge: oracle=%+v fast=%+v", ss, fs)

@@ -14,14 +14,15 @@ type Instr interface {
 	fmt.Stringer
 }
 
-// trap errors signalled from Exec to the step loop.
+// trap errors signalled from Exec to the step loop. ecallTrap and wfiTrap
+// are zero-size values, so raising one allocates nothing.
 type ecallTrap struct{}
 
-func (*ecallTrap) Error() string { return "ecall" }
+func (ecallTrap) Error() string { return "ecall" }
 
 type wfiTrap struct{}
 
-func (*wfiTrap) Error() string { return "wfi" }
+func (wfiTrap) Error() string { return "wfi" }
 
 type illegalTrap struct{ what string }
 
@@ -388,14 +389,14 @@ func (i Jalr) String() string { return fmt.Sprintf("jalr x%d, %d(x%d)", i.Rd, i.
 // Ecall raises an environment call into the kernel.
 type Ecall struct{}
 
-func (Ecall) Exec(m *Machine) error { return &ecallTrap{} }
+func (Ecall) Exec(m *Machine) error { return ecallTrap{} }
 func (Ecall) Cost() uint64          { return cycles.ALU }
 func (Ecall) String() string        { return "ecall" }
 
 // Wfi hints the hart is idle; the run loop stops.
 type Wfi struct{}
 
-func (Wfi) Exec(m *Machine) error { return &wfiTrap{} }
+func (Wfi) Exec(m *Machine) error { return wfiTrap{} }
 func (Wfi) Cost() uint64          { return cycles.ALU }
 func (Wfi) String() string        { return "wfi" }
 

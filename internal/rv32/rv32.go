@@ -215,7 +215,9 @@ func (r StopReason) String() string {
 	}
 }
 
-// Stop describes a trap into the kernel.
+// Stop describes a trap into the kernel. Run and Step return it by
+// value: a trap allocates nothing, and a Stop the caller keeps never
+// changes under a later trap.
 type Stop struct {
 	Reason StopReason
 	Cause  uint32
@@ -340,7 +342,8 @@ func (m *Machine) ResumeUser(pc uint32) {
 	m.Meter.Add(cycles.Exception)
 }
 
-// Step executes one instruction, returning a Stop when a trap was taken.
+// Step executes one instruction. stopped reports whether a trap was taken
+// (or WFI executed), and stop then says why.
 //
 // The pending machine-timer interrupt is polled only in user mode: in
 // machine mode mstatus.MIE is clear (the kernel runs with interrupts
@@ -354,16 +357,16 @@ func (m *Machine) ResumeUser(pc uint32) {
 // any user instruction retires — is pinned by the timer_user_entry
 // obligation in internal/specs and TestTimerPendingAtUserEntryParity
 // in internal/difftest.
-func (m *Machine) Step() (*Stop, error) {
+func (m *Machine) Step() (stop Stop, stopped bool, err error) {
 	if m.Priv == PrivUser && m.Timer.TakePending() {
 		m.trap(CauseMachineTimer, 0)
-		return &Stop{Reason: StopTimer, Cause: CauseMachineTimer}, nil
+		return Stop{Reason: StopTimer, Cause: CauseMachineTimer}, true, nil
 	}
 	in, err := m.fetch(m.PC)
 	if err != nil {
 		cause := uint32(CauseInstrAccessFault)
 		m.trap(cause, m.PC)
-		return &Stop{Reason: StopFault, Cause: cause, Fault: err}, nil
+		return Stop{Reason: StopFault, Cause: cause, Fault: err}, true, nil
 	}
 	m.pcWritten = false
 	execErr := in.Exec(m)
@@ -371,57 +374,55 @@ func (m *Machine) Step() (*Stop, error) {
 	m.Meter.Add(cost)
 	m.Timer.Advance(cost)
 	if execErr != nil {
-		return m.execStop(execErr)
+		stop, err = m.execStop(execErr)
+		return stop, true, err
 	}
 	if !m.pcWritten {
 		m.PC += 4
 	}
-	return nil, nil
+	return Stop{}, false, nil
 }
 
 // execStop maps a trap error returned by Exec to its trap entry and
 // Stop. Shared by the oracle Step and the fast-core dispatch loop so
 // both produce identical architectural effects. The caller must already
 // have charged the instruction's cost to the meter and timer.
-func (m *Machine) execStop(execErr error) (*Stop, error) {
+func (m *Machine) execStop(execErr error) (Stop, error) {
 	switch e := execErr.(type) {
-	case *ecallTrap:
+	case ecallTrap:
 		cause := uint32(CauseEcallU)
 		if m.Priv == PrivMachine {
 			cause = CauseEcallM
 		}
 		m.trap(cause, 0)
-		return &Stop{Reason: StopEcall, Cause: cause}, nil
-	case *wfiTrap:
+		return Stop{Reason: StopEcall, Cause: cause}, nil
+	case wfiTrap:
 		m.PC += 4
-		return &Stop{Reason: StopWFI}, nil
+		return Stop{Reason: StopWFI}, nil
 	case *illegalTrap:
 		m.trap(CauseIllegalInstr, 0)
-		return &Stop{Reason: StopFault, Cause: CauseIllegalInstr, Fault: e}, nil
+		return Stop{Reason: StopFault, Cause: CauseIllegalInstr, Fault: e}, nil
 	case *accessFault:
 		m.trap(e.cause, e.addr)
-		return &Stop{Reason: StopFault, Cause: e.cause, Fault: e.inner}, nil
+		return Stop{Reason: StopFault, Cause: e.cause, Fault: e.inner}, nil
 	default:
-		return nil, execErr
+		return Stop{}, execErr
 	}
 }
 
 // Run steps until a trap or the cycle budget is exhausted (0 = unlimited).
-func (m *Machine) Run(budget uint64) (*Stop, error) {
+func (m *Machine) Run(budget uint64) (Stop, error) {
 	if m.FastCore() {
 		return m.runFast(budget)
 	}
 	start := m.Meter.Cycles()
 	for {
-		stop, err := m.Step()
-		if err != nil {
-			return nil, err
-		}
-		if stop != nil {
-			return stop, nil
+		stop, stopped, err := m.Step()
+		if stopped || err != nil {
+			return stop, err
 		}
 		if budget != 0 && m.Meter.Cycles()-start >= budget {
-			return &Stop{Reason: StopBudget}, nil
+			return Stop{Reason: StopBudget}, nil
 		}
 	}
 }

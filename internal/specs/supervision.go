@@ -192,6 +192,8 @@ func BuildSupervision(sc Scale) *verify.Registry {
 		SpecLines:  4,
 		DomainSize: 3,
 		Body: func(t *verify.T) {
+			// One App for every state, so its image is assembled once.
+			neighbour := apps.All()[0].Apps[0]
 			for _, wd := range []int{2, 3, 5} {
 				if t.Stopped() {
 					return
@@ -207,8 +209,7 @@ func BuildSupervision(sc Scale) *verify.Registry {
 					t.Failf("load", "%v", err)
 					return
 				}
-				tc := apps.All()[0]
-				good, err := k.LoadProcess(tc.Apps[0])
+				good, err := k.LoadProcess(neighbour)
 				if err != nil {
 					t.Failf("load", "%v", err)
 					return
